@@ -21,10 +21,10 @@ import numpy as np
 
 from . import analysis
 from .correlators import CorrelationSeries, _normalized_series
-from .errors import TwotimeError
+from .errors import ScenarioSchemaError, TwotimeError
 from .hilbert import FockCutoff
 from .phasespace import phase_space_series
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, check_semantics, parse_scenario
 
 CROSS_VALIDATION_TOL = 1e-5
 CSV_HEADER = "tau,method,g1_re,g1_im,g2,abs_err"
@@ -180,9 +180,13 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
         changes["integration"] = dataclasses.replace(scn.integration, seed=args.seed)
         scn.settings["integration.seed"] = f"{args.seed}  [cli override]"
     if getattr(args, "cutoff", None) is not None:
-        changes["system"] = dataclasses.replace(scn.system, cutoff=FockCutoff(args.cutoff))
+        try:
+            cutoff = FockCutoff(args.cutoff)
+        except ValueError as exc:
+            raise ScenarioSchemaError(f"--cutoff: {exc}")
+        changes["system"] = dataclasses.replace(scn.system, cutoff=cutoff)
         scn.settings["system.cutoff"] = f"{args.cutoff}  [cli override]"
-    return dataclasses.replace(scn, **changes) if changes else scn
+    return check_semantics(dataclasses.replace(scn, **changes)) if changes else scn
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroDenominatorError
+from .errors import SelfCheckError, ZeroDenominatorError
 from .dynamics import (
     DampingChannel,
     QuadraticHamiltonian,
@@ -136,22 +136,28 @@ def _check_tau_grid(taus: np.ndarray) -> np.ndarray:
 class _GridPropagator:
     """Evolves a set of deformed matrices along an ascending tau grid.
 
-    Uses the semigroup property: one cached exponential per distinct grid
-    increment, applied sequentially, instead of one exponential per tau.
-    Closed systems use the small unitary sandwich instead of the superoperator.
+    Uses the semigroup property: one cached map per distinct grid increment,
+    applied sequentially, instead of one map per tau.  A grid whose increments
+    agree to 1e-12 relative (np.linspace rounding) steps with its single mean
+    increment, so it needs one map besides the step from 0 to its first tau.
+    Damped systems apply the sparse block superoperator from
+    ``propagated_map``; closed systems use the small unitary sandwich.
     """
 
     def __init__(self, sys: SystemSpec, taus: np.ndarray):
         self.sys = sys
-        self.taus = taus
+        increments = np.diff(taus)
+        if len(increments):
+            mean = (taus[-1] - taus[0]) / len(increments)
+            if np.all(np.abs(increments - mean) <= 1e-12 * mean):
+                increments = np.full_like(increments, mean)
+        self.steps = np.concatenate(([taus[0]], increments))
 
     def run(self, mats: list[np.ndarray]):
         """Yields (tau_index, evolved_mats) in grid order."""
         sys = self.sys
         current = [m.copy() for m in mats]
-        prev = 0.0
-        for i, tau in enumerate(self.taus):
-            dt = tau - prev
+        for i, dt in enumerate(self.steps):
             if dt > 0:
                 if sys.closed:
                     U = unitary_matrix(sys.hamiltonian, dt, sys.cutoff)
@@ -159,7 +165,6 @@ class _GridPropagator:
                 else:
                     M = propagated_map(sys.hamiltonian, sys.channel, dt, sys.cutoff)
                     current = [M.apply(m) for m in current]
-            prev = tau
             yield i, current
 
 
@@ -188,7 +193,7 @@ def _regression_raw(sys: SystemSpec, taus: np.ndarray):
 
     conj_gap = np.max(np.abs(G_late - np.conj(G_early)))
     if conj_gap > CONJUGACY_TOL * max(1.0, mean_n):
-        raise AssertionError(
+        raise SelfCheckError(
             f"ordering conjugacy violated by {conj_gap:.2e}; regression wiring is broken"
         )
     return mean_n, G_late, G_early, G2
@@ -204,7 +209,7 @@ def _normalized_series(sys: SystemSpec, taus, method_tag="regression") -> Correl
     g2 = G2 / mean_n**2
     worst_imag = float(np.max(np.abs(g2.imag)))
     if worst_imag > 1e-9:
-        raise AssertionError(f"g2 imaginary residue {worst_imag:.2e} exceeds 1e-9")
+        raise SelfCheckError(f"g2 imaginary residue {worst_imag:.2e} exceeds 1e-9")
     return CorrelationSeries(
         tau_grid=np.asarray(taus, dtype=float),
         g1=G_late / mean_n,

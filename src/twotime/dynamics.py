@@ -1,17 +1,26 @@
 """Time evolution: quadratic Hamiltonians, unitary and Markovian-damped dynamics.
 
 The open-system channel is a single thermal damping bath (rate kappa, mean
-occupation n_thermal) in Lindblad form; its generator is exponentiated once
-per distinct duration and cached, since correlators reuse the same map across
-a whole tau grid.
+occupation n_thermal) in Lindblad form.  Its generator L is a sparse CSR
+matrix.  L often splits into independent blocks: a phase-invariant generator
+(xi = eta = 0) keeps the coherence order m - n of |m><n| fixed, which gives
+2d - 1 blocks of at most d rows; squeezing alone keeps the parity of m + n,
+which gives two.  exp(L tau) is block diagonal with the same pattern, so it
+is built with one small dense ``expm`` per connected block of L's sparsity
+graph and stored as a sparse map.  A connected generator is a single block.
+Maps are cached per distinct duration, since correlators reuse the same map
+across a whole tau grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm, null_space
+from scipy.sparse.csgraph import connected_components
 
 from .hilbert import DEFAULT_TRACE_BUDGET, DensityMatrix, FockCutoff, ladder_matrices
 
@@ -43,9 +52,6 @@ class DampingChannel:
         if self.kappa < 0 or self.n_thermal < 0:
             raise ValueError("kappa and n_thermal must be >= 0")
 
-    def key(self) -> tuple:
-        return (float(self.kappa), float(self.n_thermal))
-
 
 def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarray:
     """Fock matrix of the Hamiltonian; exactly hermitian by symmetrization."""
@@ -58,41 +64,39 @@ def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarra
     return (m + m.conj().T) / 2.0
 
 
-# vec convention is row-major (C order): vec(A rho B) = kron(A, B.T) vec(rho)
-def _sandwich(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.kron(A, B.T)
-
-
 def lindblad_generator(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
-) -> np.ndarray:
-    """Dense generator L with d rho/dt = L vec(rho).
+) -> sparse.csr_matrix:
+    """Sparse generator L with d rho/dt = L vec(rho).
 
     L = -i[H, .] + kappa (n+1) D[a] + kappa n D[adag],
-    D[c] rho = c rho cdag - (cdag c rho + rho cdag c)/2.
+    D[c] rho = c rho cdag - (cdag c rho + rho cdag c)/2,
+    assembled as K rho + rho Kdag + sum_c rate_c c rho cdag with the
+    effective K = -i H - sum_c rate_c cdag c / 2.  The vec convention is
+    row-major (C order): vec(A rho B) = kron(A, B.T) vec(rho).
     """
-    d = cutoff.dim
     a, adag = ladder_matrices(cutoff)
-    Hm = hamiltonian_matrix(H, cutoff)
-    eye = np.eye(d, dtype=complex)
-    L = -1j * (_sandwich(Hm, eye) - _sandwich(eye, Hm))
-
-    def dissipator(c: np.ndarray) -> np.ndarray:
-        cc = c.conj().T @ c
-        return _sandwich(c, c.conj().T) - 0.5 * (_sandwich(cc, eye) + _sandwich(eye, cc))
-
+    jumps = []
     if ch.kappa > 0:
-        L = L + ch.kappa * (ch.n_thermal + 1.0) * dissipator(a)
+        jumps = [(ch.kappa * (ch.n_thermal + 1.0), a)]
         if ch.n_thermal > 0:
-            L = L + ch.kappa * ch.n_thermal * dissipator(adag)
+            jumps.append((ch.kappa * ch.n_thermal, adag))
+    K = -1j * hamiltonian_matrix(H, cutoff)
+    for rate, c in jumps:
+        K = K - 0.5 * rate * (c.conj().T @ c)
+    eye = sparse.identity(cutoff.dim, dtype=complex, format="csr")
+    L = sparse.kron(K, eye, format="csr") + sparse.kron(eye, K.conj(), format="csr")
+    for rate, c in jumps:
+        L = L + rate * sparse.kron(c, c.conj(), format="csr")
+    L.eliminate_zeros()
     return L
 
 
 @dataclass
 class Propagated:
-    """Reusable linear map rho(tau) = unvec(map @ vec(rho))."""
+    """Reusable linear map rho(tau) = unvec(map @ vec(rho)); ``map`` is sparse CSR."""
 
-    map: np.ndarray
+    map: sparse.csr_matrix
     duration: float
     dim: int
 
@@ -100,39 +104,56 @@ class Propagated:
         return (self.map @ rho_mat.reshape(-1)).reshape(self.dim, self.dim)
 
 
-_unitary_cache: dict = {}
-_map_cache: dict = {}
-_CACHE_LIMIT = 32
-
-
-def _cache_put(cache: dict, key, value):
-    if len(cache) >= _CACHE_LIMIT:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
+@lru_cache(maxsize=32)
 def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.ndarray:
     """exp(-i H t) on the truncated basis, cached per (H, t, cutoff)."""
-    key = (H.key(), float(t), cutoff.n_max)
-    if key not in _unitary_cache:
-        _cache_put(_unitary_cache, key, expm(-1j * t * hamiltonian_matrix(H, cutoff)))
-    return _unitary_cache[key]
+    U = expm(-1j * t * hamiltonian_matrix(H, cutoff))
+    U.flags.writeable = False
+    return U
 
 
+@lru_cache(maxsize=8)  # a scenario uses one generator for all its durations
+def _generator_blocks(
+    H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Dense diagonal blocks of L, and the (row, col) in L of their raveled entries.
+
+    A connected block of L's sparsity graph couples to no index outside it,
+    so exp(L tau) has the same blocks, each the exponential of its block of L.
+    """
+    L = lindblad_generator(H, ch, cutoff).tocoo()
+    n_blocks, labels = connected_components(abs(L), directed=False)
+    sizes = np.bincount(labels, minlength=n_blocks)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(labels, kind="stable")  # indices of L, block by block
+    local = np.empty_like(members)  # position of each index within its block
+    local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
+    offsets = np.cumsum(sizes**2) - sizes**2  # where each raveled block starts
+    flat = np.zeros(np.sum(sizes**2), dtype=complex)
+    k = labels[L.row]
+    flat[offsets[k] + local[L.row] * sizes[k] + local[L.col]] = L.data
+    blocks = tuple(flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes))
+    groups = np.split(members, starts[1:])
+    rows = np.concatenate([np.repeat(g, len(g)) for g in groups])
+    cols = np.concatenate([np.tile(g, len(g)) for g in groups])
+    return blocks, rows, cols
+
+
+@lru_cache(maxsize=32)
 def propagated_map(
     H: QuadraticHamiltonian,
     ch: DampingChannel,
     tau: float,
     cutoff: FockCutoff,
 ) -> Propagated:
-    """Superoperator M(tau) = expm(L tau), cached per distinct duration."""
+    """Superoperator M(tau) = expm(L tau), one dense expm per block of L, cached per duration."""
     if tau < 0:
         raise ValueError("tau must be >= 0 for the damped map")
-    key = (H.key(), ch.key(), float(tau), cutoff.n_max)
-    if key not in _map_cache:
-        L = lindblad_generator(H, ch, cutoff)
-        _cache_put(_map_cache, key, expm(L * tau))
-    return Propagated(_map_cache[key], float(tau), cutoff.dim)
+    blocks, rows, cols = _generator_blocks(H, ch, cutoff)
+    data = np.concatenate([expm(Lb * tau).ravel() for Lb in blocks])
+    size = cutoff.dim**2
+    return Propagated(sparse.csr_matrix((data, (rows, cols)), shape=(size, size)),
+                      float(tau), cutoff.dim)
 
 
 def evolve_unitary(
@@ -171,16 +192,10 @@ def steady_state(
     if ch.kappa <= 0:
         raise ValueError("steady state requires kappa > 0")
     L = lindblad_generator(H, ch, cutoff)
-    ns = null_space(L, rcond=1e-10)
+    ns = null_space(L.toarray(), rcond=1e-10)
     if ns.shape[1] == 0:
         raise RuntimeError("generator null space is empty at this tolerance")
     rho = ns[:, 0].reshape(cutoff.dim, cutoff.dim)
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / np.trace(rho).real
     return DensityMatrix(rho, cutoff).validate()
-
-
-def choi_matrix(P: Propagated) -> np.ndarray:
-    """Choi reshuffle of the map, for complete-positivity desk checks."""
-    d = P.dim
-    return P.map.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)

@@ -41,6 +41,10 @@ class MeasureConventionError(TwotimeError):
     """Phase-space self-test failed; an integral likely carries a wrong pi factor."""
 
 
+class SelfCheckError(TwotimeError):
+    """A runtime consistency check on computed results failed; the wiring is broken."""
+
+
 class ScenarioSchemaError(TwotimeError):
     """Scenario file is syntactically malformed or has invalid values."""
 

@@ -136,6 +136,30 @@ def _parse_initial(raw: str, line_no: int) -> InitialState:
     )
 
 
+def check_semantics(scn: Scenario) -> Scenario:
+    """Apply the rules that span sections; returns the scenario unchanged.
+
+    ``parse_scenario`` runs these on every file, and the CLI runs them again
+    after its command-line overrides.
+    """
+    kappa = scn.system.channel.kappa
+    if any(m in PHASE_SPACE_TAGS for m in scn.methods):
+        if kappa != 0:
+            raise ScenarioSemanticError(
+                "phase-space methods require closed dynamics (system.kappa = 0); "
+                f"scenario sets kappa = {kappa}"
+            )
+        if scn.system.initial_state.kind != "coherent":
+            raise ScenarioSemanticError(
+                "phase-space methods require a coherent (or vacuum) initial state"
+            )
+    if "qfunction_derivative" in scn.methods and scn.L_max > scn.system.cutoff.n_max:
+        raise ScenarioSemanticError(
+            "lmax must not exceed system.cutoff for the qfunction_derivative method"
+        )
+    return scn
+
+
 def parse_scenario(path) -> Scenario:
     """Parse and validate a scenario file, applying documented defaults."""
     path = Path(path)
@@ -241,23 +265,6 @@ def parse_scenario(path) -> Scenario:
     except ValueError as exc:
         raise ScenarioSchemaError(str(exc))
 
-    # semantic rules that span sections
-    wants_phase_space = any(m in PHASE_SPACE_TAGS for m in methods)
-    if wants_phase_space:
-        if kappa != 0:
-            raise ScenarioSemanticError(
-                "phase-space methods require closed dynamics (system.kappa = 0); "
-                f"scenario sets kappa = {kappa}"
-            )
-        if initial.kind != "coherent":
-            raise ScenarioSemanticError(
-                "phase-space methods require a coherent (or vacuum) initial state"
-            )
-    if "qfunction_derivative" in methods and L_max > cutoff_n:
-        raise ScenarioSemanticError(
-            "lmax must not exceed system.cutoff for the qfunction_derivative method"
-        )
-
     settings = {
         "name": name,
         "system.omega": omega, "system.xi": xi, "system.eta": eta,
@@ -279,7 +286,7 @@ def parse_scenario(path) -> Scenario:
         defaulted.append("system.t_prepare")
     settings["defaulted_keys"] = ", ".join(sorted(defaulted)) if defaulted else "(none)"
 
-    return Scenario(
+    return check_semantics(Scenario(
         name=name,
         system=system,
         taus=np.linspace(tau_start, tau_stop, tau_count),
@@ -289,4 +296,4 @@ def parse_scenario(path) -> Scenario:
         series_path=raw.get("outputs.series_path", f"{name}_series.csv"),
         report_path=raw.get("outputs.report_path", f"{name}_report.txt"),
         settings=settings,
-    )
+    ))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import twotime.cli as cli
+import twotime.correlators as correlators
 from twotime.cli import main
 from twotime.errors import ScenarioSchemaError, ScenarioSemanticError
 from twotime.scenario import parse_scenario
@@ -162,6 +163,23 @@ class TestMainEntry:
         assert main(["run", str(scn), "--cutoff", "18", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "thermal_report.txt").read_text()
         assert "18  [cli override]" in report
+
+    @pytest.mark.parametrize("cutoff, message", [
+        ("11", "error: lmax must not exceed system.cutoff"),
+        ("0", "error: --cutoff: n_max must be a positive integer"),
+    ])
+    def test_cutoff_override_validated(self, tmp_path, capsys, cutoff, message):
+        # coherent_closed runs qfunction_derivative with the default lmax = 12
+        scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_closed.cfg"
+        assert main(["run", str(scn), "--cutoff", cutoff, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not list(tmp_path.iterdir())
+
+    def test_self_check_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(correlators, "CONJUGACY_TOL", -1.0)
+        scn = write(tmp_path, THERMAL)
+        assert main(["run", str(scn), "--out", str(tmp_path)]) == 1
+        assert "error: ordering conjugacy violated" in capsys.readouterr().err
 
     def test_cross_validation_failure_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "CROSS_VALIDATION_TOL", 1e-18)

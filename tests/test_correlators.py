@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import twotime.correlators as correlators
 from twotime.correlators import (
     CorrelationSeries,
     InitialState,
@@ -11,7 +12,7 @@ from twotime.correlators import (
     unnormalized_g2,
 )
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
-from twotime.errors import ZeroDenominatorError
+from twotime.errors import SelfCheckError, ZeroDenominatorError
 from twotime.hilbert import FockCutoff
 
 
@@ -148,3 +149,41 @@ class TestSeriesContract:
         taus = np.array([0.0, 0.1, 0.4, 1.0, 2.5])
         s = g2_regression(damped_thermal(), taus)
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
+
+    @pytest.mark.parametrize("taus, steps", [
+        (np.linspace(0, 5, 20), 1),
+        (np.linspace(0.5, 5, 20), 2),
+        (np.array([0.0, 0.1, 0.4, 1.0, 2.5]), 4),
+    ], ids=["linspace", "linspace_offset", "nonuniform"])
+    def test_one_map_per_distinct_step(self, taus, steps, monkeypatch):
+        # np.linspace increments differ in the last bit; they share one map
+        durations = []
+        original = correlators.propagated_map
+
+        def recording_map(H, ch, tau, cutoff):
+            durations.append(tau)
+            return original(H, ch, tau, cutoff)
+
+        monkeypatch.setattr(correlators, "propagated_map", recording_map)
+        s = g2_regression(damped_thermal(t_prepare=0.0), taus)
+        assert len(set(durations)) == steps
+        assert abs(sum(durations) - taus[-1]) < 1e-12
+        assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
+
+
+class TestSelfChecks:
+    def test_conjugacy_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(correlators, "CONJUGACY_TOL", -1.0)
+        with pytest.raises(SelfCheckError, match="conjugacy"):
+            g2_regression(damped_thermal(), np.linspace(0, 1, 3))
+
+    def test_g2_imaginary_residue_raises(self, monkeypatch):
+        raw = correlators._regression_raw
+
+        def tilted(sys, taus):
+            mean_n, G_late, G_early, G2 = raw(sys, taus)
+            return mean_n, G_late, G_early, G2 + 1e-6j
+
+        monkeypatch.setattr(correlators, "_regression_raw", tilted)
+        with pytest.raises(SelfCheckError, match="imaginary"):
+            g2_regression(damped_thermal(), np.linspace(0, 1, 3))

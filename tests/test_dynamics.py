@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import twotime.dynamics as dynamics
 from twotime.dynamics import (
     DampingChannel,
     QuadraticHamiltonian,
-    choi_matrix,
     evolve_lindblad,
     evolve_unitary,
     hamiltonian_matrix,
@@ -131,7 +132,7 @@ class TestPropagatedMap:
     def test_zero_duration_identity(self):
         P = propagated_map(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5), 0.0,
                            FockCutoff(6))
-        assert np.max(np.abs(P.map - np.eye(49))) < 1e-12
+        assert np.max(np.abs(P.map.toarray() - np.eye(49))) < 1e-12
 
     def test_semigroup_composition(self):
         cut = FockCutoff(10)
@@ -140,7 +141,7 @@ class TestPropagatedMap:
         m1 = propagated_map(H, ch, 0.3, cut).map
         m2 = propagated_map(H, ch, 0.7, cut).map
         m3 = propagated_map(H, ch, 1.0, cut).map
-        assert np.max(np.abs(m1 @ m2 - m3)) <= 1e-8
+        assert np.max(np.abs((m1 @ m2 - m3).toarray())) <= 1e-8
 
     def test_steady_state_unchanged(self):
         cut = FockCutoff(12)
@@ -162,8 +163,37 @@ class TestPropagatedMap:
         cut = FockCutoff(8)
         P = propagated_map(QuadraticHamiltonian(omega=0.9), DampingChannel(kappa=0.6, n_thermal=0.1),
                            0.8, cut)
-        eigs = np.linalg.eigvalsh(choi_matrix(P))
+        d = P.dim
+        choi = P.map.toarray().reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        eigs = np.linalg.eigvalsh(choi)
         assert eigs.min() >= -1e-8
+
+    # a phase-invariant H keeps the coherence order m - n (2d - 1 blocks of at
+    # most d rows), squeezing keeps the parity of m + n, a drive couples all
+    @pytest.mark.parametrize("H, n_blocks", [
+        (QuadraticHamiltonian(omega=1.0), 2 * FockCutoff(8).dim - 1),
+        (QuadraticHamiltonian(omega=1.0, xi=0.2), 2),
+        (QuadraticHamiltonian(omega=1.0, eta=0.3), 1),
+    ], ids=["free", "squeezed", "driven"])
+    def test_block_map_matches_dense_expm(self, H, n_blocks, monkeypatch):
+        cut = FockCutoff(8)
+        ch = DampingChannel(kappa=0.9, n_thermal=0.3)
+        block_rows = []
+
+        def recording_expm(m):
+            block_rows.append(m.shape[0])
+            return expm(m)
+
+        monkeypatch.setattr(dynamics, "expm", recording_expm)
+        propagated_map.cache_clear()
+        t = 0.7
+        P = propagated_map(H, ch, t, cut)
+        dense = expm(lindblad_generator(H, ch, cut).toarray() * t)
+        assert np.max(np.abs(P.map.toarray() - dense)) < 1e-12
+        assert len(block_rows) == n_blocks
+        assert sum(block_rows) == cut.dim**2
+        if H.is_free:
+            assert max(block_rows) <= cut.dim
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
