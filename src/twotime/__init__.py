@@ -38,10 +38,8 @@ from .correlators import (
     CorrelationSeries,
     InitialState,
     SystemSpec,
-    g1_regression,
-    g2_regression,
-    unnormalized_g,
-    unnormalized_g2,
+    regression_raw,
+    regression_series,
 )
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 from .phasespace import (
@@ -85,10 +83,8 @@ __all__ = [
     "CorrelationSeries",
     "InitialState",
     "SystemSpec",
-    "g1_regression",
-    "g2_regression",
-    "unnormalized_g",
-    "unnormalized_g2",
+    "regression_raw",
+    "regression_series",
     "IntegrationConfig",
     "PolyGaussian",
     "integrate",

@@ -168,13 +168,16 @@ class _GridPropagator:
             yield i, current
 
 
-def _regression_raw(sys: SystemSpec, taus: np.ndarray):
-    """Unnormalized numerators for both g1 orderings and for g2.
+def regression_raw(sys: SystemSpec, taus):
+    """Unnormalized numerators for both g1 orderings and for g2 on the whole grid.
 
     Returns (mean_n, G_late, G_early, G2) with
     G_late[k]  = <adag(t+tau_k) a(t)>   = Tr[adag M(tau)(a rho)]
     G_early[k] = <adag(t) a(t+tau_k)>   = Tr[a M(tau)(rho adag)]
     G2[k]      = <adag(t) adag(t+tau) a(t+tau) a(t)> = Tr[adag a M(tau)(a rho adag)]
+
+    G_late is exactly the object the phase-space routes compute, so
+    cross-method comparisons can avoid any normalization ambiguity.
     """
     taus = _check_tau_grid(taus)
     rho_t = sys.prepared_state()
@@ -199,8 +202,9 @@ def _regression_raw(sys: SystemSpec, taus: np.ndarray):
     return mean_n, G_late, G_early, G2
 
 
-def _normalized_series(sys: SystemSpec, taus, method_tag="regression") -> CorrelationSeries:
-    mean_n, G_late, _, G2 = _regression_raw(sys, taus)
+def regression_series(sys: SystemSpec, taus) -> CorrelationSeries:
+    """Normalized g1 and g2 on the tau grid; g1(0) = 1."""
+    mean_n, G_late, _, G2 = regression_raw(sys, taus)
     if mean_n < MEAN_N_FLOOR:
         raise ZeroDenominatorError(
             f"mean photon number {mean_n:.2e} below {MEAN_N_FLOOR}; "
@@ -215,32 +219,5 @@ def _normalized_series(sys: SystemSpec, taus, method_tag="regression") -> Correl
         g1=G_late / mean_n,
         g2=g2.real,
         mean_n=mean_n,
-        method_tag=method_tag,
+        method_tag="regression",
     )
-
-
-def g1_regression(sys: SystemSpec, taus) -> CorrelationSeries:
-    """Normalized first-order correlation on the tau grid; g1(0) = 1."""
-    return _normalized_series(sys, taus)
-
-
-def g2_regression(sys: SystemSpec, taus) -> CorrelationSeries:
-    """Normalized second-order correlation on the tau grid."""
-    return _normalized_series(sys, taus)
-
-
-def unnormalized_g(sys: SystemSpec, tau: float) -> complex:
-    """<adag(t+tau) a(t)> without normalization.
-
-    This is exactly the object the phase-space routes compute, so cross-method
-    comparisons can avoid any normalization ambiguity.  tau = 0 reduces to the
-    mean photon number.
-    """
-    _, G_late, _, _ = _regression_raw(sys, np.array([float(tau)]))
-    return complex(G_late[0])
-
-
-def unnormalized_g2(sys: SystemSpec, tau: float) -> float:
-    """<adag(t) adag(t+tau) a(t+tau) a(t)> without normalization."""
-    _, _, _, G2 = _regression_raw(sys, np.array([float(tau)]))
-    return float(G2[0].real)

@@ -33,9 +33,6 @@ class QuadraticHamiltonian:
     xi: complex = 0.0
     eta: complex = 0.0
 
-    def key(self) -> tuple:
-        return (float(self.omega), complex(self.xi), complex(self.eta))
-
     @property
     def is_free(self) -> bool:
         return self.xi == 0 and self.eta == 0

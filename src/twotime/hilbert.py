@@ -210,11 +210,6 @@ class NormalOrderExpansion:
     coeffs: np.ndarray  # (L_max+1, L_max+1) complex
     L_max: int
 
-    def support_tail(self, rho: DensityMatrix) -> float:
-        """Fock population weight of rho beyond level L_max."""
-        pops = np.real(np.diag(rho.mat))
-        return float(np.sum(pops[self.L_max + 1 :])) if rho.cutoff.n_max > self.L_max else 0.0
-
 
 def normal_order_coeffs(
     rho: DensityMatrix, L_max: int = 12, check_roundtrip: bool = True

@@ -23,27 +23,24 @@ module only.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import MeasureConventionError
+from .errors import MeasureConventionError, SelfCheckError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid
-from .dynamics import unitary_matrix
+from .dynamics import QuadraticHamiltonian, unitary_matrix
 from .hilbert import coherent_vector, ladder_matrices, normal_order_coeffs
 from .propagator import GaussianKernel, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
 MEASURE_SELFTEST_TOL = 1e-4  # 10x the quadrature cross-method tolerance
-_kernel_cache: dict = {}
 
 
-def _kernel(sys: SystemSpec, duration: float) -> GaussianKernel:
-    key = (sys.hamiltonian.key(), float(duration))
-    if key not in _kernel_cache:
-        if len(_kernel_cache) > 256:
-            _kernel_cache.clear()
-        _kernel_cache[key] = kernel_quadratic(sys.hamiltonian, duration)
-    return _kernel_cache[key]
+@lru_cache(maxsize=256)
+def _kernel(H: QuadraticHamiltonian, duration: float) -> GaussianKernel:
+    return kernel_quadratic(H, duration)
 
 
 def _require_phase_space_scenario(sys: SystemSpec):
@@ -106,6 +103,30 @@ def _attach_kernel(pg: PolyGaussian, k: GaussianKernel, out_var, in_var, conj=Fa
             pg.add_abs2(var, -0.5)
 
 
+def _linear_factor(n_vars, k: GaussianKernel, out_var, in_var, conj=False,
+                   in_val=None) -> dict:
+    """Polynomial table of the linear factor in <out|a U|in> = (B in + 2C conj(out) + E) K.
+
+    Arguments follow ``_attach_kernel``: conj=True gives the conjugate factor
+    in independent variables, and in_var=None fixes the input at in_val.
+    """
+    B, C, E = k.B, k.C, k.E
+    if conj:
+        B, C, E = np.conj(B), np.conj(C), np.conj(E)
+    if in_var is None:
+        form = _mono(n_vars, B * (np.conj(in_val) if conj else in_val) + E)
+    elif conj:
+        form = _mono(n_vars, B, zbar_at=in_var)
+    else:
+        form = _mono(n_vars, B, z_at=in_var)
+    if C != 0:
+        form.update(_mono(n_vars, 2 * C, z_at=out_var) if conj
+                    else _mono(n_vars, 2 * C, zbar_at=out_var))
+    if in_var is not None and E != 0:
+        form.update(_mono(n_vars, E))
+    return form
+
+
 _IDENTITY_KERNEL = GaussianKernel(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -137,10 +158,6 @@ def _mono(n_vars, coef, z_at=None, zbar_at=None):
     return {(tuple(p), tuple(q)): coef}
 
 
-def _const_mono(n_vars, coef):
-    return {(tuple([0] * n_vars), tuple([0] * n_vars)): coef}
-
-
 def _fock_factor_coeffs(psi: np.ndarray) -> np.ndarray:
     n = np.arange(len(psi))
     return psi * np.exp(-0.5 * gammaln(n + 1.0))
@@ -166,8 +183,8 @@ def _mean_n_fock(sys: SystemSpec, t: float) -> float:
 def _propagator_integrand(sys: SystemSpec, t: float, tau: float, collapse: bool,
                           ordering: str) -> PolyGaussian:
     a0 = complex(sys.initial_state.amplitude)
-    kt = _kernel(sys, t)
-    ktau = _kernel(sys, tau)
+    kt = _kernel(sys.hamiltonian, t)
+    ktau = _kernel(sys.hamiltonian, tau)
     if collapse:
         # vars: 0 = alpha, 1 = alpha2, 2 = alpha4
         pg = PolyGaussian(3)
@@ -185,13 +202,7 @@ def _propagator_integrand(sys: SystemSpec, t: float, tau: float, collapse: bool,
             _attach_kernel(pg, ktau, 2, 1)
             _attach_kernel(pg, kt, 0, None, conj=True, in_val=a0)
             _attach_kernel(pg, kt, 1, None, in_val=a0)
-            lform = {}
-            lform.update(_mono(3, ktau.B, z_at=1))
-            if ktau.C != 0:
-                lform.update(_mono(3, 2 * ktau.C, zbar_at=2))
-            if ktau.E != 0:
-                lform.update(_const_mono(3, ktau.E))
-            pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), lform)
+            pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1))
         pg.add_const(-3 * np.log(np.pi))
         return pg
     if ordering != "late":
@@ -233,7 +244,7 @@ def g_via_propagator(sys: SystemSpec, t: float, tau: float, cfg: IntegrationConf
 # ---------------------------------------------------------------------------
 
 def _q2var_integrand(sys, t, tau, ordering: str) -> PolyGaussian:
-    ktau = _kernel(sys, tau)
+    ktau = _kernel(sys.hamiltonian, tau)
     w = _fock_factor_coeffs(_prepared_vector(sys, t))
     pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
     if ordering == "late":
@@ -252,13 +263,7 @@ def _q2var_integrand(sys, t, tau, ordering: str) -> PolyGaussian:
         pg.add_abs2(1, -0.5)
         pg.set_var_factor(0, np.conj(w), conjugated=False)
         pg.set_var_factor(1, w, conjugated=True)
-        lform = {}
-        lform.update(_mono(3, ktau.B, z_at=1))
-        if ktau.C != 0:
-            lform.update(_mono(3, 2 * ktau.C, zbar_at=2))
-        if ktau.E != 0:
-            lform.update(_const_mono(3, ktau.E))
-        pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), lform)
+        pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1))
     pg.add_const(-3 * np.log(np.pi))
     return pg
 
@@ -366,7 +371,7 @@ def _g_qderiv(sys, t, tau, L_max, cfg, ordering="late"):
     _require_phase_space_scenario(sys)
     psi = _prepared_vector(sys, float(t))
     rho_mat = np.outer(psi, psi.conj())
-    mu, nu, lam = _kernel(sys, float(tau)).heisenberg_coefficients()
+    mu, nu, lam = _kernel(sys.hamiltonian, float(tau)).heisenberg_coefficients()
     if ordering == "late":
         # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
         f_table = {(1, 1): np.conj(mu), (2, 0): np.conj(nu), (1, 0): np.conj(lam)}
@@ -392,42 +397,6 @@ def g_via_q_derivative(sys: SystemSpec, t: float, tau: float, L_max: int,
 # Second-order correlator by any phase-space route
 # ---------------------------------------------------------------------------
 
-def _lform_conj_Lt(kt: GaussianKernel, a0: complex, n_vars: int, var: int) -> dict:
-    """conj(L_t)(alpha) with L_t(beta) = B a0 + 2C conj(beta) + E, beta -> var."""
-    out = _const_mono(n_vars, np.conj(kt.B * a0 + kt.E))
-    if kt.C != 0:
-        out.update(_mono(n_vars, 2 * np.conj(kt.C), z_at=var))
-    return out
-
-
-def _lform_Lt(kt: GaussianKernel, a0: complex, n_vars: int, var: int) -> dict:
-    out = _const_mono(n_vars, kt.B * a0 + kt.E)
-    if kt.C != 0:
-        out.update(_mono(n_vars, 2 * kt.C, zbar_at=var))
-    return out
-
-
-def _lform_conj_Ltau(ktau: GaussianKernel, n_vars: int, src: int, a4: int) -> dict:
-    """conj of L_tau^{(src)}(alpha4) = B z_src + 2C conj(z_a4) + E."""
-    out = _mono(n_vars, np.conj(ktau.B), zbar_at=src)
-    if ktau.C != 0:
-        out.update(_mono(n_vars, 2 * np.conj(ktau.C), z_at=a4))
-    if ktau.E != 0:
-        for k, v in _const_mono(n_vars, np.conj(ktau.E)).items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
-def _lform_Ltau(ktau: GaussianKernel, n_vars: int, src: int, a4: int) -> dict:
-    out = _mono(n_vars, ktau.B, z_at=src)
-    if ktau.C != 0:
-        out.update(_mono(n_vars, 2 * ktau.C, zbar_at=a4))
-    if ktau.E != 0:
-        for k, v in _const_mono(n_vars, ktau.E).items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
 def _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side: bool):
     """<adag(t) adag(t+tau) a(t+tau) a(t)> as a 3-variable integral.
 
@@ -438,15 +407,12 @@ def _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side: bool):
     both, with the four linear factors multiplied symbolically.
     """
     a0 = complex(sys.initial_state.amplitude)
-    kt = _kernel(sys, float(t))
-    ktau = _kernel(sys, float(tau))
+    kt = _kernel(sys.hamiltonian, float(t))
+    ktau = _kernel(sys.hamiltonian, float(tau))
     pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
     _attach_kernel(pg, ktau, 2, 0, conj=True)   # K*(a4,tau|alpha,0)
     _attach_kernel(pg, ktau, 2, 1)              # K(a4,tau|alpha2,0)
-    forms = [
-        _lform_conj_Ltau(ktau, 3, src=0, a4=2),
-        _lform_Ltau(ktau, 3, src=1, a4=2),
-    ]
+    forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
     if fock_t_side:
         psi = _prepared_vector(sys, float(t))
         a, _ = ladder_matrices(sys.cutoff)
@@ -459,8 +425,8 @@ def _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side: bool):
         _attach_kernel(pg, kt, 0, None, conj=True, in_val=a0)  # K*(alpha,t|a0,0)
         _attach_kernel(pg, kt, 1, None, in_val=a0)             # K(alpha2,t|a0,0)
         forms = [
-            _lform_conj_Lt(kt, a0, 3, var=0),
-            _lform_Lt(kt, a0, 3, var=1),
+            _linear_factor(3, kt, 0, None, conj=True, in_val=a0),
+            _linear_factor(3, kt, 1, None, in_val=a0),
         ] + forms
     pg.poly = _poly_multiply(*forms)
     pg.add_const(-3 * np.log(np.pi))
@@ -473,7 +439,7 @@ def _g2_numerator_qderiv(sys, t, tau, L_max, cfg):
     a, _ = ladder_matrices(sys.cutoff)
     phi = a @ psi
     rho_def = np.outer(phi, phi.conj())
-    mu, nu, lam = _kernel(sys, float(tau)).heisenberg_coefficients()
+    mu, nu, lam = _kernel(sys.hamiltonian, float(tau)).heisenberg_coefficients()
     # <alpha| adag(tau) a(tau) |alpha> = conjF * F + |nu|^2 with
     # F = mu a + nu abar + lam, conjF = mubar abar + nubar a + lambar
     F = {(1, 0): mu, (0, 1): nu, (0, 0): lam}
@@ -495,7 +461,7 @@ def g2_via_phase_space(sys: SystemSpec, t: float, tau: float, method: str,
     the same route, so normalization never mixes methods.
     """
     num, _ = _g2_raw(sys, t, tau, method, cfg, L_max)
-    mean_n = _mean_n_method(sys, t, method, cfg, L_max)
+    mean_n = _g_raw(sys, t, 0.0, method, cfg, L_max)[0].real
     return num / mean_n**2
 
 
@@ -511,7 +477,7 @@ def _g2_raw(sys, t, tau, method, cfg, L_max):
         raise ValueError(f"unknown phase-space method {method!r}")
     tol = max(1e-9, 3 * err)
     if abs(value.imag) > tol * max(1.0, abs(value)):
-        raise AssertionError(f"g2 numerator imaginary part {value.imag:.2e} too large")
+        raise SelfCheckError(f"g2 numerator imaginary part {value.imag:.2e} too large")
     return value.real, err
 
 
@@ -525,24 +491,21 @@ def _g_raw(sys, t, tau, method, cfg, L_max, ordering="late"):
     raise ValueError(f"unknown phase-space method {method!r}")
 
 
-def _mean_n_method(sys, t, method, cfg, L_max) -> float:
-    value, _ = _g_raw(sys, t, 0.0, method, cfg, L_max)
-    return value.real
-
-
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,
                        t: float | None = None, L_max: int = 12) -> CorrelationSeries:
     """CorrelationSeries for one phase-space method over a tau grid.
 
     g1 and g2 are normalized with the method's own tau = 0 mean photon
-    number; error_estimate holds the larger of the two normalized standard
-    errors (zero under quadrature).
+    number n.  error_estimate holds the larger of the two normalized
+    standard errors, each propagating the error of n as well as that of its
+    numerator (zero under quadrature).
     """
     _require_phase_space_scenario(sys)
     taus = _check_tau_grid(np.asarray(taus, dtype=float))
     if t is None:
         t = sys.t_prepare
-    mean_n = _mean_n_method(sys, t, method, cfg, L_max)
+    n, e_n = _g_raw(sys, t, 0.0, method, cfg, L_max)
+    mean_n = n.real
     g1 = np.empty(len(taus), dtype=complex)
     g2 = np.empty(len(taus), dtype=float)
     errs = np.zeros(len(taus), dtype=float)
@@ -551,7 +514,10 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
         g2v, g2e = _g2_raw(sys, t, float(tau), method, cfg, L_max)
         g1[i] = gv / mean_n
         g2[i] = g2v / mean_n**2
-        errs[i] = max(ge / mean_n, g2e / mean_n**2)
+        errs[i] = max(
+            np.hypot(ge / mean_n, abs(gv) * e_n / mean_n**2),
+            np.hypot(g2e / mean_n**2, 2 * abs(g2v) * e_n / mean_n**3),
+        )
     return CorrelationSeries(
         tau_grid=taus, g1=g1, g2=g2, mean_n=mean_n,
         method_tag=method, error_estimate=errs,

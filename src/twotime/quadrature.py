@@ -34,7 +34,6 @@ class IntegrationConfig:
     engine: str = "gauss_hermite_tensor"
     nodes_per_axis: int = 24
     sample_count: int = 1_000_000
-    importance_width: float = 1.5
     seed: int = 42
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class IntegrationConfig:
             raise ValueError("quadrature needs nodes_per_axis >= 8")
         if self.engine == "monte_carlo_gaussian" and self.sample_count < 10_000:
             raise ValueError("Monte Carlo needs sample_count >= 10^4")
-        if self.importance_width <= 0:
-            raise ValueError("importance_width must be > 0")
 
 
 class PolyGaussian:
@@ -110,36 +107,6 @@ class PolyGaussian:
         """Multiply the integrand by sum_k coeffs[k] * (zbar_i^k if conjugated else z_i^k)."""
         self.var_factors[i] = (np.asarray(coeffs, dtype=complex), bool(conjugated))
 
-    def differentiate_conj(self, i: int) -> "PolyGaussian":
-        """d/d zbar_i, treating z and zbar as independent; exact symbolic operation."""
-        if any(f is not None for f in self.var_factors):
-            raise ValueError("differentiation with var_factors attached is unsupported")
-        out = PolyGaussian(self.n_vars)
-        out.A, out.B, out.C = self.A.copy(), self.B.copy(), self.C.copy()
-        out.u, out.v, out.const = self.u.copy(), self.v.copy(), self.const
-        zero = (tuple([0] * self.n_vars), tuple([0] * self.n_vars))
-        poly = self.poly if self.poly else {zero: 1.0}
-        # product rule: dP/dzbar_i + P * dQ/dzbar_i,  dQ/dzbar_i linear
-        for (p, q), coef in poly.items():
-            if q[i] > 0:
-                q2 = list(q)
-                q2[i] -= 1
-                out.poly_add(p, q2, coef * q[i])
-            for j in range(self.n_vars):
-                cz = self.A[i, j]  # zbar_i z_j -> z_j
-                if cz != 0:
-                    p2 = list(p)
-                    p2[j] += 1
-                    out.poly_add(p2, q, coef * cz)
-                cc = self.C[i, j] + self.C[j, i]  # zbar_i zbar_j -> zbar_j
-                if cc != 0:
-                    q2 = list(q)
-                    q2[j] += 1
-                    out.poly_add(p, q2, coef * cc)
-            if self.v[i] != 0:
-                out.poly_add(p, q, coef * self.v[i])
-        return out
-
     # ---- real-coordinate quadratic form -------------------------------------
     def real_form(self):
         """(S, b, c) with Q = x^T S x + b.x + c over x = (Re z_0, Im z_0, ...)."""
@@ -189,21 +156,7 @@ class PolyGaussian:
                 f"Gaussian real part has eigenvalue {top:.3e} >= 0; integral diverges"
             )
 
-    # ---- pointwise evaluation (Monte Carlo / debugging) ----------------------
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Integrand values at sample points z of shape (N, n_vars)."""
-        zb = np.conj(z)
-        expo = (
-            np.einsum("ij,ni,nj->n", self.A, zb, z)
-            + np.einsum("ij,ni,nj->n", self.B, z, z)
-            + np.einsum("ij,ni,nj->n", self.C, zb, zb)
-            + z @ self.u
-            + zb @ self.v
-            + self.const
-        )
-        out = self._poly_values(z) * np.exp(expo)
-        return out
-
+    # ---- pointwise polynomial part (Monte Carlo) ---------------------------
     def _poly_values(self, z: np.ndarray) -> np.ndarray:
         zb = np.conj(z)
         if self.poly:
@@ -385,66 +338,13 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
     return complex(mean), stderr
 
 
-def _blackbox_quadrature(f, cfg: IntegrationConfig, n_vars: int) -> complex:
-    if n_vars > 2:
-        raise QuadratureDimensionError("black-box quadrature supports at most 2 variables")
-    s = cfg.importance_width
-    z, wz = _gh_grid(cfg.nodes_per_axis)
-    z = s * z
-    wz = wz * s * s
-    if n_vars == 1:
-        vals = f(z[:, None])
-        return complex(np.sum(wz * vals))
-    Z0 = np.repeat(z, len(z))
-    Z1 = np.tile(z, len(z))
-    vals = f(np.column_stack([Z0, Z1]))
-    return complex(np.sum(np.outer(wz, wz).ravel() * vals))
-
-
-def _blackbox_mc(f, cfg: IntegrationConfig, n_vars: int) -> tuple[complex, float]:
-    s = cfg.importance_width
-    d = 2 * n_vars
-    total = 0.0 + 0.0j
-    total_sq_re = 0.0
-    total_sq_im = 0.0
-    count = 0
-    remaining = cfg.sample_count
-    chunk_idx = 0
-    lognorm = 0.5 * d * np.log(2 * np.pi * s * s)
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_idx,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        x = s * rng.standard_normal((m, d))
-        z = x[:, 0::2] + 1j * x[:, 1::2]
-        logq = -0.5 * np.sum(x * x, axis=1) / (s * s) - lognorm
-        h = f(z) * np.exp(-logq)
-        total += np.sum(h)
-        total_sq_re += np.sum(h.real**2)
-        total_sq_im += np.sum(h.imag**2)
-        count += m
-        remaining -= m
-        chunk_idx += 1
-    mean = total / count
-    var_re = max(total_sq_re / count - mean.real**2, 0.0)
-    var_im = max(total_sq_im / count - mean.imag**2, 0.0)
-    stderr = float(np.sqrt((var_re + var_im) / count))
-    return complex(mean), stderr
-
-
-def integrate(f, cfg: IntegrationConfig, n_vars: int | None = None):
-    """Integrate a PolyGaussian or a black-box sampler over C^n with d^2z = dx dy.
+def integrate(pg: PolyGaussian, cfg: IntegrationConfig):
+    """Integrate a PolyGaussian over C^n with d^2z = dx dy.
 
     Returns (value, error_estimate); the estimate is 0 for the deterministic
     quadrature engine and the combined standard error for Monte Carlo.
     """
-    if isinstance(f, PolyGaussian):
-        f.assert_integrable()
-        if cfg.engine == "gauss_hermite_tensor":
-            return _quadrature(f, cfg), 0.0
-        return _mc_sample(f, cfg)
-    if n_vars is None:
-        raise ValueError("black-box integrands need explicit n_vars")
+    pg.assert_integrable()
     if cfg.engine == "gauss_hermite_tensor":
-        return _blackbox_quadrature(f, cfg, n_vars), 0.0
-    return _blackbox_mc(f, cfg, n_vars)
+        return _quadrature(pg, cfg), 0.0
+    return _mc_sample(pg, cfg)

@@ -20,7 +20,6 @@ Grammar (one `key = value` per line, `#` starts a comment):
     integration.engine = gauss_hermite_tensor
     integration.nodes_per_axis = 24
     integration.sample_count = 1000000
-    integration.importance_width = 1.5
     integration.seed = 42
     lmax = 12
     outputs.series_path = thermal_series.csv
@@ -51,7 +50,7 @@ _KNOWN_KEYS = {
     "system.initial", "system.cutoff", "system.t_prepare", "system.trace_budget",
     "tau.start", "tau.stop", "tau.count",
     "integration.engine", "integration.nodes_per_axis", "integration.sample_count",
-    "integration.importance_width", "integration.seed",
+    "integration.seed",
     "outputs.series_path", "outputs.report_path",
 }
 
@@ -67,7 +66,6 @@ _DEFAULTS = {
     "integration.engine": "gauss_hermite_tensor",
     "integration.nodes_per_axis": 24,
     "integration.sample_count": 1_000_000,
-    "integration.importance_width": 1.5,
     "integration.seed": 42,
     "lmax": 12,
 }
@@ -245,7 +243,6 @@ def parse_scenario(path) -> Scenario:
             engine=engine,
             nodes_per_axis=get("integration.nodes_per_axis", _parse_int),
             sample_count=get("integration.sample_count", _parse_int),
-            importance_width=get("integration.importance_width", _parse_float),
             seed=get("integration.seed", _parse_int),
         )
     except ValueError as exc:
@@ -277,7 +274,6 @@ def parse_scenario(path) -> Scenario:
         "integration.engine": integration.engine,
         "integration.nodes_per_axis": integration.nodes_per_axis,
         "integration.sample_count": integration.sample_count,
-        "integration.importance_width": integration.importance_width,
         "integration.seed": integration.seed,
         "lmax": L_max,
     }

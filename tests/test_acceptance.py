@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from twotime.analysis import ANTIBUNCHED, BUNCHED, SUB_POISSONIAN, SUPER_POISSONIAN, classify
-from twotime.correlators import (
-    InitialState,
-    SystemSpec,
-    g1_regression,
-    g2_regression,
-    unnormalized_g,
-)
+from twotime.correlators import InitialState, SystemSpec, regression_raw, regression_series
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.hilbert import FockCutoff
 from twotime.phasespace import _g_propagator, _g_raw, phase_space_series
@@ -59,7 +53,7 @@ def test_criterion_1_coherent_poissonian():
     taus = np.linspace(0, 2 * np.pi, 20)
 
     worst = {}
-    s_reg = g2_regression(sys_spec, taus)
+    s_reg = regression_series(sys_spec, taus)
     worst["regression"] = float(np.max(np.abs(s_reg.g2 - 1.0)))
     for method in PHASE_METHODS:
         s = phase_space_series(sys_spec, taus, method, QUAD)
@@ -84,7 +78,7 @@ def test_criterion_2_fock_antibunching():
     t0 = time.time()
     sys_spec = SystemSpec(HARMONIC, DampingChannel(kappa=1.0, n_thermal=0.0),
                           InitialState.fock(1), FockCutoff(10), t_prepare=0.0)
-    series = g2_regression(sys_spec, np.linspace(0, 3, 10))
+    series = regression_series(sys_spec, np.linspace(0, 3, 10))
     assert abs(series.g2[0]) <= 1e-9, f"g2(0) = {series.g2[0]:.2e}"
     report = classify(series)
     assert report.bunching == ANTIBUNCHED
@@ -101,10 +95,10 @@ def test_criterion_3_thermal_bunching():
     sys_spec = SystemSpec(HARMONIC, DampingChannel(kappa=1.0, n_thermal=0.5),
                           InitialState.thermal(0.5), FockCutoff(25), t_prepare=20.0)
     taus = np.linspace(0, 5, 20)
-    s2 = g2_regression(sys_spec, taus)
+    s2 = regression_series(sys_spec, taus)
     dev_g2 = float(np.max(np.abs(s2.g2 - (1 + np.exp(-taus)))))
     assert dev_g2 <= 1e-4, f"g2 deviation {dev_g2:.2e}"
-    s1 = g1_regression(sys_spec, taus)
+    s1 = regression_series(sys_spec, taus)
     dev_g1 = float(np.max(np.abs(np.abs(s1.g1) - np.exp(-taus / 2))))
     assert dev_g1 <= 1e-6, f"|g1| deviation {dev_g1:.2e}"
     report = classify(s2)
@@ -121,7 +115,7 @@ def test_criterion_4_method_triangle():
     t0 = time.time()
     summary = []
     for label, sys_spec, taus in TRIANGLE:
-        oracle = np.array([unnormalized_g(sys_spec, tau) for tau in taus])
+        _, oracle, _, _ = regression_raw(sys_spec, taus)
         for method in PHASE_METHODS:
             values = np.array([
                 _g_raw(sys_spec, sys_spec.t_prepare, float(tau), method, QUAD, 12)[0]
@@ -133,8 +127,8 @@ def test_criterion_4_method_triangle():
     # Monte Carlo alternative at 10^6 samples on the first scenario
     mc = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=1_000_000, seed=42)
     label, sys_spec, taus = TRIANGLE[0]
-    for tau in taus[:3]:
-        oracle = unnormalized_g(sys_spec, float(tau))
+    _, oracles, _, _ = regression_raw(sys_spec, taus[:3])
+    for tau, oracle in zip(taus[:3], oracles):
         value, err = _g_raw(sys_spec, sys_spec.t_prepare, float(tau), "propagator", mc, 12)
         assert abs(value - oracle) <= 3 * err, (
             f"MC {label} tau={tau:.2f}: dev {abs(value - oracle):.2e} vs 3 sigma {3 * err:.2e}"
@@ -195,8 +189,8 @@ def test_criterion_7_truncation_stability():
                 a, _ = _g_raw(sys_spec, sys_spec.t_prepare, float(tau), method, QUAD, 12)
                 b, _ = _g_raw(bigger, bigger.t_prepare, float(tau), method, QUAD, 12)
                 shifts.append((f"{label}/{method}", abs(a - b)))
-        ga = np.array([unnormalized_g(sys_spec, float(t)) for t in probe_taus])
-        gb = np.array([unnormalized_g(bigger, float(t)) for t in probe_taus])
+        _, ga, _, _ = regression_raw(sys_spec, probe_taus)
+        _, gb, _, _ = regression_raw(bigger, probe_taus)
         shifts.append((f"{label}/regression", float(np.max(np.abs(ga - gb)))))
     # the collapsed propagator route never consumes the cutoff: exactly stable
 
@@ -206,7 +200,7 @@ def test_criterion_7_truncation_stability():
         for n in n_max:
             sys_spec = SystemSpec(HARMONIC, DampingChannel(kappa=1.0), InitialState.fock(1),
                                   FockCutoff(n), t_prepare=0.0)
-            pair.append(g2_regression(sys_spec, np.linspace(0, 3, 10)).g2)
+            pair.append(regression_series(sys_spec, np.linspace(0, 3, 10)).g2)
         shifts.append(("fock/regression", float(np.max(np.abs(pair[0] - pair[1])))))
 
     # criterion 3: thermal steady state
@@ -214,7 +208,7 @@ def test_criterion_7_truncation_stability():
     for n in (25, 35):
         sys_spec = SystemSpec(HARMONIC, DampingChannel(kappa=1.0, n_thermal=0.5),
                               InitialState.thermal(0.5), FockCutoff(n), t_prepare=20.0)
-        s = g2_regression(sys_spec, np.linspace(0, 5, 20))
+        s = regression_series(sys_spec, np.linspace(0, 5, 20))
         pair.append(np.concatenate([s.g2, np.abs(s.g1)]))
     shifts.append(("thermal/regression", float(np.max(np.abs(pair[0] - pair[1])))))
 

@@ -10,7 +10,7 @@ from twotime.analysis import (
     SUPER_POISSONIAN,
     classify,
 )
-from twotime.correlators import CorrelationSeries, g2_regression, InitialState, SystemSpec
+from twotime.correlators import CorrelationSeries, InitialState, SystemSpec, regression_series
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.hilbert import FockCutoff
 
@@ -39,7 +39,7 @@ class TestThermal:
     def test_regression_driven_series(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=1.0, n_thermal=0.5),
                          InitialState.thermal(0.5), FockCutoff(22), t_prepare=20.0)
-        rep = classify(g2_regression(sys, np.linspace(0, 5, 20)))
+        rep = classify(regression_series(sys, np.linspace(0, 5, 20)))
         assert rep.bunching == BUNCHED
         assert rep.classification_zero == SUPER_POISSONIAN
 
@@ -72,7 +72,7 @@ class TestFock:
     def test_damped_fock_regression(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=1.0),
                          InitialState.fock(1), FockCutoff(8))
-        rep = classify(g2_regression(sys, np.linspace(0, 3, 10)))
+        rep = classify(regression_series(sys, np.linspace(0, 3, 10)))
         assert rep.bunching == ANTIBUNCHED
         assert rep.classification_zero == SUB_POISSONIAN
         assert abs(rep.g2_zero) < 1e-12

@@ -46,6 +46,22 @@ tau.count = 4
 methods = regression, propagator, qfunction_derivative
 """
 
+# A random closed Monte Carlo request whose propagator rows sit up to 3.2
+# standard errors from regression unless the per-row error includes the error
+# of the normalising mean photon number.
+MC_NORMALISATION = """
+name = mc_normalisation
+system.omega = 1.094849
+system.initial = coherent -0.351956+0.66645j
+tau.start = 0.0
+tau.stop = 1.253969
+tau.count = 3
+methods = regression, propagator
+integration.engine = monte_carlo_gaussian
+integration.sample_count = 100000
+integration.seed = 1051144968
+"""
+
 
 def write(tmp_path, text, name="scn.cfg"):
     p = tmp_path / name
@@ -189,6 +205,10 @@ class TestMainEntry:
         assert "cross-validation failure" in err
         report = (tmp_path / "multi_report.txt").read_text()
         assert "FAIL near tau" in report
+
+    def test_monte_carlo_error_covers_normalisation(self, tmp_path):
+        scn = write(tmp_path, MC_NORMALISATION)
+        assert main(["run", str(scn), "--out", str(tmp_path)]) == 0
 
     def test_multi_method_cross_validation_ok(self, tmp_path):
         scn = write(tmp_path, MULTI)

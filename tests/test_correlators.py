@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 import twotime.correlators as correlators
+import twotime.phasespace as phasespace
 from twotime.correlators import (
     CorrelationSeries,
     InitialState,
     SystemSpec,
-    g1_regression,
-    g2_regression,
-    unnormalized_g,
-    unnormalized_g2,
+    regression_raw,
+    regression_series,
 )
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.errors import SelfCheckError, ZeroDenominatorError
 from twotime.hilbert import FockCutoff
+from twotime.quadrature import IntegrationConfig
 
 
 def closed_coherent(alpha0=1.0, n_max=30, omega=1.0, t_prepare=0.0):
@@ -39,48 +39,48 @@ def damped_thermal(kappa=1.0, nbar=0.5, n_max=25, t_prepare=20.0):
 class TestG1:
     def test_coherent_free_phase(self):
         taus = np.linspace(0, 2 * np.pi, 9)
-        s = g1_regression(closed_coherent(), taus)
+        s = regression_series(closed_coherent(), taus)
         assert np.max(np.abs(s.g1 - np.exp(1j * taus))) < 1e-10
         assert np.max(np.abs(np.abs(s.g1) - 1)) < 1e-10
 
     def test_zero_delay_normalized(self):
-        s = g1_regression(closed_coherent(), np.array([0.0, 0.5]))
+        s = regression_series(closed_coherent(), np.array([0.0, 0.5]))
         assert abs(s.g1[0] - 1.0) < 1e-12
 
     def test_damped_magnitude_decay(self):
         taus = np.linspace(0, 4, 9)
-        s = g1_regression(damped_thermal(), taus)
+        s = regression_series(damped_thermal(), taus)
         assert np.max(np.abs(np.abs(s.g1) - np.exp(-taus / 2))) < 1e-6
 
     def test_vacuum_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.vacuum(), FockCutoff(10))
         with pytest.raises(ZeroDenominatorError):
-            g1_regression(sys, np.array([0.0, 0.1]))
+            regression_series(sys, np.array([0.0, 0.1]))
 
 
 class TestG2:
     def test_coherent_poissonian(self):
-        s = g2_regression(closed_coherent(), np.linspace(0, 2 * np.pi, 12))
+        s = regression_series(closed_coherent(), np.linspace(0, 2 * np.pi, 12))
         assert np.max(np.abs(s.g2 - 1)) < 1e-8
 
     def test_fock_one_zero_delay(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=1.0),
                          InitialState.fock(1), FockCutoff(8))
-        s = g2_regression(sys, np.array([0.0, 0.5]))
+        s = regression_series(sys, np.array([0.0, 0.5]))
         assert abs(s.g2[0]) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_fock_n_zero_delay(self, n):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
                          InitialState.fock(n), FockCutoff(12))
-        s = g2_regression(sys, np.array([0.0, 0.1]))
+        s = regression_series(sys, np.array([0.0, 0.1]))
         assert abs(s.g2[0] - (1 - 1 / n)) < 1e-10
         assert s.g2[0] < 1  # classical bound violated: sub-Poissonian
 
     def test_thermal_bunching_curve(self):
         taus = np.linspace(0, 5, 11)
-        s = g2_regression(damped_thermal(), taus)
+        s = regression_series(damped_thermal(), taus)
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
 
     def test_nonnegative(self):
@@ -88,45 +88,49 @@ class TestG2:
                     SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
                                InitialState.superposition([(0.8, 0), (0.6, 2)]),
                                FockCutoff(15))):
-            s = g2_regression(sys, np.linspace(0, 3, 7))
+            s = regression_series(sys, np.linspace(0, 3, 7))
             assert np.all(s.g2 >= -1e-12)
 
 
 class TestUnnormalized:
     def test_coherent_half_period(self):
-        assert abs(unnormalized_g(closed_coherent(), np.pi) - (-1.0)) < 1e-10
+        _, G_late, _, _ = regression_raw(closed_coherent(), [np.pi])
+        assert abs(G_late[0] - (-1.0)) < 1e-10
 
     def test_vacuum_is_zero(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.vacuum(), FockCutoff(10))
-        assert abs(unnormalized_g(sys, 0.7)) < 1e-14
+        _, G_late, _, _ = regression_raw(sys, [0.7])
+        assert abs(G_late[0]) < 1e-14
 
     def test_zero_delay_is_mean_photon_number(self):
         sys = closed_coherent(alpha0=1.2)
-        assert abs(unnormalized_g(sys, 0.0) - 1.44) < 1e-10
+        _, G_late, _, _ = regression_raw(sys, [0.0])
+        assert abs(G_late[0] - 1.44) < 1e-10
 
     def test_g2_zero_delay_moment(self):
         # <adag adag a a> = |alpha|^4 for a coherent state
         sys = closed_coherent(alpha0=1.1)
-        assert abs(unnormalized_g2(sys, 0.0) - 1.1**4) < 1e-9
+        _, _, _, G2 = regression_raw(sys, [0.0])
+        assert abs(G2[0].real - 1.1**4) < 1e-9
 
 
 class TestStationarity:
     def test_two_preparation_times_agree(self):
         taus = np.linspace(0, 3, 7)
-        a = g2_regression(damped_thermal(t_prepare=20.0), taus)
-        b = g2_regression(damped_thermal(t_prepare=25.0), taus)
+        a = regression_series(damped_thermal(t_prepare=20.0), taus)
+        b = regression_series(damped_thermal(t_prepare=25.0), taus)
         assert np.max(np.abs(a.g2 - b.g2)) < 1e-6
-        ga = g1_regression(damped_thermal(t_prepare=20.0), taus)
-        gb = g1_regression(damped_thermal(t_prepare=25.0), taus)
+        ga = regression_series(damped_thermal(t_prepare=20.0), taus)
+        gb = regression_series(damped_thermal(t_prepare=25.0), taus)
         assert np.max(np.abs(ga.g1 - gb.g1)) < 1e-6
 
 
 class TestTruncationStability:
     def test_cutoff_bump_invariance(self):
         taus = np.linspace(0, 2, 5)
-        a = g2_regression(closed_coherent(n_max=30), taus)
-        b = g2_regression(closed_coherent(n_max=40), taus)
+        a = regression_series(closed_coherent(n_max=30), taus)
+        b = regression_series(closed_coherent(n_max=40), taus)
         assert np.max(np.abs(a.g2 - b.g2)) < 1e-10
         assert np.max(np.abs(a.g1 - b.g1)) < 1e-10
 
@@ -134,11 +138,11 @@ class TestTruncationStability:
 class TestSeriesContract:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
-            g1_regression(closed_coherent(), np.array([0.0, 0.5, 0.3]))
+            regression_series(closed_coherent(), np.array([0.0, 0.5, 0.3]))
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            g1_regression(closed_coherent(), np.array([-0.1, 0.2]))
+            regression_series(closed_coherent(), np.array([-0.1, 0.2]))
 
     def test_method_tag_guard(self):
         with pytest.raises(ValueError):
@@ -147,7 +151,7 @@ class TestSeriesContract:
 
     def test_nonuniform_grid_supported(self):
         taus = np.array([0.0, 0.1, 0.4, 1.0, 2.5])
-        s = g2_regression(damped_thermal(), taus)
+        s = regression_series(damped_thermal(), taus)
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
 
     @pytest.mark.parametrize("taus, steps", [
@@ -165,7 +169,7 @@ class TestSeriesContract:
             return original(H, ch, tau, cutoff)
 
         monkeypatch.setattr(correlators, "propagated_map", recording_map)
-        s = g2_regression(damped_thermal(t_prepare=0.0), taus)
+        s = regression_series(damped_thermal(t_prepare=0.0), taus)
         assert len(set(durations)) == steps
         assert abs(sum(durations) - taus[-1]) < 1e-12
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
@@ -175,15 +179,22 @@ class TestSelfChecks:
     def test_conjugacy_gap_raises(self, monkeypatch):
         monkeypatch.setattr(correlators, "CONJUGACY_TOL", -1.0)
         with pytest.raises(SelfCheckError, match="conjugacy"):
-            g2_regression(damped_thermal(), np.linspace(0, 1, 3))
+            regression_series(damped_thermal(), np.linspace(0, 1, 3))
 
     def test_g2_imaginary_residue_raises(self, monkeypatch):
-        raw = correlators._regression_raw
+        raw = correlators.regression_raw
 
         def tilted(sys, taus):
             mean_n, G_late, G_early, G2 = raw(sys, taus)
             return mean_n, G_late, G_early, G2 + 1e-6j
 
-        monkeypatch.setattr(correlators, "_regression_raw", tilted)
+        monkeypatch.setattr(correlators, "regression_raw", tilted)
         with pytest.raises(SelfCheckError, match="imaginary"):
-            g2_regression(damped_thermal(), np.linspace(0, 1, 3))
+            regression_series(damped_thermal(), np.linspace(0, 1, 3))
+
+    def test_phase_space_g2_imaginary_part_raises(self, monkeypatch):
+        monkeypatch.setattr(phasespace, "_g2_numerator_kernelside",
+                            lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
+        with pytest.raises(SelfCheckError, match="imaginary"):
+            phasespace.g2_via_phase_space(closed_coherent(), 0.0, 0.5, "propagator",
+                                          IntegrationConfig())

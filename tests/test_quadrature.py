@@ -203,70 +203,6 @@ class TestGuards:
         with pytest.raises(QuadratureDimensionError):
             integrate(pg, QUAD16)
 
-    def test_blackbox_needs_n_vars(self):
-        with pytest.raises(ValueError):
-            integrate(lambda z: np.exp(-np.abs(z[:, 0]) ** 2), QUAD16)
-
-
-class TestBlackBox:
-    def test_gaussian_normalization(self):
-        # with the declared width matching the decay the nodes are exact
-        f = lambda z: np.exp(-np.abs(z[:, 0]) ** 2) / np.pi
-        cfg = IntegrationConfig(nodes_per_axis=16, importance_width=1.0)
-        value, _ = integrate(f, cfg, n_vars=1)
-        assert abs(value - 1.0) < 1e-12
-
-    def test_gaussian_normalization_mismatched_width(self):
-        # a 1.5x-too-wide grid still converges, just not to machine precision
-        f = lambda z: np.exp(-np.abs(z[:, 0]) ** 2) / np.pi
-        value, _ = integrate(f, QUAD16, n_vars=1)
-        assert abs(value - 1.0) < 1e-5
-
-    def test_two_variable(self):
-        f = lambda z: np.exp(-np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2) / np.pi**2
-        value, _ = integrate(f, IntegrationConfig(nodes_per_axis=20, importance_width=1.1),
-                             n_vars=2)
-        assert abs(value - 1.0) < 1e-8
-
-    def test_monte_carlo_blackbox(self):
-        f = lambda z: np.abs(z[:, 0]) ** 2 * np.exp(-np.abs(z[:, 0]) ** 2) / np.pi
-        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=400_000,
-                                importance_width=1.0, seed=5)
-        value, err = integrate(f, cfg, n_vars=1)
-        assert abs(value - 1.0) < 4 * err
-
-
-class TestSymbolicDerivative:
-    def test_differentiate_conj_against_finite_difference(self):
-        pg = unit_gaussian()
-        pg.add_anti(0, 0, 0.2)
-        pg.add_linear_conj(0, 0.3 - 0.1j)
-        pg.poly_add((1,), (1,), 0.7)
-        pg.poly_add((0,), (2,), 0.2j)
-        dpg = pg.differentiate_conj(0)
-        z0 = np.array([[0.4 + 0.3j]])
-        h = 1e-6
-        # d/dzbar with z held fixed: vary x and y, combine (df/dx + i df/dy)/2
-        def val(dx, dy):
-            zz = z0 + (dx + 1j * dy)
-            # evaluate with independent conj: emulate by analytic continuation
-            return None
-        # simpler: compare against numerically differentiating evaluate() along
-        # the anti-holomorphic direction using the Wirtinger combination
-        f = lambda z: pg.evaluate(z)
-        fx = (f(z0 + h) - f(z0 - h)) / (2 * h)
-        fy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2 * h)
-        wirtinger_conj = (fx + 1j * fy) / 2
-        got = dpg.evaluate(z0)
-        assert abs(got - wirtinger_conj) < 1e-6
-
-    def test_derivative_of_pure_gaussian(self):
-        pg = unit_gaussian()
-        dpg = pg.differentiate_conj(0)
-        # d/dzbar e^{-z zbar} = -z e^{-z zbar}
-        z = np.array([[0.5 - 0.2j]])
-        assert abs(dpg.evaluate(z) + z[0, 0] * pg.evaluate(z)) < 1e-14
-
 
 @given(
     b=st.floats(-0.2, 0.2),
