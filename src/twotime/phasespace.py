@@ -32,7 +32,7 @@ from .errors import MeasureConventionError, SelfCheckError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid
 from .dynamics import QuadraticHamiltonian, unitary_matrix
 from .hilbert import coherent_vector, ladder_matrices, normal_order_coeffs
-from .propagator import GaussianKernel, kernel_quadratic
+from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
 MEASURE_SELFTEST_TOL = 1e-4  # 10x the quadrature cross-method tolerance
@@ -371,7 +371,7 @@ def _g_qderiv(sys, t, tau, L_max, cfg, ordering="late"):
     _require_phase_space_scenario(sys)
     psi = _prepared_vector(sys, float(t))
     rho_mat = np.outer(psi, psi.conj())
-    mu, nu, lam = _kernel(sys.hamiltonian, float(tau)).heisenberg_coefficients()
+    mu, nu, lam = bogoliubov_map(sys.hamiltonian, float(tau))
     if ordering == "late":
         # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
         f_table = {(1, 1): np.conj(mu), (2, 0): np.conj(nu), (1, 0): np.conj(lam)}
@@ -386,7 +386,7 @@ def g_via_q_derivative(sys: SystemSpec, t: float, tau: float, L_max: int,
     """<adag(t+tau) a(t)> by the normal-order-expansion route.
 
     Consumes the C_lm table of the prepared state up to L_max and the
-    Heisenberg-linear inner factor with kernel-derived coefficients;
+    Heisenberg-linear inner factor with Bogoliubov-map coefficients;
     derivative applications are exact polynomial operations.
     """
     value, _ = _g_qderiv(sys, t, tau, L_max, cfg)
@@ -439,7 +439,7 @@ def _g2_numerator_qderiv(sys, t, tau, L_max, cfg):
     a, _ = ladder_matrices(sys.cutoff)
     phi = a @ psi
     rho_def = np.outer(phi, phi.conj())
-    mu, nu, lam = _kernel(sys.hamiltonian, float(tau)).heisenberg_coefficients()
+    mu, nu, lam = bogoliubov_map(sys.hamiltonian, float(tau))
     # <alpha| adag(tau) a(tau) |alpha> = conjF * F + |nu|^2 with
     # F = mu a + nu abar + lam, conjF = mubar abar + nubar a + lambar
     F = {(1, 0): mu, (0, 1): nu, (0, 0): lam}

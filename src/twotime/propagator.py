@@ -1,8 +1,8 @@
 """Coherent-state propagator K(alpha,t|beta,0) = <alpha|U(t)|beta>.
 
-Two forms: a closed Gaussian (exponential) kernel whose six coefficients
-solve a Riccati-type ODE system, exact for quadratic Hamiltonians, and a
-truncated-Fock numeric oracle used to validate it.
+For a quadratic Hamiltonian it is a Gaussian fixed by the exact Bogoliubov
+map U^dag a U = mu a + nu adag + lam (Perelomov, *Generalized Coherent
+States*, ch. 5); a truncated-Fock numeric oracle validates it.
 """
 
 from __future__ import annotations
@@ -10,15 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .errors import CutoffTooSmallError, InstabilityError
 from .dynamics import QuadraticHamiltonian, unitary_matrix
 from .hilbert import FockCutoff, coherent_vector
 
-ODE_RTOL = 1e-11
-ODE_ATOL = 1e-13
-GAUSSIAN_BOUND = 0.5  # |C| or |D| at this value means a non-normalizable kernel
+PHASE_NODES = 32  # Gauss-Legendre nodes per panel of the A integral
+PANELS_PER_RADIAN = 1.0  # panels per unit of (|omega| + 2|xi| + |eta|) t
 
 
 @dataclass(frozen=True)
@@ -51,80 +50,74 @@ class GaussianKernel:
         )
         return complex(out) if out.ndim == 0 else out
 
-    def heisenberg_coefficients(self) -> tuple[complex, complex, complex]:
-        """(mu, nu, lam) with U^dag a U = mu a + nu adag + lam.
-
-        Follows from <beta|aU|alpha> = (B alpha + 2C conj(beta) + E) K and the
-        unitarity identity |B|^2 = 1 - 4|C|^2, giving mu = 1/conj(B),
-        nu = 2C/B, lam = (E + 2C conj(E)) / |B|^2.
-        """
-        B, C, E = self.B, self.C, self.E
-        bb = (B * np.conj(B)).real
-        mu = 1.0 / np.conj(B)
-        nu = 2.0 * C / B
-        lam = (E + 2.0 * C * np.conj(E)) / bb
-        return complex(mu), complex(nu), complex(lam)
-
 
 def kernel_harmonic(omega: float, t: float) -> GaussianKernel:
     """Free-oscillator kernel: B = exp(-i omega t), all other coefficients zero."""
     return GaussianKernel(0.0, np.exp(-1j * omega * t), 0.0, 0.0, 0.0, 0.0, float(t))
 
 
-def _coefficient_rhs(omega: float, xi: complex, eta: complex):
-    xic = np.conj(xi)
-    etac = np.conj(eta)
+def _heisenberg_matrix(H: QuadraticHamiltonian, t) -> np.ndarray:
+    """expm(M t), or a stack of them for an array of times (see bogoliubov_map)."""
+    xi, eta = complex(H.xi), complex(H.eta)
+    M = np.array([[-1j * H.omega, -1j * xi, -1j * eta],
+                  [1j * np.conj(xi), 1j * H.omega, 1j * np.conj(eta)],
+                  [0.0, 0.0, 0.0]])
+    return expm(np.asarray(t, dtype=float)[..., None, None] * M)
 
-    def rhs(t, y):
-        A, B, C, D, E, F = y[0::2] + 1j * y[1::2]
-        dA = -1j * (xic / 2 * (E * E + 2 * C) + etac * E)
-        dB = -1j * B * (omega + 2 * xic * C)
-        dC = -1j * (2 * omega * C + xi / 2 + 2 * xic * C * C)
-        dD = -1j * (xic / 2) * B * B
-        dE = -1j * ((omega + 2 * xic * C) * E + eta + 2 * etac * C)
-        dF = -1j * B * (xic * E + etac)
-        dz = np.array([dA, dB, dC, dD, dE, dF])
-        out = np.empty(12)
-        out[0::2] = dz.real
-        out[1::2] = dz.imag
-        return out
 
-    return rhs
+def bogoliubov_map(H: QuadraticHamiltonian, t):
+    """(mu, nu, lam) with U(t)^dag a U(t) = mu a + nu adag + lam.
+
+    (a, adag, 1) evolves under d/dt v = M v with
+    M = [[-i omega, -i xi, -i eta], [i conj(xi), i omega, i conj(eta)], [0, 0, 0]],
+    so (mu, nu, lam) is the first row of expm(M t).  An array of times is
+    exponentiated as one stack and gives arrays of the same shape.
+    """
+    return tuple(np.moveaxis(_heisenberg_matrix(H, t)[..., 0, :], -1, 0))
+
+
+def _coefficients(mu, nu, lam):
+    """Kernel coefficients (B, C, D, E, F) of the map (mu, nu, lam)."""
+    B = 1.0 / np.conj(mu)
+    C = nu * B / 2
+    E = lam - 2 * C * np.conj(lam)
+    return B, C, -np.conj(nu) * B / 2, E, -mu * np.conj(lam) - np.conj(nu) * (E - lam)
 
 
 def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
-    """Kernel for a general quadratic Hamiltonian.
+    """Kernel for a general quadratic Hamiltonian, from its Bogoliubov map.
 
-    The exponential ansatz substituted into i dU/dt = H U yields coupled
-    coefficient ODEs (Riccati in C); they are integrated adaptively from the
-    identity kernel.  Raises InstabilityError once |C| or |D| reaches 1/2,
-    where the Gaussian stops being normalizable (parametric amplification
-    beyond validity).
+    <beta|a U|alpha> = (B alpha + 2C conj(beta) + E) K and U^dag a U =
+    mu a + nu adag + lam give B = 1/conj(mu), C = nu B/2, D = -conj(nu) B/2,
+    E = lam - 2C conj(lam) and F = -mu conj(lam) - conj(nu)(E - lam);
+    inversely mu = 1/conj(B), nu = 2C/B and lam = (E + 2C conj(E)) / |B|^2,
+    since |B|^2 = 1 - 4|C|^2.  dA/dt = -i (conj(xi)/2 (E^2 + 2C) + conj(eta) E)
+    is integrated from A(0) = 0 by Gauss-Legendre panels, one per radian of
+    (|omega| + 2|xi| + |eta|) t.  Raises InstabilityError when 1 - 2|C|
+    rounds to 0 or below (extreme squeezing) or a coefficient overflows.
     """
-    if H.xi == 0 and H.eta == 0:
+    if H.is_free:
         return kernel_harmonic(H.omega, t)
-    y0 = np.zeros(12)
-    y0[2] = 1.0  # B = 1 at t = 0
-    sol = solve_ivp(
-        _coefficient_rhs(H.omega, complex(H.xi), complex(H.eta)),
-        (0.0, float(t)),
-        y0,
-        method="RK45",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise InstabilityError(f"kernel coefficient integration failed: {sol.message}")
-    traj = sol.y[0::2] + 1j * sol.y[1::2]  # rows A..F over solver steps
-    worst = max(np.max(np.abs(traj[2])), np.max(np.abs(traj[3])))
-    if worst >= GAUSSIAN_BOUND:
+    t = float(t)
+    xi, eta = complex(H.xi), complex(H.eta)
+    rate = abs(H.omega) + 2 * abs(xi) + abs(eta)
+    panels = max(1, int(np.ceil(PANELS_PER_RADIAN * rate * abs(t))))
+    x, w = np.polynomial.legendre.leggauss(PHASE_NODES)
+    h = t / panels
+    # H does not depend on time, so expm(M (k h + s)) = expm(M k h) expm(M s):
+    # one expm per panel start (and at t) and one per node offset cover all nodes.
+    starts = _heisenberg_matrix(H, np.append(h * np.arange(panels), t))
+    rows = np.einsum("ka,jab->bkj", starts[:-1, 0], _heisenberg_matrix(H, h * (x + 1) / 2))
+    _, C, _, E, _ = _coefficients(*rows)
+    A = -0.5j * h * np.sum((np.conj(xi) / 2 * (E * E + 2 * C) + np.conj(eta) * E) @ w)
+    k = GaussianKernel(A, *_coefficients(*starts[-1, 0]), t)
+    margin = 1 - 2 * abs(k.C)
+    if not (margin > 0 and np.all(np.isfinite([k.A, k.B, k.C, k.D, k.E, k.F]))):
         raise InstabilityError(
-            f"|C| or |D| reached {worst:.3f} >= 0.5 during [0, {t}]; "
-            "squeezing has left the normalizable-kernel regime"
+            f"1 - 2|C| = {margin:.3g} at t = {t}; squeezing has left the "
+            "normalizable-kernel regime in floating point"
         )
-    A, B, C, D, E, F = traj[:, -1]
-    return GaussianKernel(A, B, C, D, E, F, float(t))
+    return k
 
 
 def kernel_numeric(

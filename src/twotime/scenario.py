@@ -212,6 +212,10 @@ def parse_scenario(path) -> Scenario:
                                  lines["system.t_prepare"])
     else:
         t_prepare = 20.0 / kappa if kappa > 0 else 0.0
+    if t_prepare < 0:
+        raise ScenarioSchemaError("system.t_prepare must be >= 0")
+    if trace_budget <= 0:
+        raise ScenarioSchemaError("system.trace_budget must be > 0")
 
     initial = (_parse_initial(raw["system.initial"], lines["system.initial"])
                if has("system.initial") else InitialState.vacuum())
@@ -249,6 +253,8 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioSchemaError(str(exc))
 
     L_max = get("lmax", _parse_int)
+    if L_max < 1:
+        raise ScenarioSchemaError("lmax must be >= 1")
 
     try:
         system = SystemSpec(

@@ -206,6 +206,18 @@ class TestMainEntry:
         report = (tmp_path / "multi_report.txt").read_text()
         assert "FAIL near tau" in report
 
+    @pytest.mark.parametrize("line, message", [
+        ("system.t_prepare = -1.0", "error: system.t_prepare must be >= 0"),
+        ("lmax = -3", "error: lmax must be >= 1"),
+        ("system.trace_budget = -1", "error: system.trace_budget must be > 0"),
+    ])
+    def test_bad_scenario_value_exit_1(self, tmp_path, capsys, line, message):
+        scn = write(tmp_path, MINIMAL + line + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
     def test_monte_carlo_error_covers_normalisation(self, tmp_path):
         scn = write(tmp_path, MC_NORMALISATION)
         assert main(["run", str(scn), "--out", str(tmp_path)]) == 0

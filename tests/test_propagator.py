@@ -1,18 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-import twotime.propagator as propagator_mod
 from twotime.dynamics import QuadraticHamiltonian
 from twotime.errors import CutoffTooSmallError, InstabilityError
 from twotime.hilbert import FockCutoff, coherent_overlap
-from twotime.propagator import kernel_harmonic, kernel_numeric, kernel_quadratic
+from twotime.propagator import bogoliubov_map, kernel_harmonic, kernel_numeric, kernel_quadratic
 from twotime.quadrature import IntegrationConfig, PolyGaussian, integrate
 
 HARMONIC = QuadraticHamiltonian(omega=1.0)
 DRIVEN = QuadraticHamiltonian(omega=1.0, eta=0.5)
 SQUEEZED = QuadraticHamiltonian(omega=1.0, xi=0.2)
 CUT = FockCutoff(40)
+AMPS = [-1.2, -0.3 + 0.8j, 0.5j, 1.4]
 
 
 def heisenberg_ode_oracle(H: QuadraticHamiltonian, t: float):
@@ -76,10 +81,22 @@ class TestQuadraticKernel:
     @pytest.mark.parametrize("H", [HARMONIC, DRIVEN, SQUEEZED])
     def test_grid_against_fock_oracle(self, H):
         k = kernel_quadratic(H, 0.9)
-        amps = [-1.2, -0.3 + 0.8j, 0.5j, 1.4]
-        for a in amps:
-            for b in amps:
+        for a in AMPS:
+            for b in AMPS:
                 num = kernel_numeric(H, 0.9, a, b, CUT)
+                assert abs(k.evaluate(a, b) - num) / abs(num) < 1e-7
+
+    @pytest.mark.parametrize("H,t,n_max", [
+        # omega = |xi|: the 2x2 block of the Heisenberg generator is defective
+        (QuadraticHamiltonian(omega=0.5, xi=0.5), 1.0, 40),
+        # nearly two periods: 23 Gauss-Legendre panels in the phase A
+        (QuadraticHamiltonian(omega=1.0, xi=0.2, eta=0.5), 12.0, 60),
+    ], ids=["exceptional_point", "many_periods"])
+    def test_closed_form_against_fock_oracle(self, H, t, n_max):
+        k = kernel_quadratic(H, t)
+        for a in AMPS:
+            for b in AMPS:
+                num = kernel_numeric(H, t, a, b, FockCutoff(n_max))
                 assert abs(k.evaluate(a, b) - num) / abs(num) < 1e-7
 
     def test_unitarity_identity(self):
@@ -93,15 +110,15 @@ class TestQuadraticKernel:
         k = kernel_quadratic(QuadraticHamiltonian(xi=1.0), 2.0)
         assert abs(k.C) < 0.5
 
-    def test_instability_guard_fires(self, monkeypatch):
-        monkeypatch.setattr(propagator_mod, "GAUSSIAN_BOUND", 0.3)
+    def test_instability_guard_fires(self):
+        # 1 - 2|C| rounds to zero or below in floating point
         with pytest.raises(InstabilityError):
-            kernel_quadratic(QuadraticHamiltonian(xi=1.0), 2.0)
+            kernel_quadratic(QuadraticHamiltonian(xi=1.0), 30.0)
 
     @pytest.mark.parametrize("H,t", [(DRIVEN, 0.8), (SQUEEZED, 0.5),
                                      (QuadraticHamiltonian(omega=1.0, xi=0.1j, eta=0.3), 1.2)])
     def test_heisenberg_coefficients(self, H, t):
-        got = kernel_quadratic(H, t).heisenberg_coefficients()
+        got = bogoliubov_map(H, t)
         expected = heisenberg_ode_oracle(H, t)
         for g, e in zip(got, expected):
             assert abs(g - e) < 1e-10
@@ -196,3 +213,12 @@ class TestKernelIntegrals:
         pg.add_const(-np.log(np.pi))
         value, _ = integrate(pg, self.CFG)
         assert abs(value - 1.0) < 1e-9
+
+
+def test_import_leaves_out_ode_solvers():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, twotime.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
