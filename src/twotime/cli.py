@@ -179,7 +179,10 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
         changes["methods"] = tuple(args.method)
         scn.settings["methods"] = ", ".join(args.method) + "  [cli override]"
     if args.seed is not None:
-        changes["integration"] = dataclasses.replace(scn.integration, seed=args.seed)
+        try:
+            changes["integration"] = dataclasses.replace(scn.integration, seed=args.seed)
+        except ValueError as exc:
+            raise ScenarioSchemaError(f"--seed: {exc}")
         scn.settings["integration.seed"] = f"{args.seed}  [cli override]"
     if getattr(args, "cutoff", None) is not None:
         try:

@@ -23,24 +23,17 @@ module only.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import MeasureConventionError, SelfCheckError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid
-from .dynamics import QuadraticHamiltonian, unitary_matrix
+from .dynamics import unitary_matrix
 from .hilbert import coherent_vector, ladder_matrices, normal_order_coeffs
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
 MEASURE_SELFTEST_TOL = 1e-4  # 10x the quadrature cross-method tolerance
-
-
-@lru_cache(maxsize=256)
-def _kernel(H: QuadraticHamiltonian, duration: float) -> GaussianKernel:
-    return kernel_quadratic(H, duration)
 
 
 def _require_phase_space_scenario(sys: SystemSpec):
@@ -183,8 +176,8 @@ def _mean_n_fock(sys: SystemSpec, t: float) -> float:
 def _propagator_integrand(sys: SystemSpec, t: float, tau: float, collapse: bool,
                           ordering: str) -> PolyGaussian:
     a0 = complex(sys.initial_state.amplitude)
-    kt = _kernel(sys.hamiltonian, t)
-    ktau = _kernel(sys.hamiltonian, tau)
+    kt = kernel_quadratic(sys.hamiltonian, t)
+    ktau = kernel_quadratic(sys.hamiltonian, tau)
     if collapse:
         # vars: 0 = alpha, 1 = alpha2, 2 = alpha4
         pg = PolyGaussian(3)
@@ -244,7 +237,7 @@ def g_via_propagator(sys: SystemSpec, t: float, tau: float, cfg: IntegrationConf
 # ---------------------------------------------------------------------------
 
 def _q2var_integrand(sys, t, tau, ordering: str) -> PolyGaussian:
-    ktau = _kernel(sys.hamiltonian, tau)
+    ktau = kernel_quadratic(sys.hamiltonian, tau)
     w = _fock_factor_coeffs(_prepared_vector(sys, t))
     pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
     if ordering == "late":
@@ -407,8 +400,8 @@ def _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side: bool):
     both, with the four linear factors multiplied symbolically.
     """
     a0 = complex(sys.initial_state.amplitude)
-    kt = _kernel(sys.hamiltonian, float(t))
-    ktau = _kernel(sys.hamiltonian, float(tau))
+    kt = kernel_quadratic(sys.hamiltonian, t)
+    ktau = kernel_quadratic(sys.hamiltonian, tau)
     pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
     _attach_kernel(pg, ktau, 2, 0, conj=True)   # K*(a4,tau|alpha,0)
     _attach_kernel(pg, ktau, 2, 1)              # K(a4,tau|alpha2,0)
@@ -477,7 +470,8 @@ def _g2_raw(sys, t, tau, method, cfg, L_max):
         raise ValueError(f"unknown phase-space method {method!r}")
     tol = max(1e-9, 3 * err)
     if abs(value.imag) > tol * max(1.0, abs(value)):
-        raise SelfCheckError(f"g2 numerator imaginary part {value.imag:.2e} too large")
+        where = method + (f" at lmax = {L_max}" if method == "qfunction_derivative" else "")
+        raise SelfCheckError(f"{where}: g2 numerator imaginary part {value.imag:.2e} too large")
     return value.real, err
 
 

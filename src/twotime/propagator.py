@@ -1,8 +1,10 @@
 """Coherent-state propagator K(alpha,t|beta,0) = <alpha|U(t)|beta>.
 
 For a quadratic Hamiltonian it is a Gaussian fixed by the exact Bogoliubov
-map U^dag a U = mu a + nu adag + lam (Perelomov, *Generalized Coherent
-States*, ch. 5); a truncated-Fock numeric oracle validates it.
+map U^dag a U = mu a + nu adag + lam and the factorisation U = e^(i phi)
+D(lam) U_q into a displacement and the undriven evolution (Perelomov,
+*Generalized Coherent States*, ch. 5); a truncated-Fock numeric oracle
+validates it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from scipy.linalg import expm
 from .errors import CutoffTooSmallError, InstabilityError
 from .dynamics import QuadraticHamiltonian, unitary_matrix
 from .hilbert import FockCutoff, coherent_vector
-
-PHASE_NODES = 32  # Gauss-Legendre nodes per panel of the A integral
-PANELS_PER_RADIAN = 1.0  # panels per unit of (|omega| + 2|xi| + |eta|) t
 
 
 @dataclass(frozen=True)
@@ -56,24 +55,24 @@ def kernel_harmonic(omega: float, t: float) -> GaussianKernel:
     return GaussianKernel(0.0, np.exp(-1j * omega * t), 0.0, 0.0, 0.0, 0.0, float(t))
 
 
-def _heisenberg_matrix(H: QuadraticHamiltonian, t) -> np.ndarray:
-    """expm(M t), or a stack of them for an array of times (see bogoliubov_map)."""
+def _generator(H: QuadraticHamiltonian) -> np.ndarray:
+    """N = [[M, e_3], [0, 0]] with M as in bogoliubov_map; the first row of
+    expm(N t) is (mu, nu, lam, Lam) with Lam = int_0^t lam ds."""
     xi, eta = complex(H.xi), complex(H.eta)
-    M = np.array([[-1j * H.omega, -1j * xi, -1j * eta],
-                  [1j * np.conj(xi), 1j * H.omega, 1j * np.conj(eta)],
-                  [0.0, 0.0, 0.0]])
-    return expm(np.asarray(t, dtype=float)[..., None, None] * M)
+    return np.array([[-1j * H.omega, -1j * xi, -1j * eta, 0.0],
+                     [1j * np.conj(xi), 1j * H.omega, 1j * np.conj(eta), 0.0],
+                     [0.0, 0.0, 0.0, 1.0],
+                     [0.0, 0.0, 0.0, 0.0]])
 
 
-def bogoliubov_map(H: QuadraticHamiltonian, t):
+def bogoliubov_map(H: QuadraticHamiltonian, t: float):
     """(mu, nu, lam) with U(t)^dag a U(t) = mu a + nu adag + lam.
 
     (a, adag, 1) evolves under d/dt v = M v with
     M = [[-i omega, -i xi, -i eta], [i conj(xi), i omega, i conj(eta)], [0, 0, 0]],
-    so (mu, nu, lam) is the first row of expm(M t).  An array of times is
-    exponentiated as one stack and gives arrays of the same shape.
+    so (mu, nu, lam) is the first row of expm(M t).
     """
-    return tuple(np.moveaxis(_heisenberg_matrix(H, t)[..., 0, :], -1, 0))
+    return tuple(expm(float(t) * _generator(H)[:3, :3])[0])
 
 
 def _coefficients(mu, nu, lam):
@@ -91,26 +90,27 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
     mu a + nu adag + lam give B = 1/conj(mu), C = nu B/2, D = -conj(nu) B/2,
     E = lam - 2C conj(lam) and F = -mu conj(lam) - conj(nu)(E - lam);
     inversely mu = 1/conj(B), nu = 2C/B and lam = (E + 2C conj(E)) / |B|^2,
-    since |B|^2 = 1 - 4|C|^2.  dA/dt = -i (conj(xi)/2 (E^2 + 2C) + conj(eta) E)
-    is integrated from A(0) = 0 by Gauss-Legendre panels, one per radian of
-    (|omega| + 2|xi| + |eta|) t.  Raises InstabilityError when 1 - 2|C|
-    rounds to 0 or below (extreme squeezing) or a coefficient overflows.
+    since |B|^2 = 1 - 4|C|^2.  U = e^(i phi) D(lam) U_q with phi' =
+    -Re(conj(eta) lam) gives A = log<0|U|0> = i omega t/2 - log(conj(mu))/2
+    - conj(lam) E/2 - i Re(conj(eta) Lam), the log continued along [0, t] and
+    (mu, nu, lam, Lam) the first row of one expm (see _generator).  Raises
+    InstabilityError when 1 - 2|C| rounds to 0 or below (extreme squeezing)
+    or a coefficient overflows.
     """
     if H.is_free:
         return kernel_harmonic(H.omega, t)
     t = float(t)
-    xi, eta = complex(H.xi), complex(H.eta)
-    rate = abs(H.omega) + 2 * abs(xi) + abs(eta)
-    panels = max(1, int(np.ceil(PANELS_PER_RADIAN * rate * abs(t))))
-    x, w = np.polynomial.legendre.leggauss(PHASE_NODES)
-    h = t / panels
-    # H does not depend on time, so expm(M (k h + s)) = expm(M k h) expm(M s):
-    # one expm per panel start (and at t) and one per node offset cover all nodes.
-    starts = _heisenberg_matrix(H, np.append(h * np.arange(panels), t))
-    rows = np.einsum("ka,jab->bkj", starts[:-1, 0], _heisenberg_matrix(H, h * (x + 1) / 2))
-    _, C, _, E, _ = _coefficients(*rows)
-    A = -0.5j * h * np.sum((np.conj(xi) / 2 * (E * E + 2 * C) + np.conj(eta) * E) @ w)
-    k = GaussianKernel(A, *_coefficients(*starts[-1, 0]), t)
+    mu, nu, lam, Lam = expm(t * _generator(H))[0]
+    # arg conj(mu) continued along [0, t]: Re mu > 0 throughout if omega^2 <=
+    # |xi|^2, else it stays within pi/2 of sign(omega) sqrt(omega^2 - |xi|^2) t
+    theta = np.angle(np.conj(mu))
+    gap = H.omega ** 2 - abs(H.xi) ** 2
+    if gap > 0:
+        theta += 2 * np.pi * np.round((np.sign(H.omega) * np.sqrt(gap) * t - theta) / (2 * np.pi))
+    B, C, D, E, F = _coefficients(mu, nu, lam)
+    A = (0.5j * H.omega * t - 0.5 * (np.log(abs(mu)) + 1j * theta)
+         - np.conj(lam) * E / 2 - 1j * (np.conj(H.eta) * Lam).real)
+    k = GaussianKernel(A, B, C, D, E, F, t)
     margin = 1 - 2 * abs(k.C)
     if not (margin > 0 and np.all(np.isfinite([k.A, k.B, k.C, k.D, k.E, k.F]))):
         raise InstabilityError(

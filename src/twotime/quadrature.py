@@ -43,6 +43,8 @@ class IntegrationConfig:
             raise ValueError("quadrature needs nodes_per_axis >= 8")
         if self.engine == "monte_carlo_gaussian" and self.sample_count < 10_000:
             raise ValueError("Monte Carlo needs sample_count >= 10^4")
+        if self.seed < 0:
+            raise ValueError("integration.seed must be >= 0")
 
 
 class PolyGaussian:

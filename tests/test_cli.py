@@ -210,6 +210,7 @@ class TestMainEntry:
         ("system.t_prepare = -1.0", "error: system.t_prepare must be >= 0"),
         ("lmax = -3", "error: lmax must be >= 1"),
         ("system.trace_budget = -1", "error: system.trace_budget must be > 0"),
+        ("integration.seed = -1", "error: integration.seed must be >= 0"),
     ])
     def test_bad_scenario_value_exit_1(self, tmp_path, capsys, line, message):
         scn = write(tmp_path, MINIMAL + line + "\n")
@@ -217,6 +218,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
+        assert main(["run", str(scn), "--seed", "-1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: integration.seed must be >= 0")
+        assert not list(tmp_path.iterdir())
 
     def test_monte_carlo_error_covers_normalisation(self, tmp_path):
         scn = write(tmp_path, MC_NORMALISATION)

@@ -198,3 +198,10 @@ class TestSelfChecks:
         with pytest.raises(SelfCheckError, match="imaginary"):
             phasespace.g2_via_phase_space(closed_coherent(), 0.0, 0.5, "propagator",
                                           IntegrationConfig())
+
+    def test_q_derivative_g2_self_check_names_lmax(self, monkeypatch):
+        monkeypatch.setattr(phasespace, "_g2_numerator_qderiv",
+                            lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
+        with pytest.raises(SelfCheckError, match="qfunction_derivative at lmax = 20"):
+            phasespace.g2_via_phase_space(closed_coherent(), 0.0, 0.5, "qfunction_derivative",
+                                          IntegrationConfig(), L_max=20)

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+from twotime import propagator
 from twotime.dynamics import QuadraticHamiltonian
 from twotime.errors import CutoffTooSmallError, InstabilityError
 from twotime.hilbert import FockCutoff, coherent_overlap
@@ -89,15 +91,26 @@ class TestQuadraticKernel:
     @pytest.mark.parametrize("H,t,n_max", [
         # omega = |xi|: the 2x2 block of the Heisenberg generator is defective
         (QuadraticHamiltonian(omega=0.5, xi=0.5), 1.0, 40),
-        # nearly two periods: 23 Gauss-Legendre panels in the phase A
+        # nearly two periods: the argument of conj(mu) in A winds past pi
         (QuadraticHamiltonian(omega=1.0, xi=0.2, eta=0.5), 12.0, 60),
-    ], ids=["exceptional_point", "many_periods"])
+        # omega = |xi| with a drive: lam grows as t^2 and Lam as t^3
+        (QuadraticHamiltonian(omega=0.5, xi=0.5, eta=0.3), 2.0, 60),
+        # omega < 0 and six turns backwards of conj(mu)
+        (QuadraticHamiltonian(omega=-1.0, xi=0.3, eta=0.4j), 40.0, 60),
+    ], ids=["exceptional_point", "many_periods", "degenerate_driven", "many_windings"])
     def test_closed_form_against_fock_oracle(self, H, t, n_max):
         k = kernel_quadratic(H, t)
         for a in AMPS:
             for b in AMPS:
                 num = kernel_numeric(H, t, a, b, FockCutoff(n_max))
                 assert abs(k.evaluate(a, b) - num) / abs(num) < 1e-7
+
+    def test_one_expm_per_build(self, monkeypatch):
+        # the degenerate driven case takes the same single exponential as any other
+        shapes = []
+        monkeypatch.setattr(propagator, "expm", lambda m: shapes.append(m.shape) or expm(m))
+        kernel_quadratic(QuadraticHamiltonian(omega=0.5, xi=0.5, eta=0.3), 2.0)
+        assert shapes == [(4, 4)]
 
     def test_unitarity_identity(self):
         # |B|^2 = 1 - 4|C|^2 for every unitary quadratic kernel
