@@ -42,13 +42,7 @@ from .correlators import (
     regression_series,
 )
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
-from .phasespace import (
-    g2_via_phase_space,
-    g_via_propagator,
-    g_via_q_derivative,
-    g_via_q_two_variable,
-    phase_space_series,
-)
+from .phasespace import phase_space_series
 from .analysis import StatisticsReport, classify
 from .scenario import Scenario, parse_scenario
 
@@ -88,10 +82,6 @@ __all__ = [
     "IntegrationConfig",
     "PolyGaussian",
     "integrate",
-    "g2_via_phase_space",
-    "g_via_propagator",
-    "g_via_q_derivative",
-    "g_via_q_two_variable",
     "phase_space_series",
     "StatisticsReport",
     "classify",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SelfCheckError, ZeroDenominatorError
+from .errors import InvalidStateError, SelfCheckError, ZeroDenominatorError
 from .dynamics import (
     DampingChannel,
     QuadraticHamiltonian,
@@ -47,6 +47,19 @@ class InitialState:
     n: int = 0
     n_thermal: float = 0.0
     terms: tuple = ()
+
+    def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise InvalidStateError(f"coherent amplitude must be finite, got {self.amplitude}")
+        if not 0 <= self.n_thermal < np.inf:
+            raise InvalidStateError(
+                f"thermal occupation must be finite and >= 0, got {self.n_thermal}")
+        if self.kind == "superposition":
+            psi: dict = {}
+            for weight, level in self.terms:
+                psi[level] = psi.get(level, 0) + weight
+            if not (np.all(np.isfinite(list(psi.values()))) and any(psi.values())):
+                raise InvalidStateError("superposition weights must be finite with nonzero norm")
 
     @classmethod
     def coherent(cls, alpha0: complex) -> "InitialState":

@@ -1,24 +1,29 @@
 """Phase-space evaluation routes for two-time correlators of closed dynamics.
 
-Three routes compute g(tau) = <adag(t+tau) a(t)> for a coherent-state-prepared
-mode under a quadratic Hamiltonian:
+Three routes compute g(tau) = <adag(t+tau) a(t)> and the g2 numerator
+<adag(t) adag(t+tau) a(t+tau) a(t)> for a coherent-state-prepared mode under
+a quadratic Hamiltonian.  Two integrand builders serve them, each over one
+``kind`` in {"late", "early", "g2"}: the late and early g1 orderings and the
+g2 numerator.
 
-* ``g_via_propagator``: the five-fold coherent-state-propagator integral, with
-  an optional analytic collapse of two integrals via the reproducing property,
-  leaving three complex variables.
-* ``g_via_q_two_variable``: the triple integral pairing the two-variable
-  Q-kernel of the prepared state (built from its truncated Fock vector) with
-  the propagator-composed Q of the evolved projector.
-* ``g_via_q_derivative``: the normal-order route.  The coefficient table C_lm
-  of the prepared state is resummed into Gaussian-carrying Q-derivative
-  polynomials (a term-by-term truncated integral diverges; the resummation is
-  the convergent equivalent of substituting (alpha + d/d alpha*) into the
+* ``_collapsed_integrand`` builds the three-variable integral of the
+  coherent-state-propagator route (``propagator``: the five-fold propagator
+  integral with two integrals collapsed by the reproducing property) and of
+  the two-variable-Q route (``qfunction_two_variable``: the two-variable
+  Q-kernel of the prepared state, from its truncated Fock vector, paired
+  with the propagator-composed Q of the evolved projector).
+  ``_five_variable_integrand`` keeps the uncollapsed propagator integral.
+* ``_qderiv_integrand`` builds the normal-order route
+  (``qfunction_derivative``).  The coefficient table C_lm of the prepared
+  state is resummed into Gaussian-carrying Q-derivative polynomials (a
+  term-by-term truncated integral diverges; the resummation is the
+  convergent equivalent of substituting (alpha + d/d alpha*) into the
   coefficient polynomial), and the shift/derivative applications on the
   Heisenberg-linear inner factor are exact symbolic operations.
 
-``g2_via_phase_space`` extends each route to the four-operator correlator.
-Open-system scenarios are out of scope here and served by the regression
-module only.
+``phase_space_series`` is the entry point; ``_g_raw`` and ``_g2_raw`` give
+the unnormalized correlators of one route.  Open-system scenarios are out of
+scope here and served by the regression module only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy.special import gammaln
 from .errors import MeasureConventionError, SelfCheckError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid
 from .dynamics import unitary_matrix
-from .hilbert import coherent_vector, ladder_matrices, normal_order_coeffs
+from .hilbert import DensityMatrix, coherent_vector, ladder_matrices, normal_order_coeffs
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
@@ -44,56 +49,45 @@ def _require_phase_space_scenario(sys: SystemSpec):
 
 
 def _attach_kernel(pg: PolyGaussian, k: GaussianKernel, out_var, in_var, conj=False,
-                   out_val=None, in_val=None):
+                   in_val=None):
     """Multiply K(out, t | in, 0) into pg; conj=True attaches the conjugate
     kernel as a function of independent variables (conj(zbar) -> z).
 
-    out_var/in_var are variable indices, or None with the amplitude fixed at
-    out_val/in_val.
+    out_var/in_var are variable indices; in_var may be None with the input
+    amplitude fixed at in_val.
     """
     A, B, C, D, E, F = k.A, k.B, k.C, k.D, k.E, k.F
     if conj:
         A, B, C, D, E, F = (np.conj(A), np.conj(B), np.conj(C),
                             np.conj(D), np.conj(E), np.conj(F))
-    ov = None if out_var is not None else (out_val if conj else np.conj(out_val))
     iv = None if in_var is not None else (np.conj(in_val) if conj else in_val)
     pg.add_const(A)
     # B * (zbar_out z_in), conjugated to B* (z_out zbar_in)
-    if out_var is None and in_var is None:
-        pg.add_const(B * ov * iv)
-    elif out_var is None:
-        (pg.add_linear_conj if conj else pg.add_linear)(in_var, B * ov)
-    elif in_var is None:
+    if in_var is None:
         (pg.add_linear if conj else pg.add_linear_conj)(out_var, B * iv)
     elif conj:
         pg.add_mixed(in_var, out_var, B)
     else:
         pg.add_mixed(out_var, in_var, B)
     if C != 0:
-        if out_var is None:
-            pg.add_const(C * ov * ov)
-        else:
-            (pg.add_holo if conj else pg.add_anti)(out_var, out_var, C)
+        (pg.add_holo if conj else pg.add_anti)(out_var, out_var, C)
     if D != 0:
         if in_var is None:
             pg.add_const(D * iv * iv)
         else:
             (pg.add_anti if conj else pg.add_holo)(in_var, in_var, D)
     if E != 0:
-        if out_var is None:
-            pg.add_const(E * ov)
-        else:
-            (pg.add_linear if conj else pg.add_linear_conj)(out_var, E)
+        (pg.add_linear if conj else pg.add_linear_conj)(out_var, E)
     if F != 0:
         if in_var is None:
             pg.add_const(F * iv)
         else:
             (pg.add_linear_conj if conj else pg.add_linear)(in_var, F)
-    for var, val in ((out_var, out_val), (in_var, in_val)):
-        if var is None:
-            pg.add_const(-abs(complex(val)) ** 2 / 2)
-        else:
-            pg.add_abs2(var, -0.5)
+    pg.add_abs2(out_var, -0.5)
+    if in_var is None:
+        pg.add_const(-abs(complex(in_val)) ** 2 / 2)
+    else:
+        pg.add_abs2(in_var, -0.5)
 
 
 def _linear_factor(n_vars, k: GaussianKernel, out_var, in_var, conj=False,
@@ -170,36 +164,62 @@ def _mean_n_fock(sys: SystemSpec, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Coherent-state-propagator route
+# Propagator and two-variable-Q routes: three-variable integrands
 # ---------------------------------------------------------------------------
 
-def _propagator_integrand(sys: SystemSpec, t: float, tau: float, collapse: bool,
-                          ordering: str) -> PolyGaussian:
+def _collapsed_integrand(sys: SystemSpec, t: float, tau: float, method: str,
+                         kind: str) -> PolyGaussian:
+    """Three-variable integrand over 0 = alpha, 1 = alpha2, 2 = alpha4.
+
+    The tau side is K(alpha4, tau|alpha, 0) times the conjugate kernel from
+    alpha2, with the conjugation swapped for every kind but "late".  The
+    prepared state enters on alpha and alpha2 with the same swap: through
+    t-kernels from the initial amplitude (propagator) or through the Fock
+    var-factors of psi_t, of a psi_t for g2 (qfunction_two_variable).  The
+    polynomial is z0 zbar2 for "late"; for "early" it is conj(alpha), from
+    <alpha2|rho adag|alpha> = conj(alpha) <alpha2|rho|alpha>, times the
+    linear factor of <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K; for
+    "g2" it is the product of the annihilation-shifted linear factors.  g2
+    keeps the swapped orientation: the late one would need a single linear
+    factor, but its Monte Carlo variance is several times larger.
+    """
+    sides = ((0, kind != "late"), (1, kind == "late"))
+    ktau = kernel_quadratic(sys.hamiltonian, tau)
+    pg = PolyGaussian(3)
+    for var, conj in sides:
+        _attach_kernel(pg, ktau, 2, var, conj=conj)
+    if method == "propagator":
+        a0 = complex(sys.initial_state.amplitude)
+        kt = kernel_quadratic(sys.hamiltonian, t)
+        for var, conj in sides:
+            _attach_kernel(pg, kt, var, None, conj=conj, in_val=a0)
+    else:
+        psi = _prepared_vector(sys, t)
+        if kind == "g2":
+            psi = ladder_matrices(sys.cutoff)[0] @ psi
+        w = _fock_factor_coeffs(psi)
+        for var, conj in sides:
+            pg.add_abs2(var, -0.5)  # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
+            pg.set_var_factor(var, np.conj(w) if conj else w, conjugated=not conj)
+    if kind == "late":
+        forms = [_mono(3, 1.0, z_at=0, zbar_at=2)]
+    elif kind == "early":
+        forms = [_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1)]
+    else:
+        forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
+        if method == "propagator":
+            forms = [_linear_factor(3, kt, var, None, conj=conj, in_val=a0)
+                     for var, conj in sides] + forms
+    pg.poly = _poly_multiply(*forms)
+    pg.add_const(-3 * np.log(np.pi))
+    return pg
+
+
+def _five_variable_integrand(sys: SystemSpec, t: float, tau: float) -> PolyGaussian:
+    """The uncollapsed late-ordering propagator integral over alpha..alpha4."""
     a0 = complex(sys.initial_state.amplitude)
     kt = kernel_quadratic(sys.hamiltonian, t)
     ktau = kernel_quadratic(sys.hamiltonian, tau)
-    if collapse:
-        # vars: 0 = alpha, 1 = alpha2, 2 = alpha4
-        pg = PolyGaussian(3)
-        if ordering == "late":
-            _attach_kernel(pg, ktau, 2, 0)
-            _attach_kernel(pg, ktau, 2, 1, conj=True)
-            _attach_kernel(pg, kt, 0, None, in_val=a0)
-            _attach_kernel(pg, kt, 1, None, conj=True, in_val=a0)
-            pg.poly.update(_mono(3, 1.0, z_at=0, zbar_at=2))
-        else:
-            # <adag(t) a(t+tau)>: mirrored conjugation, prefactor from
-            # <alpha2|rho adag|alpha> = conj(alpha) <alpha2|rho|alpha> and
-            # <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K
-            _attach_kernel(pg, ktau, 2, 0, conj=True)
-            _attach_kernel(pg, ktau, 2, 1)
-            _attach_kernel(pg, kt, 0, None, conj=True, in_val=a0)
-            _attach_kernel(pg, kt, 1, None, in_val=a0)
-            pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1))
-        pg.add_const(-3 * np.log(np.pi))
-        return pg
-    if ordering != "late":
-        raise ValueError("the full five-variable form implements the late ordering only")
     # vars: 0 = alpha, 1 = alpha1, 2 = alpha2, 3 = alpha3, 4 = alpha4
     pg = PolyGaussian(5)
     _attach_kernel(pg, _IDENTITY_KERNEL, 1, None, in_val=a0)          # <alpha1|alpha0>
@@ -213,52 +233,16 @@ def _propagator_integrand(sys: SystemSpec, t: float, tau: float, collapse: bool,
     return pg
 
 
-def _g_propagator(sys, t, tau, cfg, collapse, ordering="late"):
-    _require_phase_space_scenario(sys)
-    pg = _propagator_integrand(sys, float(t), float(tau), collapse, ordering)
-    return integrate(pg, cfg)
+def _g_propagator(sys, t, tau, cfg, collapse):
+    """(value, err) of <adag(t+tau) a(t)> by the propagator route.
 
-
-def g_via_propagator(sys: SystemSpec, t: float, tau: float, cfg: IntegrationConfig,
-                     collapse: bool = True) -> complex:
-    """<adag(t+tau) a(t)> by the coherent-state-propagator integral.
-
-    collapse=True eliminates the alpha1/alpha3 integrals analytically via the
-    reproducing property, leaving three complex variables (quadrature
-    friendly); collapse=False evaluates the full five-variable integral,
-    which only the Monte Carlo engine accepts.
+    collapse=False evaluates the full five-variable integral, which only the
+    Monte Carlo engine accepts.
     """
-    value, _ = _g_propagator(sys, t, tau, cfg, collapse)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Q-function route: two-variable kernels
-# ---------------------------------------------------------------------------
-
-def _q2var_integrand(sys, t, tau, ordering: str) -> PolyGaussian:
-    ktau = kernel_quadratic(sys.hamiltonian, tau)
-    w = _fock_factor_coeffs(_prepared_vector(sys, t))
-    pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
-    if ordering == "late":
-        _attach_kernel(pg, ktau, 2, 0)
-        _attach_kernel(pg, ktau, 2, 1, conj=True)
-        # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
-        pg.add_abs2(0, -0.5)
-        pg.add_abs2(1, -0.5)
-        pg.set_var_factor(0, w, conjugated=True)
-        pg.set_var_factor(1, np.conj(w), conjugated=False)
-        pg.poly.update(_mono(3, 1.0, z_at=0, zbar_at=2))
-    else:
-        _attach_kernel(pg, ktau, 2, 0, conj=True)
-        _attach_kernel(pg, ktau, 2, 1)
-        pg.add_abs2(0, -0.5)
-        pg.add_abs2(1, -0.5)
-        pg.set_var_factor(0, np.conj(w), conjugated=False)
-        pg.set_var_factor(1, w, conjugated=True)
-        pg.poly = _poly_multiply(_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1))
-    pg.add_const(-3 * np.log(np.pi))
-    return pg
+    if collapse:
+        return _g_raw(sys, t, tau, "propagator", cfg, L_max=None)
+    _require_phase_space_scenario(sys)
+    return integrate(_five_variable_integrand(sys, float(t), float(tau)), cfg)
 
 
 def _measure_selftest(value: complex, expected: float, where: str):
@@ -275,28 +259,6 @@ def _measure_selftest(value: complex, expected: float, where: str):
         f"tau=0 self-test failed: integral {value:.6g} vs mean photon number "
         f"{expected:.6g} (rel dev {dev:.2e} > {MEASURE_SELFTEST_TOL}); {hint}"
     )
-
-
-def _g_q2var(sys, t, tau, cfg, ordering="late"):
-    _require_phase_space_scenario(sys)
-    pg = _q2var_integrand(sys, float(t), float(tau), ordering)
-    value, err = integrate(pg, cfg)
-    if tau == 0 and cfg.engine == "gauss_hermite_tensor":
-        _measure_selftest(value, _mean_n_fock(sys, t), "alpha")
-    return value, err
-
-
-def g_via_q_two_variable(sys: SystemSpec, t: float, tau: float,
-                         cfg: IntegrationConfig) -> complex:
-    """<adag(t+tau) a(t)> by the triple Q-function integral.
-
-    The prepared-state factor is the two-variable Q kernel built from the
-    truncated Fock vector; the evolved-projector factor is composed from two
-    propagators.  At tau = 0 the result is self-tested against the Fock mean
-    photon number, which catches any misplaced 1/pi measure factor.
-    """
-    value, _ = _g_q2var(sys, t, tau, cfg)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +301,31 @@ def _conj_deriv_tables(table: dict) -> list[dict]:
     return out[:-1]
 
 
-def _q_derivative_value(rho_mat: np.ndarray, cutoff, L_max: int, f_table: dict,
-                        cfg: IntegrationConfig):
-    from .hilbert import DensityMatrix  # local to avoid cycle noise
+def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
+                      kind: str) -> PolyGaussian:
+    """One-variable normal-order integrand of rho(t), or of a rho(t) adag for g2.
 
-    expansion = normal_order_coeffs(DensityMatrix(rho_mat, cutoff), L_max,
-                                    check_roundtrip=False)
+    The inner factor <alpha|...|alpha> is a polynomial table {(p, q): coef}
+    in (alpha, conj(alpha)) with Bogoliubov-map coefficients; derivative
+    applications are exact polynomial operations.
+    """
+    psi = _prepared_vector(sys, t)
+    mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
+    cmu, cnu, clam = np.conj(mu), np.conj(nu), np.conj(lam)
+    if kind == "late":
+        # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
+        f_table = {(1, 1): cmu, (2, 0): cnu, (1, 0): clam}
+    elif kind == "early":
+        # <alpha| adag a(tau) |alpha> = abar (mu a + nu abar + lam)
+        f_table = {(1, 1): mu, (0, 2): nu, (0, 1): lam}
+    else:
+        # <alpha| adag(tau) a(tau) |alpha> = conj(F) F + |nu|^2 with F = mu a + nu abar + lam
+        psi = ladder_matrices(sys.cutoff)[0] @ psi
+        f_table = {(1, 1): cmu * mu + cnu * nu, (0, 2): cmu * nu,
+                   (0, 1): cmu * lam + clam * nu, (2, 0): cnu * mu,
+                   (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
+    expansion = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
+                                    L_max, check_roundtrip=False)
     f_tables = _conj_deriv_tables(f_table)
     R_tables = _resummed_q_tables(expansion.coeffs, L_max, len(f_tables) - 1)
     pg = PolyGaussian(1)
@@ -357,132 +338,45 @@ def _q_derivative_value(rho_mat: np.ndarray, cutoff, L_max: int, f_table: dict,
         for a, b in zip(rows, cols):
             for (pf, qf), cf in ft.items():
                 pg.poly_add((b + pf,), (a + qf,), w * R[a, b] * cf)
-    return integrate(pg, cfg)
+    return pg
 
 
-def _g_qderiv(sys, t, tau, L_max, cfg, ordering="late"):
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def _integral(sys, t, tau, method, cfg, L_max, kind):
     _require_phase_space_scenario(sys)
-    psi = _prepared_vector(sys, float(t))
-    rho_mat = np.outer(psi, psi.conj())
-    mu, nu, lam = bogoliubov_map(sys.hamiltonian, float(tau))
-    if ordering == "late":
-        # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
-        f_table = {(1, 1): np.conj(mu), (2, 0): np.conj(nu), (1, 0): np.conj(lam)}
+    if method == "qfunction_derivative":
+        pg = _qderiv_integrand(sys, float(t), float(tau), L_max, kind)
+    elif method in ("propagator", "qfunction_two_variable"):
+        pg = _collapsed_integrand(sys, float(t), float(tau), method, kind)
     else:
-        # <alpha| adag a(tau) |alpha> = abar (mu a + nu abar + lam)
-        f_table = {(1, 1): mu, (0, 2): nu, (0, 1): lam}
-    return _q_derivative_value(rho_mat, sys.cutoff, L_max, f_table, cfg)
-
-
-def g_via_q_derivative(sys: SystemSpec, t: float, tau: float, L_max: int,
-                       cfg: IntegrationConfig) -> complex:
-    """<adag(t+tau) a(t)> by the normal-order-expansion route.
-
-    Consumes the C_lm table of the prepared state up to L_max and the
-    Heisenberg-linear inner factor with Bogoliubov-map coefficients;
-    derivative applications are exact polynomial operations.
-    """
-    value, _ = _g_qderiv(sys, t, tau, L_max, cfg)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Second-order correlator by any phase-space route
-# ---------------------------------------------------------------------------
-
-def _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side: bool):
-    """<adag(t) adag(t+tau) a(t+tau) a(t)> as a 3-variable integral.
-
-    fock_t_side=False threads the prepared state through t-kernels and their
-    annihilation-shifted linear factors (pure propagator route);
-    fock_t_side=True represents a rho(t) adag through the deformed Fock
-    vector a psi_t (two-variable-Q route).  The tau side is kernel-built in
-    both, with the four linear factors multiplied symbolically.
-    """
-    a0 = complex(sys.initial_state.amplitude)
-    kt = kernel_quadratic(sys.hamiltonian, t)
-    ktau = kernel_quadratic(sys.hamiltonian, tau)
-    pg = PolyGaussian(3)  # 0 = alpha, 1 = alpha2, 2 = alpha4
-    _attach_kernel(pg, ktau, 2, 0, conj=True)   # K*(a4,tau|alpha,0)
-    _attach_kernel(pg, ktau, 2, 1)              # K(a4,tau|alpha2,0)
-    forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
-    if fock_t_side:
-        psi = _prepared_vector(sys, float(t))
-        a, _ = ladder_matrices(sys.cutoff)
-        w = _fock_factor_coeffs(a @ psi)
-        pg.add_abs2(0, -0.5)
-        pg.add_abs2(1, -0.5)
-        pg.set_var_factor(0, np.conj(w), conjugated=False)  # <a psi|alpha>
-        pg.set_var_factor(1, w, conjugated=True)            # <alpha2|a psi>
-    else:
-        _attach_kernel(pg, kt, 0, None, conj=True, in_val=a0)  # K*(alpha,t|a0,0)
-        _attach_kernel(pg, kt, 1, None, in_val=a0)             # K(alpha2,t|a0,0)
-        forms = [
-            _linear_factor(3, kt, 0, None, conj=True, in_val=a0),
-            _linear_factor(3, kt, 1, None, in_val=a0),
-        ] + forms
-    pg.poly = _poly_multiply(*forms)
-    pg.add_const(-3 * np.log(np.pi))
+        raise ValueError(f"unknown phase-space method {method!r}")
     return integrate(pg, cfg)
 
 
-def _g2_numerator_qderiv(sys, t, tau, L_max, cfg):
-    """Same numerator through the normal-order table of a rho(t) adag."""
-    psi = _prepared_vector(sys, float(t))
-    a, _ = ladder_matrices(sys.cutoff)
-    phi = a @ psi
-    rho_def = np.outer(phi, phi.conj())
-    mu, nu, lam = bogoliubov_map(sys.hamiltonian, float(tau))
-    # <alpha| adag(tau) a(tau) |alpha> = conjF * F + |nu|^2 with
-    # F = mu a + nu abar + lam, conjF = mubar abar + nubar a + lambar
-    F = {(1, 0): mu, (0, 1): nu, (0, 0): lam}
-    Fc = {(0, 1): np.conj(mu), (1, 0): np.conj(nu), (0, 0): np.conj(lam)}
-    f2 = _poly_multiply(
-        {((p,), (q,)): c for (p, q), c in Fc.items()},
-        {((p,), (q,)): c for (p, q), c in F.items()},
-    )
-    f_table = {(p[0], q[0]): c for (p, q), c in f2.items()}
-    f_table[(0, 0)] = f_table.get((0, 0), 0.0) + abs(nu) ** 2
-    return _q_derivative_value(rho_def, sys.cutoff, L_max, f_table, cfg)
+def _g_raw(sys, t, tau, method, cfg, L_max, ordering="late"):
+    """(value, err) of <adag(t+tau) a(t)> ("late") or <adag(t) a(t+tau)> ("early").
 
-
-def g2_via_phase_space(sys: SystemSpec, t: float, tau: float, method: str,
-                       cfg: IntegrationConfig, L_max: int = 12) -> float:
-    """Normalized g2(tau) by the chosen phase-space method.
-
-    The quartic correlator and the mean photon number are both evaluated by
-    the same route, so normalization never mixes methods.
+    At tau = 0 the two-variable-Q route is self-tested against the Fock
+    mean photon number under quadrature, which catches a misplaced 1/pi.
     """
-    num, _ = _g2_raw(sys, t, tau, method, cfg, L_max)
-    mean_n = _g_raw(sys, t, 0.0, method, cfg, L_max)[0].real
-    return num / mean_n**2
+    value, err = _integral(sys, t, tau, method, cfg, L_max, ordering)
+    if (method == "qfunction_two_variable" and tau == 0
+            and cfg.engine == "gauss_hermite_tensor"):
+        _measure_selftest(value, _mean_n_fock(sys, float(t)), "alpha")
+    return value, err
 
 
 def _g2_raw(sys, t, tau, method, cfg, L_max):
-    _require_phase_space_scenario(sys)
-    if method == "propagator":
-        value, err = _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side=False)
-    elif method == "qfunction_two_variable":
-        value, err = _g2_numerator_kernelside(sys, t, tau, cfg, fock_t_side=True)
-    elif method == "qfunction_derivative":
-        value, err = _g2_numerator_qderiv(sys, t, tau, L_max, cfg)
-    else:
-        raise ValueError(f"unknown phase-space method {method!r}")
+    """(value, err) of the real g2 numerator <adag(t) adag(t+tau) a(t+tau) a(t)>."""
+    value, err = _integral(sys, t, tau, method, cfg, L_max, "g2")
     tol = max(1e-9, 3 * err)
     if abs(value.imag) > tol * max(1.0, abs(value)):
         where = method + (f" at lmax = {L_max}" if method == "qfunction_derivative" else "")
         raise SelfCheckError(f"{where}: g2 numerator imaginary part {value.imag:.2e} too large")
     return value.real, err
-
-
-def _g_raw(sys, t, tau, method, cfg, L_max, ordering="late"):
-    if method == "propagator":
-        return _g_propagator(sys, t, tau, cfg, collapse=True, ordering=ordering)
-    if method == "qfunction_two_variable":
-        return _g_q2var(sys, t, tau, cfg, ordering=ordering)
-    if method == "qfunction_derivative":
-        return _g_qderiv(sys, t, tau, L_max, cfg, ordering=ordering)
-    raise ValueError(f"unknown phase-space method {method!r}")
 
 
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,

@@ -18,6 +18,11 @@ from .errors import CutoffTooSmallError, InstabilityError
 from .dynamics import QuadraticHamiltonian, unitary_matrix
 from .hilbert import FockCutoff, coherent_vector
 
+# 1 - 2|C| = 1/(|mu|(|mu| + |nu|)) exactly, but it is computed with an absolute
+# rounding error of about eps; below this floor its relative error exceeds the
+# 1e-5 cross-validation tolerance
+MARGIN_FLOOR = 1e5 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -94,8 +99,8 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
     -Re(conj(eta) lam) gives A = log<0|U|0> = i omega t/2 - log(conj(mu))/2
     - conj(lam) E/2 - i Re(conj(eta) Lam), the log continued along [0, t] and
     (mu, nu, lam, Lam) the first row of one expm (see _generator).  Raises
-    InstabilityError when 1 - 2|C| rounds to 0 or below (extreme squeezing)
-    or a coefficient overflows.
+    InstabilityError when 1 - 2|C| falls below MARGIN_FLOOR (extreme
+    squeezing) or a coefficient overflows.
     """
     if H.is_free:
         return kernel_harmonic(H.omega, t)
@@ -112,10 +117,10 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
          - np.conj(lam) * E / 2 - 1j * (np.conj(H.eta) * Lam).real)
     k = GaussianKernel(A, B, C, D, E, F, t)
     margin = 1 - 2 * abs(k.C)
-    if not (margin > 0 and np.all(np.isfinite([k.A, k.B, k.C, k.D, k.E, k.F]))):
+    if not (margin >= MARGIN_FLOOR and np.all(np.isfinite([k.A, k.B, k.C, k.D, k.E, k.F]))):
         raise InstabilityError(
-            f"1 - 2|C| = {margin:.3g} at t = {t}; squeezing has left the "
-            "normalizable-kernel regime in floating point"
+            f"1 - 2|C| = {margin:.3g} < {MARGIN_FLOOR:.2g} at t = {t}; squeezing has "
+            "left the normalizable-kernel regime in floating point"
         )
     return k
 

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioSchemaError, ScenarioSemanticError
+from .errors import InvalidStateError, ScenarioSchemaError, ScenarioSemanticError
 from .correlators import METHOD_TAGS, InitialState, SystemSpec
 from .dynamics import DampingChannel, QuadraticHamiltonian
 from .hilbert import FockCutoff
@@ -84,16 +84,22 @@ class Scenario:
     settings: dict = field(default_factory=dict)  # effective values, for the report
 
 
+def _finite(value, raw: str, key: str, line_no: int):
+    if not np.isfinite(value):
+        raise ScenarioSchemaError(f"line {line_no}: {key} must be finite, got {raw!r}")
+    return value
+
+
 def _parse_complex(raw: str, key: str, line_no: int) -> complex:
     try:
-        return complex(raw.replace(" ", ""))
+        return _finite(complex(raw.replace(" ", "")), raw, key, line_no)
     except ValueError:
         raise ScenarioSchemaError(f"line {line_no}: {key} expects a number, got {raw!r}")
 
 
 def _parse_float(raw: str, key: str, line_no: int) -> float:
     try:
-        return float(raw)
+        return _finite(float(raw), raw, key, line_no)
     except ValueError:
         raise ScenarioSchemaError(f"line {line_no}: {key} expects a real number, got {raw!r}")
 
@@ -128,6 +134,8 @@ def _parse_initial(raw: str, line_no: int) -> InitialState:
         raise ScenarioSchemaError(
             f"line {line_no}: malformed system.initial value {raw!r}"
         )
+    except InvalidStateError as exc:
+        raise ScenarioSchemaError(f"line {line_no}: system.initial {raw!r}: {exc}")
     raise ScenarioSchemaError(
         f"line {line_no}: unknown initial state kind {kind!r} "
         "(vacuum|coherent|fock|thermal|superposition)"

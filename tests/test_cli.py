@@ -211,9 +211,21 @@ class TestMainEntry:
         ("lmax = -3", "error: lmax must be >= 1"),
         ("system.trace_budget = -1", "error: system.trace_budget must be > 0"),
         ("integration.seed = -1", "error: integration.seed must be >= 0"),
+        ("system.omega = nan", "error: line 3: system.omega must be finite"),
+        ("tau.stop = inf", "error: line 6: tau.stop must be finite"),
+        ("system.t_prepare = inf", "error: line 9: system.t_prepare must be finite"),
+        ("system.eta = 1+infj", "error: line 9: system.eta must be finite"),
+        ("system.initial = thermal -1", "error: line 4: system.initial 'thermal -1'"),
+        ("system.initial = superposition 0:0, 0:1",
+         "error: line 4: system.initial 'superposition 0:0, 0:1'"),
+        ("system.initial = coherent nan", "error: line 4: system.initial 'coherent nan'"),
     ])
     def test_bad_scenario_value_exit_1(self, tmp_path, capsys, line, message):
-        scn = write(tmp_path, MINIMAL + line + "\n")
+        # the line replaces MINIMAL's line for the same key, or is appended
+        key = line.split(" = ")[0]
+        text = "\n".join(line if old.startswith(key + " = ") else old
+                         for old in MINIMAL.split("\n"))
+        scn = write(tmp_path, text if line in text else text + line + "\n")
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message)
@@ -261,6 +273,16 @@ class TestDeterminism:
         assert main(["run", str(scn), "--seed", "7", "--out", str(out2)]) == 0
         assert (out1 / "thermal_series.csv").read_bytes() == \
                (out2 / "thermal_series.csv").read_bytes()
+
+
+BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("cfg", BUNDLED, ids=[p.name for p in BUNDLED])
+def test_bundled_scenario_runs_clean(cfg, tmp_path):
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    (report,) = tmp_path.glob("*_report.txt")
+    assert "FAIL" not in report.read_text()
 
 
 def test_console_script_installed():

@@ -193,15 +193,15 @@ class TestSelfChecks:
             regression_series(damped_thermal(), np.linspace(0, 1, 3))
 
     def test_phase_space_g2_imaginary_part_raises(self, monkeypatch):
-        monkeypatch.setattr(phasespace, "_g2_numerator_kernelside",
+        monkeypatch.setattr(phasespace, "integrate",
                             lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
         with pytest.raises(SelfCheckError, match="imaginary"):
-            phasespace.g2_via_phase_space(closed_coherent(), 0.0, 0.5, "propagator",
-                                          IntegrationConfig())
+            phasespace._g2_raw(closed_coherent(), 0.0, 0.5, "propagator",
+                               IntegrationConfig(), 12)
 
     def test_q_derivative_g2_self_check_names_lmax(self, monkeypatch):
-        monkeypatch.setattr(phasespace, "_g2_numerator_qderiv",
+        monkeypatch.setattr(phasespace, "integrate",
                             lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
         with pytest.raises(SelfCheckError, match="qfunction_derivative at lmax = 20"):
-            phasespace.g2_via_phase_space(closed_coherent(), 0.0, 0.5, "qfunction_derivative",
-                                          IntegrationConfig(), L_max=20)
+            phasespace._g2_raw(closed_coherent(), 0.0, 0.5, "qfunction_derivative",
+                               IntegrationConfig(), 20)

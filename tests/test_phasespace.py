@@ -6,12 +6,10 @@ from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.errors import MeasureConventionError
 from twotime.hilbert import FockCutoff
 from twotime.phasespace import (
+    _g2_raw,
+    _g_propagator,
     _g_raw,
     _measure_selftest,
-    g2_via_phase_space,
-    g_via_propagator,
-    g_via_q_derivative,
-    g_via_q_two_variable,
     phase_space_series,
 )
 from twotime.quadrature import IntegrationConfig
@@ -19,6 +17,15 @@ from twotime.quadrature import IntegrationConfig
 QUAD = IntegrationConfig(nodes_per_axis=24)
 MC = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=500_000, seed=42)
 METHODS = ("propagator", "qfunction_two_variable", "qfunction_derivative")
+
+
+def g(sys, t, tau, method, cfg=QUAD, L_max=12):
+    return _g_raw(sys, t, tau, method, cfg, L_max)[0]
+
+
+def g2(sys, t, tau, method):
+    """Normalized g2, with the route's own tau = 0 mean photon number."""
+    return _g2_raw(sys, t, tau, method, QUAD, 12)[0] / g(sys, t, 0.0, method).real ** 2
 
 
 def scenario(kind: str, n_max=40) -> SystemSpec:
@@ -41,28 +48,28 @@ class TestFirstOrderRoutes:
         sys = scenario(kind)
         oracle = regression_raw(sys, [tau])[1][0]
         t = sys.t_prepare
-        assert abs(g_via_propagator(sys, t, tau, QUAD) - oracle) < 1e-10
-        assert abs(g_via_q_two_variable(sys, t, tau, QUAD) - oracle) < 1e-10
-        assert abs(g_via_q_derivative(sys, t, tau, 12, QUAD) - oracle) < 1e-7
+        assert abs(g(sys, t, tau, "propagator") - oracle) < 1e-10
+        assert abs(g(sys, t, tau, "qfunction_two_variable") - oracle) < 1e-10
+        assert abs(g(sys, t, tau, "qfunction_derivative") - oracle) < 1e-7
 
     def test_vacuum_gives_zero(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.vacuum(), FockCutoff(20), t_prepare=0.0)
-        assert abs(g_via_propagator(sys, 0.0, 0.4, QUAD)) < 1e-10
-        assert abs(g_via_q_two_variable(sys, 0.0, 0.4, QUAD)) < 1e-10
-        assert abs(g_via_q_derivative(sys, 0.0, 0.4, 12, QUAD)) < 1e-10
+        assert abs(g(sys, 0.0, 0.4, "propagator")) < 1e-10
+        assert abs(g(sys, 0.0, 0.4, "qfunction_two_variable")) < 1e-10
+        assert abs(g(sys, 0.0, 0.4, "qfunction_derivative")) < 1e-10
 
     def test_open_system_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
                          InitialState.coherent(1.0), FockCutoff(20))
         with pytest.raises(ValueError, match="closed dynamics"):
-            g_via_propagator(sys, 0.0, 0.1, QUAD)
+            g(sys, 0.0, 0.1, "propagator")
 
     def test_noncoherent_initial_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.fock(1), FockCutoff(20))
         with pytest.raises(ValueError, match="coherent"):
-            g_via_q_two_variable(sys, 0.0, 0.1, QUAD)
+            g(sys, 0.0, 0.1, "qfunction_two_variable")
 
 
 class TestPairwiseAgreement:
@@ -72,8 +79,8 @@ class TestPairwiseAgreement:
         sys = scenario("harmonic")
         taus = np.linspace(0, 2.0, 5)
         for tau in taus:
-            a = g_via_propagator(sys, 0.0, float(tau), QUAD)
-            b = g_via_q_two_variable(sys, 0.0, float(tau), QUAD)
+            a = g(sys, 0.0, float(tau), "propagator")
+            b = g(sys, 0.0, float(tau), "qfunction_two_variable")
             assert abs(a - b) < 1e-5
 
     def test_qderiv_tracks_propagator_and_oracle(self):
@@ -81,8 +88,8 @@ class TestPairwiseAgreement:
         taus = np.linspace(0, 2.0, 5)
         _, oracle, _, _ = regression_raw(sys, taus)
         for tau, o in zip(taus, oracle):
-            a = g_via_propagator(sys, 0.0, float(tau), QUAD)
-            d = g_via_q_derivative(sys, 0.0, float(tau), 12, QUAD)
+            a = g(sys, 0.0, float(tau), "propagator")
+            d = g(sys, 0.0, float(tau), "qfunction_derivative")
             assert abs(d - a) < 1e-5
             assert abs(d - o) < 1e-5
 
@@ -91,9 +98,8 @@ class TestCollapseConsistency:
     def test_collapsed_quadrature_vs_full_monte_carlo(self):
         sys = scenario("harmonic")
         tau = 0.7
-        collapsed = g_via_propagator(sys, 0.0, tau, QUAD, collapse=True)
-        full, err = __import__("twotime.phasespace", fromlist=["_g_propagator"])._g_propagator(
-            sys, 0.0, tau, MC, collapse=False)
+        collapsed, _ = _g_propagator(sys, 0.0, tau, QUAD, collapse=True)
+        full, err = _g_propagator(sys, 0.0, tau, MC, collapse=False)
         assert abs(full - collapsed) < 3 * err
 
     def test_full_form_needs_monte_carlo(self):
@@ -101,7 +107,7 @@ class TestCollapseConsistency:
 
         sys = scenario("harmonic")
         with pytest.raises(QuadratureDimensionError):
-            g_via_propagator(sys, 0.0, 0.5, QUAD, collapse=False)
+            _g_propagator(sys, 0.0, 0.5, QUAD, collapse=False)
 
 
 class TestOrderingHermiticity:
@@ -127,7 +133,7 @@ class TestMeasureSelfTest:
 
     def test_q2var_zero_delay_selftest_runs_clean(self):
         sys = scenario("driven")
-        value = g_via_q_two_variable(sys, sys.t_prepare, 0.0, QUAD)
+        value = g(sys, sys.t_prepare, 0.0, "qfunction_two_variable")
         assert abs(value.imag) < 1e-12
 
 
@@ -139,13 +145,13 @@ class TestSecondOrderRoutes:
         tau = 0.9
         mean_n, _, _, G2 = regression_raw(sys, [tau])
         oracle = G2[0].real / mean_n**2
-        got = g2_via_phase_space(sys, sys.t_prepare, tau, method, QUAD)
+        got = g2(sys, sys.t_prepare, tau, method)
         assert abs(got - oracle) < 1e-5
 
     def test_coherent_factorization(self):
         sys = scenario("harmonic")
         for method in METHODS:
-            got = g2_via_phase_space(sys, 0.0, 1.3, method, QUAD)
+            got = g2(sys, 0.0, 1.3, method)
             assert abs(got - 1.0) < 1e-5
 
     def test_squeezed_zero_delay_highercutoff(self):
@@ -153,7 +159,7 @@ class TestSecondOrderRoutes:
         mean_n, _, _, G2 = regression_raw(sys, [0.0])
         oracle = G2[0].real / mean_n**2
         for method in METHODS:
-            got = g2_via_phase_space(sys, sys.t_prepare, 0.0, method, QUAD)
+            got = g2(sys, sys.t_prepare, 0.0, method)
             assert abs(got - oracle) < 1e-4
 
 
@@ -195,7 +201,7 @@ class TestLmaxGuard:
 
         sys = scenario("harmonic")  # alpha0 = 1 has support beyond level 6
         with pytest.raises(LMaxInsufficientError):
-            g_via_q_derivative(sys, 0.0, 0.3, 6, QUAD)
+            g(sys, 0.0, 0.3, "qfunction_derivative", L_max=6)
 
 
 class TestSeries:
@@ -216,6 +222,6 @@ class TestSeries:
     def test_quadrature_node_doubling_stable(self):
         sys = scenario("squeezed")
         tau = 0.6
-        a = g_via_propagator(sys, sys.t_prepare, tau, IntegrationConfig(nodes_per_axis=24))
-        b = g_via_propagator(sys, sys.t_prepare, tau, IntegrationConfig(nodes_per_axis=48))
+        a = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=24))
+        b = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=48))
         assert abs(a - b) < 1e-7

@@ -128,6 +128,20 @@ class TestQuadraticKernel:
         with pytest.raises(InstabilityError):
             kernel_quadratic(QuadraticHamiltonian(xi=1.0), 30.0)
 
+    @pytest.mark.parametrize("omega,xi,eta,t", [
+        (0.1, 0.5, 0.7, 40.0),  # margin 1 eps
+        (0.0, 0.4, 0.3, 40.0),  # 112 eps
+        (0.0, 1.0, 0.0, 15.0),  # 842 eps
+    ])
+    def test_instability_guard_fires_without_a_correct_digit(self, omega, xi, eta, t):
+        # a positive margin of a few hundred eps carries no correct digit
+        with pytest.raises(InstabilityError):
+            kernel_quadratic(QuadraticHamiltonian(omega=omega, xi=xi, eta=eta), t)
+
+    def test_small_accurate_margin_still_builds(self):
+        k = kernel_quadratic(QuadraticHamiltonian(omega=0.1, xi=0.5, eta=0.7), 12.0)
+        assert 1e-5 < 1 - 2 * abs(k.C) < 2e-5
+
     @pytest.mark.parametrize("H,t", [(DRIVEN, 0.8), (SQUEEZED, 0.5),
                                      (QuadraticHamiltonian(omega=1.0, xi=0.1j, eta=0.3), 1.2)])
     def test_heisenberg_coefficients(self, H, t):
