@@ -54,6 +54,9 @@ class InitialState:
         if not 0 <= self.n_thermal < np.inf:
             raise InvalidStateError(
                 f"thermal occupation must be finite and >= 0, got {self.n_thermal}")
+        levels = [level for _, level in self.terms] if self.kind == "superposition" else [self.n]
+        if min(levels, default=0) < 0:
+            raise InvalidStateError(f"Fock level must be >= 0, got {min(levels)}")
         if self.kind == "superposition":
             psi: dict = {}
             for weight, level in self.terms:

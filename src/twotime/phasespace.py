@@ -28,6 +28,8 @@ scope here and served by the regression module only.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import gammaln
 
@@ -301,6 +303,24 @@ def _conj_deriv_tables(table: dict) -> list[dict]:
     return out[:-1]
 
 
+@lru_cache(maxsize=4)
+def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
+                       orders: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``_resummed_q_tables`` of rho(t), or of a rho(t) adag if shifted.
+
+    They do not depend on tau, so a series expands the prepared state once.
+    """
+    psi = _prepared_vector(sys, t)
+    if shifted:
+        psi = ladder_matrices(sys.cutoff)[0] @ psi
+    expansion = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
+                                    L_max, check_roundtrip=False)
+    tables = _resummed_q_tables(expansion.coeffs, L_max, orders)
+    for R in tables:
+        R.flags.writeable = False
+    return tuple(tables)
+
+
 def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
                       kind: str) -> PolyGaussian:
     """One-variable normal-order integrand of rho(t), or of a rho(t) adag for g2.
@@ -309,7 +329,6 @@ def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
     in (alpha, conj(alpha)) with Bogoliubov-map coefficients; derivative
     applications are exact polynomial operations.
     """
-    psi = _prepared_vector(sys, t)
     mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
     cmu, cnu, clam = np.conj(mu), np.conj(nu), np.conj(lam)
     if kind == "late":
@@ -320,14 +339,11 @@ def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
         f_table = {(1, 1): mu, (0, 2): nu, (0, 1): lam}
     else:
         # <alpha| adag(tau) a(tau) |alpha> = conj(F) F + |nu|^2 with F = mu a + nu abar + lam
-        psi = ladder_matrices(sys.cutoff)[0] @ psi
         f_table = {(1, 1): cmu * mu + cnu * nu, (0, 2): cmu * nu,
                    (0, 1): cmu * lam + clam * nu, (2, 0): cnu * mu,
                    (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
-    expansion = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
-                                    L_max, check_roundtrip=False)
     f_tables = _conj_deriv_tables(f_table)
-    R_tables = _resummed_q_tables(expansion.coeffs, L_max, len(f_tables) - 1)
+    R_tables = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
     pg = PolyGaussian(1)
     pg.add_abs2(0, -1.0)
     inv_pi = 1.0 / np.pi
@@ -386,7 +402,13 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     g1 and g2 are normalized with the method's own tau = 0 mean photon
     number n.  error_estimate holds the larger of the two normalized
     standard errors, each propagating the error of n as well as that of its
-    numerator (zero under quadrature).
+    numerator (zero under quadrature).  A grid that starts at tau = 0 reuses
+    the n integral as its first g1 row.
+
+    The Gauss-Hermite coupling matrix of one tau is built once for all
+    integrals at that tau (see ``quadrature._pair_matrix``), and the
+    normal-order tables of the prepared state once per series
+    (``_prepared_q_tables``).
     """
     _require_phase_space_scenario(sys)
     taus = _check_tau_grid(np.asarray(taus, dtype=float))
@@ -398,7 +420,7 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     g2 = np.empty(len(taus), dtype=float)
     errs = np.zeros(len(taus), dtype=float)
     for i, tau in enumerate(taus):
-        gv, ge = _g_raw(sys, t, float(tau), method, cfg, L_max)
+        gv, ge = (n, e_n) if tau == 0 else _g_raw(sys, t, float(tau), method, cfg, L_max)
         g2v, g2e = _g2_raw(sys, t, float(tau), method, cfg, L_max)
         g1[i] = gv / mean_n
         g2[i] = g2v / mean_n**2

@@ -6,7 +6,10 @@ factors such as truncated Fock polynomials).  Both engines consume it:
 
 * ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes;
   pair couplings enter as node-grid matrices, so integrals up to three complex
-  variables reduce to matrix contractions instead of raw 6-axis loops.
+  variables reduce to matrix contractions instead of raw 6-axis loops.  The
+  node grid and the last coupling matrix are cached (``functools.lru_cache``,
+  read-only arrays).  A coupling and its conjugate share one entry, so every
+  integral at one tau of a phase-space series reuses one matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,30 +185,67 @@ class PolyGaussian:
         return vals
 
 
+@lru_cache(maxsize=4)
 def _gh_grid(n_nodes: int):
-    """Complex node grid and total weights for one complex variable."""
+    """Complex node grid and total weights for one complex variable (read-only)."""
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     wmod = w * np.exp(x * x)  # integrate f directly, not f * exp(-x^2)
     z = (x[:, None] + 1j * x[None, :]).ravel()
     wz = np.outer(wmod, wmod).ravel()
+    z.flags.writeable = False
+    wz.flags.writeable = False
     return z, wz
 
 
-def _pair_matrix(pg: PolyGaussian, i: int, j: int, zi, zj):
-    """exp of the (i, j) cross-coupling on the node grid, or None if absent."""
+@lru_cache(maxsize=1)
+def _coupling_matrix(n_nodes: int, aij, aji, bb, cc) -> np.ndarray:
+    """Read-only exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
+
+    The exponent is built in place, term by term, always with the scalar as
+    the first operand: ``aij * M`` and ``M *= aij`` can round differently.
+    """
+    z, _ = _gh_grid(n_nodes)
+    zc = np.conj(z)
+    E = np.outer(zc, z)
+    np.multiply(aij, E, out=E)
+    t = np.empty_like(E)
+    for coef, left, right in ((aji, z, zc), (bb, z, z), (cc, zc, zc)):
+        np.outer(left, right, out=t)
+        np.multiply(coef, t, out=t)
+        np.add(E, t, out=E)
+    np.exp(E, out=E)
+    E.flags.writeable = False
+    return E
+
+
+def _pair_matrix(pg: PolyGaussian, i: int, j: int, n_nodes: int):
+    """exp of the (i, j) cross-coupling on the node grid, or None if absent.
+
+    Every integral at one tau couples its variables through the same kernel
+    coefficient, met as (aij, aji) on one pair and as its conjugate
+    (conj aji, conj aij) on another, so the matrix is cached under whichever
+    of the two keys has the smaller (re, im) tuple:
+    E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
+    Conjugation only flips signs, so the two agree bit for bit when bb and cc
+    vanish, as in every integrand the routes build; otherwise the sums of the
+    exponent run in another order and agree to rounding.  The keys stay
+    numpy complex128 scalars, as ``pg`` stores them: a Python complex rounds
+    ``coef * M`` differently and would change the bits.
+    """
     aij, aji = pg.A[i, j], pg.A[j, i]
     bb = pg.B[i, j] + pg.B[j, i]
     cc = pg.C[i, j] + pg.C[j, i]
     if aij == 0 and aji == 0 and bb == 0 and cc == 0:
         return None
-    zic, zjc = np.conj(zi), np.conj(zj)
-    expo = (
-        aij * np.outer(zic, zj)
-        + aji * np.outer(zi, zjc)
-        + bb * np.outer(zi, zj)
-        + cc * np.outer(zic, zjc)
-    )
-    return np.exp(expo)
+    key = (aij, aji, bb, cc)
+    mirror = (np.conj(aji), np.conj(aij), np.conj(cc), np.conj(bb))
+
+    def floats(k):
+        return tuple(x for c in k for x in (c.real, c.imag))
+
+    if floats(mirror) < floats(key):
+        return np.conj(_coupling_matrix(n_nodes, *mirror))
+    return _coupling_matrix(n_nodes, *key)
 
 
 def _diag_vector(pg: PolyGaussian, i: int, z, wz):
@@ -252,7 +293,7 @@ def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
         return scale * total
 
     if n == 2:
-        E = _pair_matrix(pg, 0, 1, z, z)
+        E = _pair_matrix(pg, 0, 1, cfg.nodes_per_axis)
         total = 0.0 + 0.0j
         for (p, q), coef in poly.items():
             d0 = diag[0] * powv(p[0], q[0])
@@ -264,9 +305,9 @@ def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
         return scale * total
 
     # n == 3: contract out the last variable, grouped by its monomial part.
-    E01 = _pair_matrix(pg, 0, 1, z, z)
-    E02 = _pair_matrix(pg, 0, 2, z, z)
-    E12 = _pair_matrix(pg, 1, 2, z, z)
+    E01 = _pair_matrix(pg, 0, 1, cfg.nodes_per_axis)
+    E02 = _pair_matrix(pg, 0, 2, cfg.nodes_per_axis)
+    E12 = _pair_matrix(pg, 1, 2, cfg.nodes_per_axis)
     if E02 is None:
         E02 = np.ones((len(z), len(z)), dtype=complex)
     if E12 is None:

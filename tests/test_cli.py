@@ -219,6 +219,11 @@ class TestMainEntry:
         ("system.initial = superposition 0:0, 0:1",
          "error: line 4: system.initial 'superposition 0:0, 0:1'"),
         ("system.initial = coherent nan", "error: line 4: system.initial 'coherent nan'"),
+        ("system.initial = fock -1",
+         "error: line 4: system.initial 'fock -1': Fock level must be >= 0, got -1"),
+        ("system.initial = superposition 1:0, 1:-2",
+         "error: line 4: system.initial 'superposition 1:0, 1:-2': "
+         "Fock level must be >= 0, got -2"),
     ])
     def test_bad_scenario_value_exit_1(self, tmp_path, capsys, line, message):
         # the line replaces MINIMAL's line for the same key, or is appended

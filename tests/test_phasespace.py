@@ -4,7 +4,8 @@ import pytest
 from twotime.correlators import InitialState, SystemSpec, regression_raw
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.errors import MeasureConventionError
-from twotime.hilbert import FockCutoff
+from twotime import phasespace, quadrature
+from twotime.hilbert import FockCutoff, normal_order_coeffs
 from twotime.phasespace import (
     _g2_raw,
     _g_propagator,
@@ -12,7 +13,7 @@ from twotime.phasespace import (
     _measure_selftest,
     phase_space_series,
 )
-from twotime.quadrature import IntegrationConfig
+from twotime.quadrature import IntegrationConfig, integrate
 
 QUAD = IntegrationConfig(nodes_per_axis=24)
 MC = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=500_000, seed=42)
@@ -225,3 +226,75 @@ class TestSeries:
         a = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=24))
         b = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=48))
         assert abs(a - b) < 1e-7
+
+
+class TestCaches:
+    """The quadrature and normal-order caches change no bit of any integral."""
+
+    SYSTEMS = {
+        "free": (QuadraticHamiltonian(omega=1.0), InitialState.coherent(0.8 + 0.3j)),
+        "driven": (QuadraticHamiltonian(omega=1.0, eta=0.5), InitialState.vacuum()),
+        "squeezed": (QuadraticHamiltonian(omega=1.0, xi=0.2), InitialState.vacuum()),
+        "amplifying": (QuadraticHamiltonian(omega=0.1, xi=0.5), InitialState.coherent(0.5)),
+    }
+
+    @staticmethod
+    def clear_caches():
+        quadrature._gh_grid.cache_clear()
+        quadrature._coupling_matrix.cache_clear()
+        phasespace._prepared_q_tables.cache_clear()
+
+    @staticmethod
+    def integral(sys, tau, method, cfg, kind):
+        if kind == "g2":
+            return _g2_raw(sys, 0.5, tau, method, cfg, 20)
+        return _g_raw(sys, 0.5, tau, method, cfg, 20, ordering=kind)
+
+    def cold(self, sys, tau, method, cfg, kind):
+        self.clear_caches()
+        return self.integral(sys, tau, method, cfg, kind)
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_warm_equals_cold_bit_for_bit(self, name, method):
+        H, initial = self.SYSTEMS[name]
+        sys = SystemSpec(H, DampingChannel(), initial, FockCutoff(30), t_prepare=0.5)
+        cfg = IntegrationConfig(nodes_per_axis=16)
+        cases = [(tau, kind) for tau in (0.0, 0.7) for kind in ("late", "early", "g2")]
+        cold = [self.cold(sys, tau, method, cfg, kind) for tau, kind in cases]
+        self.clear_caches()
+        warm = [self.integral(sys, tau, method, cfg, kind) for tau, kind in cases]
+        assert repr(warm) == repr(cold)
+
+    def test_grid_sizes_never_collide(self):
+        sys = scenario("driven", n_max=30)
+        coarse, fine = IntegrationConfig(nodes_per_axis=16), IntegrationConfig(nodes_per_axis=24)
+        cold = self.cold(sys, 0.7, "propagator", fine, "late")
+        self.clear_caches()
+        self.integral(sys, 0.7, "propagator", coarse, "late")
+        assert repr(self.integral(sys, 0.7, "propagator", fine, "late")) == repr(cold)
+
+    def test_series_builds_one_coupling_per_tau(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(phasespace, "integrate",
+                            lambda pg, cfg: calls.append(pg) or integrate(pg, cfg))
+        taus = np.linspace(0.0, 1.5, 4)
+        self.clear_caches()
+        phase_space_series(scenario("driven", n_max=30), taus, "propagator",
+                           IntegrationConfig(nodes_per_axis=16))
+        assert quadrature._coupling_matrix.cache_info().misses == len(taus)
+        assert len(calls) == 2 * len(taus)
+
+    def test_series_expands_prepared_state_twice(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(phasespace, "normal_order_coeffs",
+                            lambda *a, **k: calls.append(a) or normal_order_coeffs(*a, **k))
+        self.clear_caches()
+        phase_space_series(scenario("driven", n_max=30), np.linspace(0.0, 1.5, 4),
+                           "qfunction_derivative", QUAD)
+        assert len(calls) == 2  # rho(t) for g1, a rho(t) adag for g2
+
+    def test_normal_order_tables_read_only(self):
+        tables = phasespace._prepared_q_tables(scenario("driven", n_max=30), 1.0, 12, True, 2)
+        assert len(tables) == 3
+        assert not any(R.flags.writeable for R in tables)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotime.errors import NonIntegrableError, QuadratureDimensionError, VarianceWarning
+from twotime import quadrature
 from twotime.quadrature import IntegrationConfig, PolyGaussian, integrate
 
 QUAD16 = IntegrationConfig(engine="gauss_hermite_tensor", nodes_per_axis=16)
@@ -223,3 +224,34 @@ def test_node_refinement_converges(b, c, ur, ui):
     v24, _ = integrate(pg, QUAD24)
     v32, _ = integrate(pg, IntegrationConfig(nodes_per_axis=32))
     assert abs(v24 - v32) < 1e-10
+
+
+class TestCouplingCache:
+    @staticmethod
+    def direct(pg, i, j, n_nodes):
+        """The uncached coupling matrix, summed in the same term order."""
+        x = np.polynomial.hermite.hermgauss(n_nodes)[0]
+        z = (x[:, None] + 1j * x[None, :]).ravel()
+        zc = np.conj(z)
+        return np.exp(pg.A[i, j] * np.outer(zc, z) + pg.A[j, i] * np.outer(z, zc)
+                      + (pg.B[i, j] + pg.B[j, i]) * np.outer(z, z)
+                      + (pg.C[i, j] + pg.C[j, i]) * np.outer(zc, zc))
+
+    @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])  # cached as (0, b) or (conj b, 0)
+    def test_conjugate_pair_shares_one_bit_exact_build(self, b):
+        # b attached on (2, 0) and its conjugate on (1, 2), as a g1 integrand does
+        pg = unit_gaussian(3)
+        pg.add_mixed(2, 0, b)
+        pg.add_mixed(1, 2, np.conj(b))
+        quadrature._coupling_matrix.cache_clear()
+        E02 = quadrature._pair_matrix(pg, 0, 2, 16)
+        E12 = quadrature._pair_matrix(pg, 1, 2, 16)
+        assert quadrature._coupling_matrix.cache_info().misses == 1
+        assert np.array_equal(E02, self.direct(pg, 0, 2, 16))
+        assert np.array_equal(E12, self.direct(pg, 1, 2, 16))
+
+    def test_cached_arrays_read_only(self):
+        zero = np.complex128(0)
+        E = quadrature._coupling_matrix(16, np.complex128(0.5), zero, zero, zero)
+        for arr in (*quadrature._gh_grid(16), E):
+            assert not arr.flags.writeable
