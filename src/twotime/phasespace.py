@@ -346,15 +346,25 @@ def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
     R_tables = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
     pg = PolyGaussian(1)
     pg.add_abs2(0, -1.0)
-    inv_pi = 1.0 / np.pi
-    for j, ft in enumerate(f_tables):
-        R = R_tables[j]
-        w = inv_pi / float(np.exp(gammaln(j + 1.0)))
-        rows, cols = np.nonzero(R)
-        for a, b in zip(rows, cols):
-            for (pf, qf), cf in ft.items():
-                pg.poly_add((b + pf,), (a + qf,), w * R[a, b] * cf)
+    pg.poly = _qderiv_poly(f_tables, R_tables)
     return pg
+
+
+def _qderiv_poly(f_tables: list[dict], R_tables) -> dict:
+    """sum_j R_j(u = zbar, v = z) f_j(z, zbar) / (pi j!) as a one-variable monomial table.
+
+    The products accumulate in one dense (z power, zbar power) array, one
+    shifted slice per monomial of each f_j; the table holds its nonzeros.
+    """
+    n_zbar, n_z = R_tables[0].shape
+    coef = np.zeros((n_z + max(p for p, _ in f_tables[0]),
+                     n_zbar + max(q for _, q in f_tables[0])), dtype=complex)
+    for j, ft in enumerate(f_tables):
+        RT = R_tables[j].T
+        w = 1.0 / np.pi / float(np.exp(gammaln(j + 1.0)))
+        for (pf, qf), cf in ft.items():
+            coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
+    return {((int(p),), (int(q),)): coef[p, q] for p, q in zip(*np.nonzero(coef))}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +416,7 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     the n integral as its first g1 row.
 
     The Gauss-Hermite coupling matrix of one tau is built once for all
-    integrals at that tau (see ``quadrature._pair_matrix``), and the
+    integrals at that tau (see ``quadrature._pair_coupling``), and the
     normal-order tables of the prepared state once per series
     (``_prepared_q_tables``).
     """

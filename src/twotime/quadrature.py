@@ -6,10 +6,15 @@ factors such as truncated Fock polynomials).  Both engines consume it:
 
 * ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes;
   pair couplings enter as node-grid matrices, so integrals up to three complex
-  variables reduce to matrix contractions instead of raw 6-axis loops.  The
-  node grid and the last coupling matrix are cached (``functools.lru_cache``,
+  variables reduce to matrix contractions instead of raw 6-axis loops.  A
+  coupling exponent is bilinear in the real coordinates, so its matrix is the
+  product of four one-axis exponentials (``_coupling_matrix``).  The node
+  grid and the last coupling matrix are cached (``functools.lru_cache``,
   read-only arrays).  A coupling and its conjugate share one entry, so every
-  integral at one tau of a phase-space series reuses one matrix.
+  integral at one tau of a phase-space series reuses one matrix; the
+  conjugate side contracts with conjugated vectors instead of a copy.  Each
+  distinct monomial vector is contracted once per integral, and a
+  one-variable polynomial is summed as one coefficient matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.
@@ -31,6 +36,7 @@ from .errors import NonIntegrableError, QuadratureDimensionError, VarianceWarnin
 NEGDEF_TOL = -1e-12
 MC_CHUNK = 1 << 16
 MC_RELATIVE_ERROR_WARN = 0.10
+MAX_NODES = 64  # a coupling matrix holds nodes^4 complex entries: 268 MB at 64
 
 
 @dataclass
@@ -43,8 +49,9 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.engine not in ("gauss_hermite_tensor", "monte_carlo_gaussian"):
             raise ValueError(f"unknown integration engine {self.engine!r}")
-        if self.engine == "gauss_hermite_tensor" and self.nodes_per_axis < 8:
-            raise ValueError("quadrature needs nodes_per_axis >= 8")
+        if self.engine == "gauss_hermite_tensor" and not 8 <= self.nodes_per_axis <= MAX_NODES:
+            raise ValueError(f"quadrature needs 8 <= nodes_per_axis <= {MAX_NODES}, "
+                             f"got {self.nodes_per_axis}")
         if self.engine == "monte_carlo_gaussian" and self.sample_count < 10_000:
             raise ValueError("Monte Carlo needs sample_count >= 10^4")
         if self.seed < 0:
@@ -187,50 +194,60 @@ class PolyGaussian:
 
 @lru_cache(maxsize=4)
 def _gh_grid(n_nodes: int):
-    """Complex node grid and total weights for one complex variable (read-only)."""
+    """Real nodes, complex node grid and total weights for one complex variable.
+
+    Node k of the grid is x[k // n] + i x[k % n].  All arrays are read-only.
+    """
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     wmod = w * np.exp(x * x)  # integrate f directly, not f * exp(-x^2)
     z = (x[:, None] + 1j * x[None, :]).ravel()
     wz = np.outer(wmod, wmod).ravel()
-    z.flags.writeable = False
-    wz.flags.writeable = False
-    return z, wz
+    for arr in (x, z, wz):
+        arr.flags.writeable = False
+    return x, z, wz
 
 
 @lru_cache(maxsize=1)
 def _coupling_matrix(n_nodes: int, aij, aji, bb, cc) -> np.ndarray:
     """Read-only exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
 
-    The exponent is built in place, term by term, always with the scalar as
-    the first operand: ``aij * M`` and ``M *= aij`` can round differently.
+    With z = x + i y the exponent is bilinear in the real coordinates,
+    gxx x_k x_l + gxy x_k y_l + gyx y_k x_l + gyy y_k y_l.  On the tensor
+    grid x_k and y_k each run over the same n nodes, so the exponential of
+    that sum is exactly the product of four n x n exponentials,
+    E[(ik, jk), (il, jl)] = Axx[ik, il] Axy[ik, jl] Ayx[jk, il] Ayy[jk, jl]
+    with A = exp(g outer(x, x)): 4 n^2 complex exps instead of n^4.  It
+    agrees with the dense exponential to rounding.  The product fills one
+    preallocated array in place.
     """
-    z, _ = _gh_grid(n_nodes)
-    zc = np.conj(z)
-    E = np.outer(zc, z)
-    np.multiply(aij, E, out=E)
-    t = np.empty_like(E)
-    for coef, left, right in ((aji, z, zc), (bb, z, z), (cc, zc, zc)):
-        np.outer(left, right, out=t)
-        np.multiply(coef, t, out=t)
-        np.add(E, t, out=E)
-    np.exp(E, out=E)
+    x, _, _ = _gh_grid(n_nodes)
+    xx = np.outer(x, x)
+    gxx = aij + aji + bb + cc
+    gxy = 1j * (aij - aji + bb - cc)
+    gyx = 1j * (aji - aij + bb - cc)
+    gyy = aij + aji - bb - cc
+    Axx, Axy, Ayx, Ayy = (np.exp(g * xx) for g in (gxx, gxy, gyx, gyy))
+    E = np.empty((n_nodes,) * 4, dtype=complex)
+    np.multiply(Axx[:, None, :, None], Axy[:, None, None, :], out=E)
+    np.multiply(E, Ayx[None, :, :, None], out=E)
+    np.multiply(E, Ayy[None, :, None, :], out=E)
+    E = E.reshape(n_nodes * n_nodes, n_nodes * n_nodes)
     E.flags.writeable = False
     return E
 
 
-def _pair_matrix(pg: PolyGaussian, i: int, j: int, n_nodes: int):
-    """exp of the (i, j) cross-coupling on the node grid, or None if absent.
+def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
+    """(E, conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
 
-    Every integral at one tau couples its variables through the same kernel
-    coefficient, met as (aij, aji) on one pair and as its conjugate
-    (conj aji, conj aij) on another, so the matrix is cached under whichever
-    of the two keys has the smaller (re, im) tuple:
-    E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
+    The coupling matrix is conj(E) if ``conjugated``, else E; ``_contract``
+    applies it without copying E.  Every integral at one tau couples its
+    variables through the same kernel coefficient, met as (aij, aji) on one
+    pair and as its conjugate (conj aji, conj aij) on another, so the matrix
+    is cached under whichever of the two keys has the smaller (re, im)
+    tuple: E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
     Conjugation only flips signs, so the two agree bit for bit when bb and cc
     vanish, as in every integrand the routes build; otherwise the sums of the
-    exponent run in another order and agree to rounding.  The keys stay
-    numpy complex128 scalars, as ``pg`` stores them: a Python complex rounds
-    ``coef * M`` differently and would change the bits.
+    exponent run in another order and agree to rounding.
     """
     aij, aji = pg.A[i, j], pg.A[j, i]
     bb = pg.B[i, j] + pg.B[j, i]
@@ -244,8 +261,25 @@ def _pair_matrix(pg: PolyGaussian, i: int, j: int, n_nodes: int):
         return tuple(x for c in k for x in (c.real, c.imag))
 
     if floats(mirror) < floats(key):
-        return np.conj(_coupling_matrix(n_nodes, *mirror))
-    return _coupling_matrix(n_nodes, *key)
+        return _coupling_matrix(n_nodes, *mirror), True
+    return _coupling_matrix(n_nodes, *key), False
+
+
+def _pair_matrix(pg: PolyGaussian, i: int, j: int, n_nodes: int):
+    """The (i, j) coupling matrix (a fresh copy on the conjugate side), or None if absent."""
+    coupling = _pair_coupling(pg, i, j, n_nodes)
+    if coupling is None:
+        return None
+    E, conjugated = coupling
+    return np.conj(E) if conjugated else E
+
+
+def _contract(v: np.ndarray, coupling) -> np.ndarray:
+    """v @ (coupling matrix), using v @ conj(E) = conj(conj(v) @ E); None couples by ones."""
+    if coupling is None:
+        return np.full_like(v, np.sum(v))
+    E, conjugated = coupling
+    return np.conj(np.conj(v) @ E) if conjugated else v @ E
 
 
 def _diag_vector(pg: PolyGaussian, i: int, z, wz):
@@ -273,6 +307,17 @@ def _monomial_vectors(pg: PolyGaussian, z):
     return powv
 
 
+def _one_variable_sum(poly: dict, d: np.ndarray, z: np.ndarray) -> complex:
+    """sum over monomials of coef * sum_k d_k z_k^p zbar_k^q, as one coefficient matrix."""
+    C = np.zeros((1 + max(p[0] for p, _ in poly), 1 + max(q[0] for _, q in poly)),
+                 dtype=complex)
+    for (p, q), coef in poly.items():
+        C[p[0], q[0]] += coef
+    Zp = np.vander(z, C.shape[0], increasing=True)
+    Zq = np.vander(np.conj(z), C.shape[1], increasing=True)
+    return d @ np.sum((Zp @ C) * Zq, axis=1)
+
+
 def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
     n = pg.n_vars
     if n > 3:
@@ -280,57 +325,61 @@ def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
             f"tensor quadrature supports at most 3 complex variables, got {n}; "
             "use the monte_carlo_gaussian engine"
         )
-    z, wz = _gh_grid(cfg.nodes_per_axis)
+    _, z, wz = _gh_grid(cfg.nodes_per_axis)
     diag = [_diag_vector(pg, i, z, wz) for i in range(n)]
-    powv = _monomial_vectors(pg, z)
     poly = pg.poly if pg.poly else {((0,) * n, (0,) * n): 1.0}
     scale = np.exp(pg.const)
-
     if n == 1:
-        total = 0.0 + 0.0j
-        for (p, q), coef in poly.items():
-            total += coef * np.sum(diag[0] * powv(p[0], q[0]))
-        return scale * total
+        return scale * _one_variable_sum(poly, diag[0], z)
 
+    powv = _monomial_vectors(pg, z)
     if n == 2:
-        E = _pair_matrix(pg, 0, 1, cfg.nodes_per_axis)
+        c01 = _pair_coupling(pg, 0, 1, cfg.nodes_per_axis)
         total = 0.0 + 0.0j
         for (p, q), coef in poly.items():
             d0 = diag[0] * powv(p[0], q[0])
             d1 = diag[1] * powv(p[1], q[1])
-            if E is None:
+            if c01 is None:
                 total += coef * np.sum(d0) * np.sum(d1)
             else:
-                total += coef * (d0 @ E @ d1)
+                total += coef * (_contract(d0, c01) @ d1)
         return scale * total
 
     # n == 3: contract out the last variable, grouped by its monomial part.
+    groups: dict = {}
+    for (p, q), coef in poly.items():
+        groups.setdefault((p[2], q[2]), []).append((p, q, coef))
+    total = 0.0 + 0.0j
     E01 = _pair_matrix(pg, 0, 1, cfg.nodes_per_axis)
+    if E01 is None:
+        # no (0,1) coupling: the k2 sum factorizes into one matvec per
+        # distinct monomial vector of each of the other two variables
+        c02 = _pair_coupling(pg, 0, 2, cfg.nodes_per_axis)
+        c12 = _pair_coupling(pg, 1, 2, cfg.nodes_per_axis)
+        v0 = {k: _contract(diag[0] * powv(*k), c02)
+              for k in dict.fromkeys((p[0], q[0]) for p, q in poly)}
+        v1 = {k: _contract(diag[1] * powv(*k), c12)
+              for k in dict.fromkeys((p[1], q[1]) for p, q in poly)}
+        for (p2, q2), members in groups.items():
+            d2 = diag[2] * powv(p2, q2)
+            for p, q, coef in members:
+                total += coef * np.sum(d2 * v0[p[0], q[0]] * v1[p[1], q[1]])
+        return scale * total
+
     E02 = _pair_matrix(pg, 0, 2, cfg.nodes_per_axis)
     E12 = _pair_matrix(pg, 1, 2, cfg.nodes_per_axis)
     if E02 is None:
         E02 = np.ones((len(z), len(z)), dtype=complex)
     if E12 is None:
         E12 = np.ones((len(z), len(z)), dtype=complex)
-    groups: dict = {}
-    for (p, q), coef in poly.items():
-        groups.setdefault((p[2], q[2]), []).append((p, q, coef))
-    total = 0.0 + 0.0j
     for (p2, q2), members in groups.items():
         d2 = diag[2] * powv(p2, q2)
-        if E01 is None:
-            # no (0,1) coupling: the k2 sum factorizes into two matvecs
-            for p, q, coef in members:
-                v0 = (diag[0] * powv(p[0], q[0])) @ E02
-                v1 = (diag[1] * powv(p[1], q[1])) @ E12
-                total += coef * np.sum(d2 * v0 * v1)
-        else:
-            T = (E02 * d2[None, :]) @ E12.T  # (k0, k1), summed over k2
-            T = T * E01
-            for p, q, coef in members:
-                d0 = diag[0] * powv(p[0], q[0])
-                d1 = diag[1] * powv(p[1], q[1])
-                total += coef * (d0 @ T @ d1)
+        T = (E02 * d2[None, :]) @ E12.T  # (k0, k1), summed over k2
+        T = T * E01
+        for p, q, coef in members:
+            d0 = diag[0] * powv(p[0], q[0])
+            d1 = diag[1] * powv(p[1], q[1])
+            total += coef * (d0 @ T @ d1)
     return scale * total
 
 
@@ -359,7 +408,7 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
         rng = np.random.Generator(np.random.PCG64(ss))
         x = mu + rng.standard_normal((m, d)) @ chol.T
         z = x[:, 0::2] + 1j * x[:, 1::2]
-        phase = np.exp(1j * (np.einsum("ni,ij,nj->n", x, SI, x) + x @ bI + cI))
+        phase = np.exp(1j * (np.einsum("ni,ni->n", x @ SI, x) + x @ bI + cI))
         h = pg._poly_values(z) * phase * prefactor
         total += np.sum(h)
         total_sq_re += np.sum(h.real**2)

@@ -211,6 +211,8 @@ class TestMainEntry:
         ("lmax = -3", "error: lmax must be >= 1"),
         ("system.trace_budget = -1", "error: system.trace_budget must be > 0"),
         ("integration.seed = -1", "error: integration.seed must be >= 0"),
+        ("integration.nodes_per_axis = 65",
+         "error: quadrature needs 8 <= nodes_per_axis <= 64, got 65"),
         ("system.omega = nan", "error: line 3: system.omega must be finite"),
         ("tau.stop = inf", "error: line 6: tau.stop must be finite"),
         ("system.t_prepare = inf", "error: line 9: system.t_prepare must be finite"),

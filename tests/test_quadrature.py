@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotime.errors import NonIntegrableError, QuadratureDimensionError, VarianceWarning
-from twotime import quadrature
+from twotime import phasespace, quadrature
 from twotime.quadrature import IntegrationConfig, PolyGaussian, integrate
 
 QUAD16 = IntegrationConfig(engine="gauss_hermite_tensor", nodes_per_axis=16)
@@ -25,6 +27,12 @@ class TestConfig:
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             IntegrationConfig(nodes_per_axis=4)
+
+    def test_maximum_nodes(self):
+        # the (n^2)^2 coupling matrix would take 1.6 GB at 100 nodes
+        with pytest.raises(ValueError, match="nodes_per_axis <= 64"):
+            IntegrationConfig(nodes_per_axis=65)
+        assert IntegrationConfig(nodes_per_axis=64).nodes_per_axis == 64
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
@@ -228,14 +236,31 @@ def test_node_refinement_converges(b, c, ur, ui):
 
 class TestCouplingCache:
     @staticmethod
-    def direct(pg, i, j, n_nodes):
-        """The uncached coupling matrix, summed in the same term order."""
+    def coefficients(pg, i, j):
+        return pg.A[i, j], pg.A[j, i], pg.B[i, j] + pg.B[j, i], pg.C[i, j] + pg.C[j, i]
+
+    @classmethod
+    def direct(cls, pg, i, j, n_nodes):
+        """The uncached separable coupling matrix, multiplied in the same order."""
+        aij, aji, bb, cc = cls.coefficients(pg, i, j)
+        x = np.polynomial.hermite.hermgauss(n_nodes)[0]
+        xx = np.outer(x, x)
+        Axx, Axy, Ayx, Ayy = (np.exp(g * xx) for g in (
+            aij + aji + bb + cc, 1j * (aij - aji + bb - cc),
+            1j * (aji - aij + bb - cc), aij + aji - bb - cc))
+        E = (Axx[:, None, :, None] * Axy[:, None, None, :]
+             * Ayx[None, :, :, None] * Ayy[None, :, None, :])
+        return E.reshape(n_nodes**2, n_nodes**2)
+
+    @classmethod
+    def dense(cls, pg, i, j, n_nodes):
+        """exp of the whole exponent on the node grid, one entry at a time."""
+        aij, aji, bb, cc = cls.coefficients(pg, i, j)
         x = np.polynomial.hermite.hermgauss(n_nodes)[0]
         z = (x[:, None] + 1j * x[None, :]).ravel()
         zc = np.conj(z)
-        return np.exp(pg.A[i, j] * np.outer(zc, z) + pg.A[j, i] * np.outer(z, zc)
-                      + (pg.B[i, j] + pg.B[j, i]) * np.outer(z, z)
-                      + (pg.C[i, j] + pg.C[j, i]) * np.outer(zc, zc))
+        return np.exp(aij * np.outer(zc, z) + aji * np.outer(z, zc)
+                      + bb * np.outer(z, z) + cc * np.outer(zc, zc))
 
     @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])  # cached as (0, b) or (conj b, 0)
     def test_conjugate_pair_shares_one_bit_exact_build(self, b):
@@ -255,3 +280,96 @@ class TestCouplingCache:
         E = quadrature._coupling_matrix(16, np.complex128(0.5), zero, zero, zero)
         for arr in (*quadrature._gh_grid(16), E):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("n_nodes", [16, 24, 48])
+    @pytest.mark.parametrize("squeeze", [0.0, 0.15 - 0.1j])
+    def test_separable_build_matches_dense_exponential(self, n_nodes, squeeze):
+        pg = unit_gaussian(2)
+        pg.add_mixed(0, 1, 0.6 - 0.3j)
+        pg.add_mixed(1, 0, -0.2 + 0.4j)
+        pg.add_holo(0, 1, squeeze)
+        pg.add_anti(1, 0, 0.5 * np.conj(squeeze))
+        quadrature._coupling_matrix.cache_clear()
+        E = quadrature._pair_matrix(pg, 0, 1, n_nodes)
+        ref = self.dense(pg, 0, 1, n_nodes)
+        assert np.max(np.abs(E - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])
+    def test_contraction_matches_copy_bit_for_bit(self, b):
+        # v @ conj(E) taken as conj(conj(v) @ E), without copying E
+        pg = unit_gaussian(3)
+        pg.add_mixed(2, 0, b)
+        pg.add_mixed(1, 2, np.conj(b))
+        v = np.random.default_rng(5).standard_normal((256, 2)) @ np.array([1, 1j])
+        for i, j in ((0, 2), (1, 2)):
+            coupling = quadrature._pair_coupling(pg, i, j, 16)
+            assert np.array_equal(quadrature._contract(v, coupling),
+                                  v @ quadrature._pair_matrix(pg, i, j, 16))
+        assert {quadrature._pair_coupling(pg, i, j, 16)[1] for i, j in ((0, 2), (1, 2))} \
+            == {False, True}
+
+
+class TestVectorisedSums:
+    """Every vectorised kernel agrees with the per-monomial form it replaces."""
+
+    def test_one_variable_sum_matches_monomial_loop(self):
+        rng = np.random.default_rng(7)
+        pg = unit_gaussian()
+        pg.add_holo(0, 0, 0.1)
+        pg.add_linear(0, 0.3 - 0.2j)
+        pg.set_var_factor(0, np.array([1.0, 0.2j, -0.1]), conjugated=True)
+        for p, q in [(0, 0), (1, 0), (0, 3), (2, 2), (5, 1), (7, 6), (3, 9)]:
+            pg.poly_add((p,), (q,), complex(*rng.standard_normal(2)))
+        _, z, wz = quadrature._gh_grid(24)
+        d = quadrature._diag_vector(pg, 0, z, wz)
+        loop = sum(coef * np.sum(d * z ** p[0] * np.conj(z) ** q[0])
+                   for (p, q), coef in pg.poly.items())
+        value, _ = integrate(pg, QUAD24)
+        assert abs(value - loop) < 1e-14 * abs(loop)
+
+    def test_qderiv_assembly_matches_monomial_loop(self):
+        rng = np.random.default_rng(8)
+        f_tables = [{(1, 1): 0.3 + 0.1j, (0, 2): -0.2j, (0, 1): 0.5, (2, 0): 0.1},
+                    {(1, 0): 0.3 + 0.1j, (0, 1): -0.4j, (0, 0): 0.5},
+                    {(0, 0): -0.4j}]
+        R_tables = [rng.standard_normal((15, 13)) + 1j * rng.standard_normal((15, 13))
+                    for _ in f_tables]
+        R_tables[0][3, 4] = 0.0
+        pg = PolyGaussian(1)
+        for j, ft in enumerate(f_tables):
+            w = 1.0 / np.pi / math.factorial(j)
+            for a, b in zip(*np.nonzero(R_tables[j])):
+                for (pf, qf), cf in ft.items():
+                    pg.poly_add((b + pf,), (a + qf,), w * R_tables[j][a, b] * cf)
+        table = phasespace._qderiv_poly(f_tables, R_tables)
+        assert table.keys() == pg.poly.keys()
+        for key, coef in pg.poly.items():
+            assert abs(table[key] - coef) <= 1e-14 * abs(coef)
+
+
+def test_mc_phase_matches_three_operand_form():
+    # the engine's mean, recomputed with the three-operand einsum phase
+    pg = unit_gaussian(3)
+    pg.add_mixed(2, 0, 0.6 * np.exp(-0.5j))
+    pg.add_mixed(1, 2, 0.5 * np.exp(0.3j))
+    pg.add_holo(0, 0, 0.1j)
+    pg.add_linear_conj(0, 0.8)
+    pg.add_linear(1, 0.4 - 0.1j)
+    pg.poly_add((1, 0, 0), (0, 0, 1), 1.0)
+    cfg = IntegrationConfig(engine="monte_carlo_gaussian",
+                            sample_count=quadrature.MC_CHUNK + 20_000, seed=3)
+    value, _ = integrate(pg, cfg)
+    S, b, c = pg.real_form()
+    SR = S.real
+    chol = np.linalg.cholesky(np.linalg.inv(-2.0 * SR))
+    mu = np.linalg.solve(-2.0 * SR, b.real)
+    pref = np.exp(mu @ SR @ mu + b.real @ mu + c.real
+                  + 0.5 * np.linalg.slogdet(2 * np.pi * chol @ chol.T)[1])
+    total = 0.0
+    for chunk, m in enumerate((quadrature.MC_CHUNK, 20_000)):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,))))
+        x = mu + rng.standard_normal((m, 6)) @ chol.T
+        phase = np.exp(1j * (np.einsum("ni,ij,nj->n", x, S.imag, x) + x @ b.imag + c.imag))
+        total += np.sum(pg._poly_values(x[:, 0::2] + 1j * x[:, 1::2]) * phase * pref)
+    assert abs(value - total / cfg.sample_count) < 1e-13 * abs(value)
