@@ -17,7 +17,15 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   one-variable polynomial is summed as one coefficient matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
-  phase and keeps the estimator variance finite by construction.
+  phase and keeps the estimator variance finite by construction.  Chunk k of
+  every integral maps the standard normals of SeedSequence(seed,
+  spawn_key=(k,)) through the integral's own mean and Cholesky factor, so all
+  integrals of one process with the same seed and variable count share their
+  normals (common random numbers).  The leading chunks are drawn once and
+  cached (``_normals``, read-only, at most ``MC_NORMALS_BYTES``).  The errors
+  of the integrals of one series are therefore correlated, while the
+  ``hypot`` propagation of ``phasespace.phase_space_series`` treats them as
+  independent.
 
 Complex measures follow d^2 z = dRe(z) dIm(z); any 1/pi factors belong to the
 caller's integrand.
@@ -35,6 +43,13 @@ from .errors import NonIntegrableError, QuadratureDimensionError, VarianceWarnin
 
 NEGDEF_TOL = -1e-12
 MC_CHUNK = 1 << 16
+# The normals cache keeps the first MC_CACHED_CHUNKS chunks of a stream, each
+# block at most MC_CACHED_BLOCK numbers (a full chunk of five complex
+# variables, the most any route integrates), so it never holds more than
+# MC_NORMALS_BYTES (20 MiB).  Later chunks and larger blocks are drawn anew.
+MC_CACHED_CHUNKS = 4
+MC_CACHED_BLOCK = MC_CHUNK * 10
+MC_NORMALS_BYTES = MC_CACHED_CHUNKS * MC_CACHED_BLOCK * 8
 MC_RELATIVE_ERROR_WARN = 0.10
 MAX_NODES = 64  # a coupling matrix holds nodes^4 complex entries: 268 MB at 64
 
@@ -171,24 +186,38 @@ class PolyGaussian:
 
     # ---- pointwise polynomial part (Monte Carlo) ---------------------------
     def _poly_values(self, z: np.ndarray) -> np.ndarray:
-        zb = np.conj(z)
-        if self.poly:
-            vals = np.zeros(z.shape[0], dtype=complex)
-            for (p, q), coef in self.poly.items():
-                term = np.full(z.shape[0], coef, dtype=complex)
-                for i in range(self.n_vars):
-                    if p[i]:
-                        term = term * z[:, i] ** p[i]
-                    if q[i]:
-                        term = term * zb[:, i] ** q[i]
+        """poly(z, conj z) times the var_factors at the rows of z, shape (samples, n_vars).
+
+        Each (variable, power, conjugated) column is computed once and shared
+        by every monomial and vector factor that needs it.
+        """
+        cols: dict = {}
+
+        # not recursive: a self-referencing closure would keep z alive in a
+        # reference cycle until the cyclic collector runs
+        def col(i, p, conj):
+            if (i, 1, conj) not in cols:
+                cols[i, 1, conj] = np.conj(z[:, i]) if conj else z[:, i]
+            if (i, p, conj) not in cols:
+                cols[i, p, conj] = cols[i, 1, conj] ** p
+            return cols[i, p, conj]
+
+        poly = self.poly or {((0,) * self.n_vars, (0,) * self.n_vars): 1.0}
+        vals = None
+        for (p, q), coef in poly.items():
+            factors = [col(i, k, conj) for i in range(self.n_vars)
+                       for k, conj in ((p[i], False), (q[i], True)) if k]
+            term = coef * factors[0] if factors else np.full(z.shape[0], coef, dtype=complex)
+            for f in factors[1:]:
+                term *= f
+            if vals is None:
+                vals = term
+            else:
                 vals += term
-        else:
-            vals = np.ones(z.shape[0], dtype=complex)
         for i, fac in enumerate(self.var_factors):
             if fac is not None:
                 coeffs, conj = fac
-                base = zb[:, i] if conj else z[:, i]
-                vals = vals * np.polynomial.polynomial.polyval(base, coeffs)
+                vals *= np.polynomial.polynomial.polyval(col(i, 1, conj), coeffs)
         return vals
 
 
@@ -383,6 +412,26 @@ def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
     return scale * total
 
 
+@lru_cache(maxsize=MC_CACHED_CHUNKS)
+def _normals(seed: int, chunk: int, m: int, d: int) -> np.ndarray:
+    """Read-only (m, d) standard normals of chunk ``chunk`` of the stream of ``seed``.
+
+    Every integral draws chunk k from SeedSequence(seed, spawn_key=(k,)), so
+    integrals with the same seed and variable count share these numbers.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
+    g = np.random.Generator(np.random.PCG64(ss)).standard_normal((m, d))
+    g.flags.writeable = False
+    return g
+
+
+def _chunk_normals(seed: int, chunk: int, m: int, d: int) -> np.ndarray:
+    """``_normals``, through the cache for leading chunks of small enough blocks."""
+    if chunk < MC_CACHED_CHUNKS and m * d <= MC_CACHED_BLOCK:
+        return _normals(seed, chunk, m, d)
+    return _normals.__wrapped__(seed, chunk, m, d)
+
+
 def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float]:
     S, b, c = pg.real_form()
     SR, bR = S.real, b.real
@@ -399,23 +448,21 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
     total = 0.0 + 0.0j
     total_sq_re = 0.0
     total_sq_im = 0.0
-    count = 0
-    remaining = cfg.sample_count
-    chunk_idx = 0
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_idx,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        x = mu + rng.standard_normal((m, d)) @ chol.T
-        z = x[:, 0::2] + 1j * x[:, 1::2]
-        phase = np.exp(1j * (np.einsum("ni,ni->n", x @ SI, x) + x @ bI + cI))
-        h = pg._poly_values(z) * phase * prefactor
+    for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
+        m = min(MC_CHUNK, cfg.sample_count - start)
+        x = _chunk_normals(cfg.seed, chunk, m, d) @ chol.T
+        x += mu
+        arg = np.einsum("ni,ni->n", x @ SI, x)
+        arg += x @ bI
+        arg += cI
+        # x holds (Re z_i, Im z_i) pairs, so its complex view is z without a copy
+        h = pg._poly_values(x.view(complex))
+        h *= np.exp(1j * arg)
+        h *= prefactor
         total += np.sum(h)
         total_sq_re += np.sum(h.real**2)
         total_sq_im += np.sum(h.imag**2)
-        count += m
-        remaining -= m
-        chunk_idx += 1
+    count = cfg.sample_count
     mean = total / count
     var_re = max(total_sq_re / count - mean.real**2, 0.0)
     var_im = max(total_sq_im / count - mean.imag**2, 0.0)

@@ -1,10 +1,15 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twotime.correlators import InitialState, SystemSpec
+from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.errors import NonIntegrableError, QuadratureDimensionError, VarianceWarning
+from twotime.hilbert import FockCutoff
 from twotime import phasespace, quadrature
 from twotime.quadrature import IntegrationConfig, PolyGaussian, integrate
 
@@ -373,3 +378,127 @@ def test_mc_phase_matches_three_operand_form():
         phase = np.exp(1j * (np.einsum("ni,ij,nj->n", x, S.imag, x) + x @ b.imag + c.imag))
         total += np.sum(pg._poly_values(x[:, 0::2] + 1j * x[:, 1::2]) * phase * pref)
     assert abs(value - total / cfg.sample_count) < 1e-13 * abs(value)
+
+
+class TestNormalsCache:
+    """Integrals with one seed and variable count share their standard normals."""
+
+    MC = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=100_000, seed=42)
+
+    @staticmethod
+    def integrand(n_vars=3):
+        pg = unit_gaussian(n_vars)
+        for i in range(n_vars - 1):
+            pg.add_mixed(i + 1, i, 0.5 * np.exp(0.3j * (i + 1)))
+        pg.add_linear_conj(0, 0.8)
+        pg.poly_add((1,) + (0,) * (n_vars - 1), (1,) + (0,) * (n_vars - 1), 1.0)
+        return pg
+
+    def test_hit_matches_fresh_draw(self):
+        pg = self.integrand()
+        quadrature._normals.cache_clear()
+        fresh = integrate(pg, self.MC)
+        assert quadrature._normals.cache_info().hits == 0
+        cached = integrate(pg, self.MC)
+        assert quadrature._normals.cache_info().hits == 2
+        assert repr(cached) == repr(fresh)
+
+    def test_cached_normals_read_only(self):
+        g = quadrature._normals(42, 0, 1000, 6)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+
+    def test_series_draws_each_chunk_once(self):
+        # the coherent_mc propagator series: one n integral, four g1 and five
+        # g2 integrals, each of 100 000 samples (two chunks) over d = 6
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.coherent(1.0), FockCutoff(40))
+        quadrature._normals.cache_clear()
+        phasespace.phase_space_series(sys, np.linspace(0.0, 3.0, 5), "propagator", self.MC)
+        info = quadrature._normals.cache_info()
+        assert info.misses == 2
+        assert info.hits == 9 * 2
+
+    @pytest.mark.parametrize("n_vars, cached", [(3, 4), (5, 4), (6, 0)])
+    def test_retained_bytes_bounded_at_a_million_samples(self, n_vars, cached):
+        # sixteen chunks per integral: the leading four are kept, and a second
+        # integral hits them instead of thrashing the cache; a chunk of six
+        # variables exceeds the block bound and is never kept.  No collection
+        # runs after the integral, so samples held by a reference cycle count.
+        pg = self.integrand(n_vars)
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=1_000_000, seed=5)
+        quadrature._normals.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            integrate(pg, cfg)
+            numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_data]).traces
+        finally:
+            tracemalloc.stop()
+        retained = sum(trace.size for trace in traces)
+        assert retained == cached * quadrature.MC_CHUNK * 2 * n_vars * 8
+        assert retained <= quadrature.MC_NORMALS_BYTES
+        integrate(pg, cfg)
+        info = quadrature._normals.cache_info()
+        assert (info.misses, info.hits) == (cached, cached)
+
+
+class TestPolyValues:
+    """Monte Carlo polynomial factors on shapes the bundled scenarios never build."""
+
+    @staticmethod
+    def reference(pg, z):
+        """Each monomial and vector factor evaluated on its own."""
+        zc = np.conj(z)
+        vals = np.zeros(len(z), dtype=complex)
+        for (p, q), coef in pg.poly.items():
+            vals += coef * np.prod(z ** np.array(p) * zc ** np.array(q), axis=1)
+        if not pg.poly:
+            vals += 1.0
+        for i, fac in enumerate(pg.var_factors):
+            if fac is not None:
+                coeffs, conj = fac
+                base = zc[:, i] if conj else z[:, i]
+                vals *= sum(w * base**k for k, w in enumerate(coeffs))
+        return vals
+
+    @staticmethod
+    def samples():
+        # the complex view of (Re z_i, Im z_i) pairs, as _mc_sample passes it
+        return np.random.default_rng(12).standard_normal((500, 6)).view(complex)
+
+    def test_multi_monomial_with_vector_factors(self):
+        rng = np.random.default_rng(13)
+        pg = PolyGaussian(3)
+        for p, q in [((0, 0, 0), (0, 0, 0)), ((3, 0, 1), (0, 2, 0)), ((1, 2, 0), (3, 0, 1)),
+                     ((0, 3, 3), (1, 1, 3)), ((2, 0, 0), (2, 0, 0)), ((0, 0, 1), (0, 3, 0))]:
+            pg.poly_add(p, q, complex(*rng.standard_normal(2)))
+        pg.set_var_factor(0, rng.standard_normal(5) + 1j * rng.standard_normal(5), conjugated=True)
+        pg.set_var_factor(2, rng.standard_normal(4) + 1j * rng.standard_normal(4), conjugated=False)
+        z = self.samples()
+        ref = self.reference(pg, z)
+        assert np.max(np.abs(pg._poly_values(z) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("with_factor", [False, True])
+    def test_empty_polynomial(self, with_factor):
+        pg = PolyGaussian(3)
+        if with_factor:
+            pg.set_var_factor(1, np.array([0.5, 1j, -0.25]), conjugated=True)
+        z = self.samples()
+        ref = self.reference(pg, z)
+        assert np.max(np.abs(pg._poly_values(z) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_two_variable_q_series_on_driven_mode(self):
+        # the Fock-vector var_factors of qfunction_two_variable, under MC
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0, eta=1.0), DampingChannel(),
+                         InitialState.vacuum(), FockCutoff(16), t_prepare=1.0)
+        taus = np.linspace(0.0, 1.5, 4)
+        gh = phasespace.phase_space_series(sys, taus, "qfunction_two_variable", QUAD24)
+        mc = phasespace.phase_space_series(
+            sys, taus, "qfunction_two_variable",
+            IntegrationConfig(engine="monte_carlo_gaussian", sample_count=100_000, seed=1))
+        assert np.all(mc.error_estimate > 0)
+        assert np.all(np.abs(mc.g1 - gh.g1) < 3 * mc.error_estimate)
+        assert np.all(np.abs(mc.g2 - gh.g2) < 3 * mc.error_estimate)
