@@ -1,15 +1,20 @@
 """Reference one- and two-time correlators via the quantum regression theorem.
 
-Two-time averages are obtained by propagating deformed states (a rho, or
-a rho adag) with the same map that evolves single-time averages, then tracing
-against the remaining operator.  Both operator orderings are computed and
-checked for conjugacy; series store the <adag(t+tau) a(t)> ordering, whose
-free-oscillator phase is exp(+i omega tau).
+A two-time average Tr[O M(tau)(Y)] pairs an observable O with a deformed
+state Y (a rho, rho adag or a rho adag) evolved by the map M that evolves
+single-time averages.  The regression route reads it in the Heisenberg
+picture, Tr[M^dag(tau)(O) Y]: the three observables adag, a and adag a are
+evolved by the adjoint map and traced against the fixed deformed states.  For
+a phase-invariant damped mode each observable sits in one block of the
+generator, so only those blocks are exponentiated.  Both operator orderings
+are computed and checked for conjugacy; series store the <adag(t+tau) a(t)>
+ordering, whose free-oscillator phase is exp(+i omega tau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,12 +113,18 @@ class SystemSpec:
     trace_budget: float = DEFAULT_TRACE_BUDGET
 
     def prepared_state(self) -> DensityMatrix:
-        rho0 = self.initial_state.build(self.cutoff).validate(self.trace_budget)
-        if self.t_prepare == 0:
-            return rho0
-        return evolve_lindblad(
-            rho0, self.hamiltonian, self.channel, self.t_prepare, self.trace_budget
-        )
+        """rho(t_prepare), built and validated once per spec; its matrix is read-only."""
+        return self._prepared
+
+    @cached_property
+    def _prepared(self) -> DensityMatrix:
+        rho = self.initial_state.build(self.cutoff).validate(self.trace_budget)
+        if self.t_prepare != 0:
+            rho = evolve_lindblad(
+                rho, self.hamiltonian, self.channel, self.t_prepare, self.trace_budget
+            )
+        rho.mat.flags.writeable = False
+        return rho
 
     @property
     def closed(self) -> bool:
@@ -150,14 +161,15 @@ def _check_tau_grid(taus: np.ndarray) -> np.ndarray:
 
 
 class _GridPropagator:
-    """Evolves a set of deformed matrices along an ascending tau grid.
+    """Evolves a set of observables along an ascending tau grid (Heisenberg picture).
 
     Uses the semigroup property: one cached map per distinct grid increment,
     applied sequentially, instead of one map per tau.  A grid whose increments
     agree to 1e-12 relative (np.linspace rounding) steps with its single mean
     increment, so it needs one map besides the step from 0 to its first tau.
-    Damped systems apply the sparse block superoperator from
-    ``propagated_map``; closed systems use the small unitary sandwich.
+    Damped systems apply ``adjoint`` of the map from ``propagated_map``, which
+    exponentiates only the generator blocks the observables occupy; closed
+    systems use U^dag O U.
     """
 
     def __init__(self, sys: SystemSpec, taus: np.ndarray):
@@ -169,18 +181,18 @@ class _GridPropagator:
                 increments = np.full_like(increments, mean)
         self.steps = np.concatenate(([taus[0]], increments))
 
-    def run(self, mats: list[np.ndarray]):
-        """Yields (tau_index, evolved_mats) in grid order."""
+    def run(self, ops: list[np.ndarray]):
+        """Yields (tau_index, evolved_ops) in grid order."""
         sys = self.sys
-        current = [m.copy() for m in mats]
+        current = ops
         for i, dt in enumerate(self.steps):
             if dt > 0:
                 if sys.closed:
                     U = unitary_matrix(sys.hamiltonian, dt, sys.cutoff)
-                    current = [U @ m @ U.conj().T for m in current]
+                    current = [U.conj().T @ op @ U for op in current]
                 else:
                     M = propagated_map(sys.hamiltonian, sys.channel, dt, sys.cutoff)
-                    current = [M.apply(m) for m in current]
+                    current = [M.adjoint(op) for op in current]
             yield i, current
 
 
@@ -188,9 +200,9 @@ def regression_raw(sys: SystemSpec, taus):
     """Unnormalized numerators for both g1 orderings and for g2 on the whole grid.
 
     Returns (mean_n, G_late, G_early, G2) with
-    G_late[k]  = <adag(t+tau_k) a(t)>   = Tr[adag M(tau)(a rho)]
-    G_early[k] = <adag(t) a(t+tau_k)>   = Tr[a M(tau)(rho adag)]
-    G2[k]      = <adag(t) adag(t+tau) a(t+tau) a(t)> = Tr[adag a M(tau)(a rho adag)]
+    G_late[k]  = <adag(t+tau_k) a(t)>   = Tr[adag M(tau)(a rho)] = Tr[M^dag(tau)(adag) a rho]
+    G_early[k] = <adag(t) a(t+tau_k)>   = Tr[a M(tau)(rho adag)] = Tr[M^dag(tau)(a) rho adag]
+    G2[k]      = <adag(t) adag(t+tau) a(t+tau) a(t)> = Tr[M^dag(tau)(adag a) a rho adag]
 
     G_late is exactly the object the phase-space routes compute, so
     cross-method comparisons can avoid any normalization ambiguity.
@@ -201,14 +213,18 @@ def regression_raw(sys: SystemSpec, taus):
     number = adag @ a
     mean_n = float(np.real(np.trace(number @ rho_t.mat)))
 
-    deformed = [a @ rho_t.mat, rho_t.mat @ adag, a @ rho_t.mat @ adag]
-    G_late = np.empty(len(taus), dtype=complex)
-    G_early = np.empty(len(taus), dtype=complex)
-    G2 = np.empty(len(taus), dtype=complex)
-    for k, (m_late, m_early, m_two) in _GridPropagator(sys, taus).run(deformed):
-        G_late[k] = np.trace(adag @ m_late)
-        G_early[k] = np.trace(a @ m_early)
-        G2[k] = np.trace(number @ m_two)
+    rho = rho_t.mat
+    # Tr[O Y] = sum(O * Y.T), so each fixed deformed state is transposed once
+    deformed_T = [(a @ rho).T, (rho @ adag).T, (a @ rho @ adag).T]
+    G = np.empty((3, len(taus)), dtype=complex)
+    for k, evolved in _GridPropagator(sys, taus).run([adag, a, number]):
+        G[:, k] = [np.sum(op * y) for op, y in zip(evolved, deformed_T)]
+    if not np.all(np.isfinite(G)):
+        raise SelfCheckError(
+            "regression numerators are not finite; the evolution overflowed "
+            "(rates or durations too large for double precision)"
+        )
+    G_late, G_early, G2 = G
 
     conj_gap = np.max(np.abs(G_late - np.conj(G_early)))
     if conj_gap > CONJUGACY_TOL * max(1.0, mean_n):

@@ -5,9 +5,10 @@ occupation n_thermal) in Lindblad form.  Its generator L is a sparse CSR
 matrix.  L often splits into independent blocks: a phase-invariant generator
 (xi = eta = 0) keeps the coherence order m - n of |m><n| fixed, which gives
 2d - 1 blocks of at most d rows; squeezing alone keeps the parity of m + n,
-which gives two.  exp(L tau) is block diagonal with the same pattern, so it
-is built with one small dense ``expm`` per connected block of L's sparsity
-graph and stored as a sparse map.  A connected generator is a single block.
+which gives two.  exp(L tau) is block diagonal with the same pattern.  A map
+builds one small dense ``expm`` of a block the first time it is applied to
+(or, in the Heisenberg picture, adjoint-applied to) a matrix with a nonzero
+entry in that block, and keeps it.  A connected generator is a single block.
 Maps are cached per distinct duration, since correlators reuse the same map
 across a whole tau grid.
 """
@@ -89,16 +90,53 @@ def lindblad_generator(
     return L
 
 
-@dataclass
 class Propagated:
-    """Reusable linear map rho(tau) = unvec(map @ vec(rho)); ``map`` is sparse CSR."""
+    """Linear map M(tau) = exp(L tau), exponentiated block by block on first use.
 
-    map: sparse.csr_matrix
-    duration: float
-    dim: int
+    ``apply(rho)`` is rho(tau) = M(rho); ``adjoint(op)`` is the Heisenberg
+    picture map, with Tr[adjoint(op) rho] = Tr[op apply(rho)] for every rho.
+    Both exponentiate only the blocks in which their argument has a nonzero
+    entry; each block's exponential is read-only and kept for later calls.
+    """
+
+    def __init__(self, blocks, members, labels, duration: float, dim: int):
+        self.blocks = blocks  # dense diagonal blocks of L
+        self.members = members  # vec indices of each block
+        self.labels = labels  # block of each vec index
+        self.duration = duration
+        self.dim = dim
+        self._exps: dict[int, np.ndarray] = {}
+
+    def _block_exp(self, b: int) -> np.ndarray:
+        E = self._exps.get(b)
+        if E is None:
+            E = expm(self.blocks[b] * self.duration)
+            E.flags.writeable = False
+            self._exps[b] = E
+        return E
+
+    def _act(self, v: np.ndarray, transpose: bool) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        for b in np.unique(self.labels[np.flatnonzero(v)]):
+            idx = self.members[b]
+            E = self._block_exp(b)
+            out[idx] = (E.T if transpose else E) @ v[idx]
+        return out
 
     def apply(self, rho_mat: np.ndarray) -> np.ndarray:
-        return (self.map @ rho_mat.reshape(-1)).reshape(self.dim, self.dim)
+        return self._act(rho_mat.reshape(-1), False).reshape(self.dim, self.dim)
+
+    def adjoint(self, op: np.ndarray) -> np.ndarray:
+        # Tr[X Y] = vec(X.T) . vec(Y), so the adjoint acts as M.T on vec(op.T)
+        return self._act(op.T.reshape(-1), True).reshape(self.dim, self.dim).T
+
+    @property
+    def map(self) -> sparse.csr_matrix:
+        """The whole superoperator as sparse CSR; exponentiates every block."""
+        M = sparse.block_diag([self._block_exp(b) for b in range(len(self.blocks))],
+                              format="csr")
+        position = np.argsort(np.concatenate(self.members))  # row of M of each vec index
+        return M[position][:, position]
 
 
 @lru_cache(maxsize=32)
@@ -112,8 +150,8 @@ def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.
 @lru_cache(maxsize=8)  # a scenario uses one generator for all its durations
 def _generator_blocks(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Dense diagonal blocks of L, and the (row, col) in L of their raveled entries.
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """Dense diagonal blocks of L, the vec indices of each, and each index's block.
 
     A connected block of L's sparsity graph couples to no index outside it,
     so exp(L tau) has the same blocks, each the exponential of its block of L.
@@ -130,10 +168,7 @@ def _generator_blocks(
     k = labels[L.row]
     flat[offsets[k] + local[L.row] * sizes[k] + local[L.col]] = L.data
     blocks = tuple(flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes))
-    groups = np.split(members, starts[1:])
-    rows = np.concatenate([np.repeat(g, len(g)) for g in groups])
-    cols = np.concatenate([np.tile(g, len(g)) for g in groups])
-    return blocks, rows, cols
+    return blocks, tuple(np.split(members, starts[1:])), labels
 
 
 @lru_cache(maxsize=32)
@@ -143,14 +178,10 @@ def propagated_map(
     tau: float,
     cutoff: FockCutoff,
 ) -> Propagated:
-    """Superoperator M(tau) = expm(L tau), one dense expm per block of L, cached per duration."""
+    """Map M(tau) = expm(L tau), cached per duration; blocks are exponentiated on first use."""
     if tau < 0:
         raise ValueError("tau must be >= 0 for the damped map")
-    blocks, rows, cols = _generator_blocks(H, ch, cutoff)
-    data = np.concatenate([expm(Lb * tau).ravel() for Lb in blocks])
-    size = cutoff.dim**2
-    return Propagated(sparse.csr_matrix((data, (rows, cols)), shape=(size, size)),
-                      float(tau), cutoff.dim)
+    return Propagated(*_generator_blocks(H, ch, cutoff), float(tau), cutoff.dim)
 
 
 def evolve_unitary(

@@ -46,9 +46,9 @@ class FockCutoff:
 class DensityMatrix:
     """State of the mode as a complex matrix over the truncated Fock basis.
 
-    ``validate`` enforces hermiticity, positivity up to numerical noise and
-    trace closeness to one; evolution code calls it after every step so that
-    truncation leakage is an audited, not silent, failure.
+    ``validate`` enforces finite entries, hermiticity, positivity up to
+    numerical noise and trace closeness to one; evolution code calls it after
+    every step so that truncation leakage is an audited, not silent, failure.
     """
 
     mat: np.ndarray
@@ -61,6 +61,8 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"matrix shape {m.shape} does not match cutoff dim {self.cutoff.dim}"
             )
+        if not np.all(np.isfinite(m)):
+            raise InvalidStateError("density matrix has non-finite entries")
         herm = np.max(np.abs(m - m.conj().T))
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"hermiticity defect {herm:.3e} > {HERMITICITY_TOL}")

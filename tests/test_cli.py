@@ -62,6 +62,19 @@ integration.sample_count = 100000
 integration.seed = 1051144968
 """
 
+OVERFLOWING = """
+name = overflowing
+system.omega = 1.0
+system.kappa = 1e20
+system.n_thermal = 0.1
+system.initial = coherent 0.5
+system.cutoff = 12
+tau.start = 0.0
+tau.stop = 5.0
+tau.count = 4
+methods = regression
+"""
+
 
 def write(tmp_path, text, name="scn.cfg"):
     p = tmp_path / name
@@ -191,6 +204,15 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.iterdir())
 
+    def test_state_prepared_once_per_run(self, tmp_path, monkeypatch):
+        # the regression route and the report's leakage line share rho(t_prepare)
+        builds = []
+        build = correlators.InitialState.build
+        monkeypatch.setattr(correlators.InitialState, "build",
+                            lambda state, cutoff: builds.append(state) or build(state, cutoff))
+        assert main(["run", str(write(tmp_path, THERMAL)), "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
+
     def test_self_check_failure_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(correlators, "CONJUGACY_TOL", -1.0)
         scn = write(tmp_path, THERMAL)
@@ -237,6 +259,20 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    # a rate so large that exp(L tau) overflows to NaN inside expm
+    @pytest.mark.parametrize("t_prepare, message", [
+        ("0", "error: regression numerators are not finite"),
+        ("1", "error: density matrix has non-finite entries"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evolution_exit_1(self, tmp_path, capsys, t_prepare, message):
+        scn = write(tmp_path, OVERFLOWING + f"system.t_prepare = {t_prepare}\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import twotime.correlators as correlators
+import twotime.dynamics as dynamics
 import twotime.phasespace as phasespace
 from twotime.correlators import (
     CorrelationSeries,
@@ -173,6 +175,32 @@ class TestSeriesContract:
         assert len(set(durations)) == steps
         assert abs(sum(durations) - taus[-1]) < 1e-12
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
+
+    @pytest.mark.parametrize("initial, prepare_blocks", [
+        (InitialState.fock(2), 1),
+        (InitialState.coherent(0.5), 2 * FockCutoff(12).dim - 1),
+    ], ids=["fock", "coherent"])
+    def test_heisenberg_step_builds_three_blocks(self, initial, prepare_blocks, monkeypatch):
+        # preparing touches the blocks rho0 occupies; each tau step only the
+        # coherence orders -1, +1 and 0 of a, adag and adag a
+        built = []
+
+        def recording_expm(m):
+            built.append(m.shape[0])
+            return expm(m)
+
+        monkeypatch.setattr(dynamics, "expm", recording_expm)
+        dynamics.propagated_map.cache_clear()
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.8, n_thermal=0.1),
+                         initial, FockCutoff(12), t_prepare=1.0)
+        regression_series(sys, np.linspace(0.0, 2.0, 5))
+        assert len(built) == prepare_blocks + 3
+
+    def test_prepared_state_built_once(self):
+        sys = damped_thermal()
+        rho = sys.prepared_state()
+        assert sys.prepared_state() is rho
+        assert not rho.mat.flags.writeable
 
 
 class TestSelfChecks:

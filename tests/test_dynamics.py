@@ -195,6 +195,47 @@ class TestPropagatedMap:
         if H.is_free:
             assert max(block_rows) <= cut.dim
 
+    @pytest.mark.parametrize("H", [
+        QuadraticHamiltonian(omega=1.0),
+        QuadraticHamiltonian(omega=1.0, xi=0.2),
+        QuadraticHamiltonian(omega=1.0, eta=0.3),
+    ], ids=["free", "squeezed", "driven"])
+    def test_adjoint_duality(self, H):
+        # Tr[adjoint(O) rho] = Tr[O apply(rho)] for arbitrary complex O and rho
+        cut = FockCutoff(8)
+        P = propagated_map(H, DampingChannel(kappa=0.9, n_thermal=0.3), 0.7, cut)
+        rng = np.random.default_rng(11)
+        O, rho = (rng.standard_normal((2, 9, 9)) + 1j * rng.standard_normal((2, 9, 9))) / 9
+        assert abs(np.trace(P.adjoint(O) @ rho) - np.trace(O @ P.apply(rho))) < 1e-12
+
+    def test_apply_builds_only_touched_blocks(self, monkeypatch):
+        # coherence orders 0 and +1 only: the other 2d - 3 blocks stay zero
+        cut = FockCutoff(8)
+        H = QuadraticHamiltonian(omega=1.0)
+        ch = DampingChannel(kappa=0.9, n_thermal=0.3)
+        block_rows = []
+
+        def recording_expm(m):
+            block_rows.append(m.shape[0])
+            return expm(m)
+
+        monkeypatch.setattr(dynamics, "expm", recording_expm)
+        propagated_map.cache_clear()
+        rho = np.diag(np.arange(1.0, 10.0)) + np.diag(np.full(8, 0.5j), 1)
+        out = propagated_map(H, ch, 0.7, cut).apply(rho)
+        dense = expm(lindblad_generator(H, ch, cut).toarray() * 0.7) @ rho.reshape(-1)
+        assert np.max(np.abs(out.reshape(-1) - dense)) < 1e-12
+        assert sorted(block_rows) == [cut.dim - 1, cut.dim]
+
+    def test_block_exponentials_read_only(self):
+        P = propagated_map(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5), 0.4,
+                           FockCutoff(6))
+        P.apply(coherent_dm(0.5, FockCutoff(6)).mat)
+        assert len(P._exps) == 2 * FockCutoff(6).dim - 1
+        for E in P._exps.values():
+            with pytest.raises(ValueError):
+                E[0, 0] = 0
+
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             propagated_map(QuadraticHamiltonian(), DampingChannel(kappa=1.0), -0.1, FockCutoff(4))
