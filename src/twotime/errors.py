@@ -26,7 +26,7 @@ class NonIntegrableError(TwotimeError):
 
 
 class QuadratureDimensionError(TwotimeError):
-    """Tensor quadrature requested beyond its practical variable ceiling."""
+    """Tensor quadrature requested for an integrand shape it does not serve."""
 
 
 class LMaxInsufficientError(TwotimeError):

@@ -219,9 +219,10 @@ def normal_order_coeffs(
     """Normal-order expansion of a density operator.
 
     Aggregates |n><m| = sum_k (-1)^k / k! adag^(n+k) a^(m+k) / sqrt(n! m!)
-    into C_lm = sum_k (-1)^k rho[l-k, m-k] / (k! sqrt((l-k)! (m-k)!)).
-    Factorials enter through floating logs so the table stays finite well
-    past l ~ 20.
+    into C_lm = sum_k (-1)^k rho[l-k, m-k] / (k! sqrt((l-k)! (m-k)!)), one
+    shifted diagonal slice per k: C[k:, k:] += (-1)^k / k! X[:L+1-k, :L+1-k]
+    with X[l, m] = rho[l, m] / sqrt(l! m!).  Factorials enter through
+    floating logs so the table stays finite well past l ~ 20.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
@@ -234,13 +235,14 @@ def normal_order_coeffs(
             f"state has population {tail:.2e} above Fock level {L_max}; "
             "raise L_max or shrink the state"
         )
-    C = np.zeros((L_max + 1, L_max + 1), dtype=complex)
-    for l in range(L_max + 1):
-        for m in range(L_max + 1):
-            k = np.arange(0, min(l, m) + 1)
-            amp = rho.mat[l - k, m - k]
-            logw = -_log_factorial(k) - 0.5 * (_log_factorial(l - k) + _log_factorial(m - k))
-            C[l, m] = np.sum((-1.0) ** k * amp * np.exp(logw))
+    size = L_max + 1
+    log_fact = _log_factorial(np.arange(size))
+    inv_sqrt = np.exp(-0.5 * log_fact)
+    X = rho.mat[:size, :size] * np.outer(inv_sqrt, inv_sqrt)
+    weights = (-1.0) ** np.arange(size) * np.exp(-log_fact)
+    C = np.zeros((size, size), dtype=complex)
+    for k, w in enumerate(weights):
+        C[k:, k:] += w * X[:size - k, :size - k]
     expansion = NormalOrderExpansion(C, L_max)
     if check_roundtrip:
         err = reconstruction_residual(expansion, rho)

@@ -4,17 +4,23 @@ A ``PolyGaussian`` holds the exponent of a Gaussian in n complex variables and
 their conjugates plus a polynomial prefactor (and optional per-variable vector
 factors such as truncated Fock polynomials).  Both engines consume it:
 
-* ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes;
-  pair couplings enter as node-grid matrices, so integrals up to three complex
-  variables reduce to matrix contractions instead of raw 6-axis loops.  A
-  coupling exponent is bilinear in the real coordinates, so its matrix is the
-  product of four one-axis exponentials (``_coupling_matrix``).  The node
-  grid and the last coupling matrix are cached (``functools.lru_cache``,
-  read-only arrays).  A coupling and its conjugate share one entry, so every
-  integral at one tau of a phase-space series reuses one matrix; the
-  conjugate side contracts with conjugated vectors instead of a copy.  Each
-  distinct monomial vector is contracted once per integral, and a
-  one-variable polynomial is summed as one coefficient matrix.
+* ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes.
+  It integrates one complex variable, or three whose (0, 1) pair is
+  uncoupled, the only shapes the routes build; the sum over the last
+  variable then factorizes into one contraction per pair coupling.  A
+  coupling exponent is bilinear in the real coordinates, so its node-grid
+  matrix E factors over the real and imaginary node indices,
+  E[(ik, jk), (il, jl)] = G[ik, (il, jl)] H[jk, (il, jl)], and is never
+  formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
+  replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
+  contracted as one GEMM with H plus a G-weighted row sum (``_contract``).
+  The node grid and the last factor pair are cached
+  (``functools.lru_cache``, read-only arrays).  A coupling and its conjugate
+  share one entry, so every integral at one tau of a phase-space series
+  reuses one pair; the conjugate side contracts conjugated vectors instead
+  of a copy.  All distinct monomial vectors of one variable go through one
+  contraction, and a one-variable polynomial is summed as one coefficient
+  matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.  Chunk k of
@@ -51,7 +57,9 @@ MC_CACHED_CHUNKS = 4
 MC_CACHED_BLOCK = MC_CHUNK * 10
 MC_NORMALS_BYTES = MC_CACHED_CHUNKS * MC_CACHED_BLOCK * 8
 MC_RELATIVE_ERROR_WARN = 0.10
-MAX_NODES = 64  # a coupling matrix holds nodes^4 complex entries: 268 MB at 64
+# A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
+# its contraction a nodes^3 work table per vector (4.2 MB at 64).
+MAX_NODES = 64
 
 
 @dataclass
@@ -237,17 +245,17 @@ def _gh_grid(n_nodes: int):
 
 
 @lru_cache(maxsize=1)
-def _coupling_matrix(n_nodes: int, aij, aji, bb, cc) -> np.ndarray:
-    """Read-only exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
+def _coupling_factors(n_nodes: int, aij, aji, bb, cc) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only one-axis factors (G, H) of exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
 
     With z = x + i y the exponent is bilinear in the real coordinates,
-    gxx x_k x_l + gxy x_k y_l + gyx y_k x_l + gyy y_k y_l.  On the tensor
-    grid x_k and y_k each run over the same n nodes, so the exponential of
-    that sum is exactly the product of four n x n exponentials,
-    E[(ik, jk), (il, jl)] = Axx[ik, il] Axy[ik, jl] Ayx[jk, il] Ayy[jk, jl]
-    with A = exp(g outer(x, x)): 4 n^2 complex exps instead of n^4.  It
-    agrees with the dense exponential to rounding.  The product fills one
-    preallocated array in place.
+    gxx x_k x_l + gxy x_k y_l + gyx y_k x_l + gyy y_k y_l.  Node k of the
+    tensor grid is (ik, jk) with x_k = x[ik] and y_k = x[jk], so the
+    coupling matrix factors exactly as
+    E[(ik, jk), (il, jl)] = G[ik, (il, jl)] H[jk, (il, jl)], with
+    G = Axx[:, :, None] Axy[:, None, :], H = Ayx[:, :, None] Ayy[:, None, :]
+    and A = exp(g outer(x, x)): 4 n^2 complex exps and two n x n^2 tables
+    instead of the n^2 x n^2 matrix.
     """
     x, _, _ = _gh_grid(n_nodes)
     xx = np.outer(x, x)
@@ -256,59 +264,69 @@ def _coupling_matrix(n_nodes: int, aij, aji, bb, cc) -> np.ndarray:
     gyx = 1j * (aji - aij + bb - cc)
     gyy = aij + aji - bb - cc
     Axx, Axy, Ayx, Ayy = (np.exp(g * xx) for g in (gxx, gxy, gyx, gyy))
-    E = np.empty((n_nodes,) * 4, dtype=complex)
-    np.multiply(Axx[:, None, :, None], Axy[:, None, None, :], out=E)
-    np.multiply(E, Ayx[None, :, :, None], out=E)
-    np.multiply(E, Ayy[None, :, None, :], out=E)
-    E = E.reshape(n_nodes * n_nodes, n_nodes * n_nodes)
-    E.flags.writeable = False
-    return E
+    G = (Axx[:, :, None] * Axy[:, None, :]).reshape(n_nodes, n_nodes * n_nodes)
+    H = (Ayx[:, :, None] * Ayy[:, None, :]).reshape(n_nodes, n_nodes * n_nodes)
+    G.flags.writeable = False
+    H.flags.writeable = False
+    return G, H
 
 
-def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
-    """(E, conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
-
-    The coupling matrix is conj(E) if ``conjugated``, else E; ``_contract``
-    applies it without copying E.  Every integral at one tau couples its
-    variables through the same kernel coefficient, met as (aij, aji) on one
-    pair and as its conjugate (conj aji, conj aij) on another, so the matrix
-    is cached under whichever of the two keys has the smaller (re, im)
-    tuple: E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
-    Conjugation only flips signs, so the two agree bit for bit when bb and cc
-    vanish, as in every integrand the routes build; otherwise the sums of the
-    exponent run in another order and agree to rounding.
-    """
+def _pair_key(pg: PolyGaussian, i: int, j: int):
+    """(aij, aji, bb, cc) of the (i, j) cross-coupling exponent, or None if it vanishes."""
     aij, aji = pg.A[i, j], pg.A[j, i]
     bb = pg.B[i, j] + pg.B[j, i]
     cc = pg.C[i, j] + pg.C[j, i]
     if aij == 0 and aji == 0 and bb == 0 and cc == 0:
         return None
-    key = (aij, aji, bb, cc)
+    return aij, aji, bb, cc
+
+
+def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
+    """((G, H), conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
+
+    (G, H) are the two n x n^2 factor tables of the coupling matrix E
+    (``_coupling_factors``); the matrix is conj(E) if ``conjugated``, else E,
+    and ``_contract`` applies it without forming either.  Every integral at
+    one tau couples its variables through the same kernel coefficient, met
+    as (aij, aji) on one pair and as its conjugate (conj aji, conj aij) on
+    another, so the factors are cached under whichever of the two keys has
+    the smaller (re, im) tuple:
+    E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
+    Conjugation only flips signs, so the two agree bit for bit when bb and cc
+    vanish, as in every integrand the routes build; otherwise the sums of the
+    exponent run in another order and agree to rounding.
+    """
+    key = _pair_key(pg, i, j)
+    if key is None:
+        return None
+    aij, aji, bb, cc = key
     mirror = (np.conj(aji), np.conj(aij), np.conj(cc), np.conj(bb))
 
     def floats(k):
         return tuple(x for c in k for x in (c.real, c.imag))
 
     if floats(mirror) < floats(key):
-        return _coupling_matrix(n_nodes, *mirror), True
-    return _coupling_matrix(n_nodes, *key), False
+        return _coupling_factors(n_nodes, *mirror), True
+    return _coupling_factors(n_nodes, *key), False
 
 
-def _pair_matrix(pg: PolyGaussian, i: int, j: int, n_nodes: int):
-    """The (i, j) coupling matrix (a fresh copy on the conjugate side), or None if absent."""
-    coupling = _pair_coupling(pg, i, j, n_nodes)
+def _contract(V: np.ndarray, coupling) -> np.ndarray:
+    """The rows of V times the coupling matrix; None couples by ones.
+
+    (v E)[l] = sum_ik G[ik, l] sum_jk v[ik, jk] H[jk, l], so the whole stack
+    is one GEMM with H followed by a G-weighted sum over ik, and
+    v conj(E) = conj(conj(v) E).
+    """
     if coupling is None:
-        return None
-    E, conjugated = coupling
-    return np.conj(E) if conjugated else E
-
-
-def _contract(v: np.ndarray, coupling) -> np.ndarray:
-    """v @ (coupling matrix), using v @ conj(E) = conj(conj(v) @ E); None couples by ones."""
-    if coupling is None:
-        return np.full_like(v, np.sum(v))
-    E, conjugated = coupling
-    return np.conj(np.conj(v) @ E) if conjugated else v @ E
+        return np.sum(V, axis=1, keepdims=True)
+    (G, H), conjugated = coupling
+    n = G.shape[0]
+    if conjugated:
+        V = np.conj(V)
+    W = (V.reshape(-1, n) @ H).reshape(len(V), n, -1)
+    W *= G
+    out = np.sum(W, axis=1)
+    return np.conj(out, out=out) if conjugated else out
 
 
 def _diag_vector(pg: PolyGaussian, i: int, z, wz):
@@ -349,66 +367,38 @@ def _one_variable_sum(poly: dict, d: np.ndarray, z: np.ndarray) -> complex:
 
 def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
     n = pg.n_vars
-    if n > 3:
+    if n not in (1, 3) or (n == 3 and _pair_key(pg, 0, 1) is not None):
+        got = f"{n} variables" + (" coupled on (0, 1)" if n == 3 else "")
         raise QuadratureDimensionError(
-            f"tensor quadrature supports at most 3 complex variables, got {n}; "
-            "use the monte_carlo_gaussian engine"
+            "tensor quadrature integrates one complex variable, or three with no "
+            f"(0, 1) coupling; got {got}; use the monte_carlo_gaussian engine"
         )
-    _, z, wz = _gh_grid(cfg.nodes_per_axis)
+    nodes = cfg.nodes_per_axis
+    _, z, wz = _gh_grid(nodes)
     diag = [_diag_vector(pg, i, z, wz) for i in range(n)]
     poly = pg.poly if pg.poly else {((0,) * n, (0,) * n): 1.0}
     scale = np.exp(pg.const)
     if n == 1:
         return scale * _one_variable_sum(poly, diag[0], z)
 
+    # without a (0, 1) coupling the k2 sum factorizes: contract every distinct
+    # monomial vector of variables 0 and 1 with its coupling to variable 2
     powv = _monomial_vectors(pg, z)
-    if n == 2:
-        c01 = _pair_coupling(pg, 0, 1, cfg.nodes_per_axis)
-        total = 0.0 + 0.0j
-        for (p, q), coef in poly.items():
-            d0 = diag[0] * powv(p[0], q[0])
-            d1 = diag[1] * powv(p[1], q[1])
-            if c01 is None:
-                total += coef * np.sum(d0) * np.sum(d1)
-            else:
-                total += coef * (_contract(d0, c01) @ d1)
-        return scale * total
 
-    # n == 3: contract out the last variable, grouped by its monomial part.
+    def contracted(i):
+        keys = list(dict.fromkeys((p[i], q[i]) for p, q in poly))
+        V = np.stack([diag[i] * powv(*k) for k in keys])
+        return dict(zip(keys, _contract(V, _pair_coupling(pg, i, 2, nodes))))
+
+    v0, v1 = contracted(0), contracted(1)
     groups: dict = {}
     for (p, q), coef in poly.items():
         groups.setdefault((p[2], q[2]), []).append((p, q, coef))
     total = 0.0 + 0.0j
-    E01 = _pair_matrix(pg, 0, 1, cfg.nodes_per_axis)
-    if E01 is None:
-        # no (0,1) coupling: the k2 sum factorizes into one matvec per
-        # distinct monomial vector of each of the other two variables
-        c02 = _pair_coupling(pg, 0, 2, cfg.nodes_per_axis)
-        c12 = _pair_coupling(pg, 1, 2, cfg.nodes_per_axis)
-        v0 = {k: _contract(diag[0] * powv(*k), c02)
-              for k in dict.fromkeys((p[0], q[0]) for p, q in poly)}
-        v1 = {k: _contract(diag[1] * powv(*k), c12)
-              for k in dict.fromkeys((p[1], q[1]) for p, q in poly)}
-        for (p2, q2), members in groups.items():
-            d2 = diag[2] * powv(p2, q2)
-            for p, q, coef in members:
-                total += coef * np.sum(d2 * v0[p[0], q[0]] * v1[p[1], q[1]])
-        return scale * total
-
-    E02 = _pair_matrix(pg, 0, 2, cfg.nodes_per_axis)
-    E12 = _pair_matrix(pg, 1, 2, cfg.nodes_per_axis)
-    if E02 is None:
-        E02 = np.ones((len(z), len(z)), dtype=complex)
-    if E12 is None:
-        E12 = np.ones((len(z), len(z)), dtype=complex)
     for (p2, q2), members in groups.items():
         d2 = diag[2] * powv(p2, q2)
-        T = (E02 * d2[None, :]) @ E12.T  # (k0, k1), summed over k2
-        T = T * E01
         for p, q, coef in members:
-            d0 = diag[0] * powv(p[0], q[0])
-            d1 = diag[1] * powv(p[1], q[1])
-            total += coef * (d0 @ T @ d1)
+            total += coef * np.sum(d2 * v0[p[0], q[0]] * v1[p[1], q[1]])
     return scale * total
 
 

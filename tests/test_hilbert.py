@@ -193,6 +193,24 @@ class TestNormalOrder:
         with pytest.raises(LMaxInsufficientError):
             normal_order_coeffs(rho, L_max=6)
 
+    @pytest.mark.parametrize("L_max", [12, 30])
+    def test_matches_loop_reference(self, L_max):
+        # the per-entry sum C_lm = sum_k (-1)^k rho[l-k, m-k] / (k! sqrt((l-k)! (m-k)!)),
+        # summed term by term; the shifted-diagonal slices only reorder rounding
+        rho = DensityMatrix(random_density(L_max + 1, L_max), FockCutoff(L_max))
+        C = normal_order_coeffs(rho, L_max, check_roundtrip=False).coeffs
+        ref = np.zeros_like(C)
+        scale = np.zeros(C.shape)
+        for l in range(L_max + 1):
+            for m in range(L_max + 1):
+                for k in range(min(l, m) + 1):
+                    term = ((-1) ** k * rho.mat[l - k, m - k]
+                            / (math.factorial(k) * math.sqrt(math.factorial(l - k)
+                                                             * math.factorial(m - k))))
+                    ref[l, m] += term
+                    scale[l, m] += abs(term)
+        assert np.all(np.abs(C - ref) <= 1e-13 * scale)
+
     def test_reconstruct_restricted_block(self):
         rho = fock_dm(2, FockCutoff(12))
         exp = normal_order_coeffs(rho, L_max=6)

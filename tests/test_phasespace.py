@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,7 @@ class TestCaches:
     @staticmethod
     def clear_caches():
         quadrature._gh_grid.cache_clear()
-        quadrature._coupling_matrix.cache_clear()
+        quadrature._coupling_factors.cache_clear()
         phasespace._prepared_q_tables.cache_clear()
 
     @staticmethod
@@ -282,7 +284,7 @@ class TestCaches:
         self.clear_caches()
         phase_space_series(scenario("driven", n_max=30), taus, "propagator",
                            IntegrationConfig(nodes_per_axis=16))
-        assert quadrature._coupling_matrix.cache_info().misses == len(taus)
+        assert quadrature._coupling_factors.cache_info().misses == len(taus)
         assert len(calls) == 2 * len(taus)
 
     def test_series_expands_prepared_state_twice(self, monkeypatch):
@@ -293,6 +295,21 @@ class TestCaches:
         phase_space_series(scenario("driven", n_max=30), np.linspace(0.0, 1.5, 4),
                            "qfunction_derivative", QUAD)
         assert len(calls) == 2  # rho(t) for g1, a rho(t) adag for g2
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_resummation_undoes_normal_order(self, shifted):
+        # sum_k C[a-k, b-k] / k! telescopes to rho[a, b] / sqrt(a! b!)
+        sys = scenario("driven", n_max=30)
+        psi = phasespace._prepared_vector(sys, 1.0)
+        if shifted:
+            psi = np.sqrt(np.arange(1, 31)) * psi[1:]
+        size = 13
+        fact = np.array([math.factorial(k) for k in range(size)], dtype=float)
+        rho = np.outer(psi[:size], np.conj(psi[:size])) / np.sqrt(np.outer(fact, fact))
+        phasespace._prepared_q_tables.cache_clear()
+        R = phasespace._prepared_q_tables(sys, 1.0, 12, shifted, 2)[0]
+        assert np.max(np.abs(R[:size] - rho)) < 1e-12
+        assert not np.any(R[size:])
 
     def test_normal_order_tables_read_only(self):
         tables = phasespace._prepared_q_tables(scenario("driven", n_max=30), 1.0, 12, True, 2)

@@ -34,7 +34,7 @@ class TestConfig:
             IntegrationConfig(nodes_per_axis=4)
 
     def test_maximum_nodes(self):
-        # the (n^2)^2 coupling matrix would take 1.6 GB at 100 nodes
+        # the contraction of one vector would need a 16 MB table at 100 nodes
         with pytest.raises(ValueError, match="nodes_per_axis <= 64"):
             IntegrationConfig(nodes_per_axis=65)
         assert IntegrationConfig(nodes_per_axis=64).nodes_per_axis == 64
@@ -75,12 +75,15 @@ class TestQuadratureOracles:
         value, _ = integrate(pg, QUAD24)
         assert abs(value - a0) < 1e-12
 
-    def test_two_variable_coupled_moment(self):
-        # <z0 conj(z1)> with kernel exp(c conj(z0) z1) equals c
+    def test_three_variable_coupled_moment(self):
+        # <z0 conj(z2)> with kernel exp(c conj(z0) z2) equals c; a coupling of
+        # z1 to z2 leaves it unchanged, because only its k = 0 term survives
+        # the z1 integral
         c = 0.4 - 0.2j
-        pg = unit_gaussian(2)
-        pg.add_mixed(0, 1, c)
-        pg.poly_add((1, 0), (0, 1), 1 / np.pi**2)
+        pg = unit_gaussian(3)
+        pg.add_mixed(0, 2, c)
+        pg.add_mixed(1, 2, 0.3 + 0.5j)
+        pg.poly_add((1, 0, 0), (0, 0, 1), 1 / np.pi**3)
         value, _ = integrate(pg, QUAD16)
         assert abs(value - c) < 1e-12
 
@@ -117,20 +120,6 @@ class TestQuadratureOracles:
         vm, err = integrate(pg, IntegrationConfig(engine="monte_carlo_gaussian",
                                                   sample_count=400_000, seed=3))
         assert abs(vq - vm) < 3 * err
-
-    def test_three_variable_full_coupling_paths_agree(self):
-        # with a (0,1) coupling present the GEMM path runs; check against MC
-        pg = unit_gaussian(3)
-        pg.add_mixed(0, 1, 0.3)
-        pg.add_mixed(2, 0, 0.4)
-        pg.add_mixed(1, 2, 0.2j)
-        pg.add_linear_conj(0, 0.5)
-        pg.add_linear(1, 0.5)
-        pg.poly_add((1, 0, 0), (0, 0, 1), 1.0)
-        vq, _ = integrate(pg, QUAD16)
-        vm, err = integrate(pg, IntegrationConfig(engine="monte_carlo_gaussian",
-                                                  sample_count=400_000, seed=11))
-        assert abs(vq - vm) < 3 * max(err, 1e-12)
 
 
 class TestMonteCarlo:
@@ -217,6 +206,27 @@ class TestGuards:
         with pytest.raises(QuadratureDimensionError):
             integrate(pg, QUAD16)
 
+    def test_two_variables_rejected(self):
+        with pytest.raises(QuadratureDimensionError, match="monte_carlo_gaussian"):
+            integrate(unit_gaussian(2), QUAD16)
+
+    @pytest.mark.parametrize("n_vars, i, j", [(2, 0, 1), (3, 0, 1), (3, 1, 0)])
+    def test_coupled_shapes_name_monte_carlo(self, n_vars, i, j):
+        # quadrature serves one variable, or three with (0, 1) uncoupled;
+        # Monte Carlo integrates the rest: <z_i conj(z_j)> under the kernel
+        # exp(c conj(z_i) z_j) equals c
+        c = 0.4 - 0.2j
+        pg = unit_gaussian(n_vars)
+        pg.add_mixed(i, j, c)
+        p, q = [0] * n_vars, [0] * n_vars
+        p[i] = q[j] = 1
+        pg.poly_add(p, q, 1 / np.pi**n_vars)
+        with pytest.raises(QuadratureDimensionError, match="monte_carlo_gaussian"):
+            integrate(pg, QUAD16)
+        value, err = integrate(pg, IntegrationConfig(engine="monte_carlo_gaussian",
+                                                     sample_count=100_000, seed=3))
+        assert abs(value - c) < 4 * err
+
 
 @given(
     b=st.floats(-0.2, 0.2),
@@ -244,18 +254,9 @@ class TestCouplingCache:
     def coefficients(pg, i, j):
         return pg.A[i, j], pg.A[j, i], pg.B[i, j] + pg.B[j, i], pg.C[i, j] + pg.C[j, i]
 
-    @classmethod
-    def direct(cls, pg, i, j, n_nodes):
-        """The uncached separable coupling matrix, multiplied in the same order."""
-        aij, aji, bb, cc = cls.coefficients(pg, i, j)
-        x = np.polynomial.hermite.hermgauss(n_nodes)[0]
-        xx = np.outer(x, x)
-        Axx, Axy, Ayx, Ayy = (np.exp(g * xx) for g in (
-            aij + aji + bb + cc, 1j * (aij - aji + bb - cc),
-            1j * (aji - aij + bb - cc), aij + aji - bb - cc))
-        E = (Axx[:, None, :, None] * Axy[:, None, None, :]
-             * Ayx[None, :, :, None] * Ayy[None, :, None, :])
-        return E.reshape(n_nodes**2, n_nodes**2)
+    @staticmethod
+    def mirror(aij, aji, bb, cc):
+        return np.conj(aji), np.conj(aij), np.conj(cc), np.conj(bb)
 
     @classmethod
     def dense(cls, pg, i, j, n_nodes):
@@ -267,51 +268,94 @@ class TestCouplingCache:
         return np.exp(aij * np.outer(zc, z) + aji * np.outer(z, zc)
                       + bb * np.outer(z, z) + cc * np.outer(zc, zc))
 
+    @staticmethod
+    def vectors(count, n_nodes):
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((count, n_nodes**2)) + 1j * rng.standard_normal((count, n_nodes**2))
+
     @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])  # cached as (0, b) or (conj b, 0)
     def test_conjugate_pair_shares_one_bit_exact_build(self, b):
         # b attached on (2, 0) and its conjugate on (1, 2), as a g1 integrand does
         pg = unit_gaussian(3)
         pg.add_mixed(2, 0, b)
         pg.add_mixed(1, 2, np.conj(b))
-        quadrature._coupling_matrix.cache_clear()
-        E02 = quadrature._pair_matrix(pg, 0, 2, 16)
-        E12 = quadrature._pair_matrix(pg, 1, 2, 16)
-        assert quadrature._coupling_matrix.cache_info().misses == 1
-        assert np.array_equal(E02, self.direct(pg, 0, 2, 16))
-        assert np.array_equal(E12, self.direct(pg, 1, 2, 16))
+        quadrature._coupling_factors.cache_clear()
+        c02 = quadrature._pair_coupling(pg, 0, 2, 16)
+        c12 = quadrature._pair_coupling(pg, 1, 2, 16)
+        assert quadrature._coupling_factors.cache_info().misses == 1
+        assert c02[0] is c12[0] and {c02[1], c12[1]} == {False, True}
+        # the mirror key's own factors are the conjugates of the key's
+        key = self.coefficients(pg, 0, 2)
+        build = quadrature._coupling_factors.__wrapped__
+        for own, mirrored in zip(build(16, *key), build(16, *self.mirror(*key))):
+            assert np.array_equal(mirrored, np.conj(own))
 
     def test_cached_arrays_read_only(self):
         zero = np.complex128(0)
-        E = quadrature._coupling_matrix(16, np.complex128(0.5), zero, zero, zero)
-        for arr in (*quadrature._gh_grid(16), E):
+        G, H = quadrature._coupling_factors(16, np.complex128(0.5), zero, zero, zero)
+        assert G.shape == H.shape == (16, 256)
+        for arr in (*quadrature._gh_grid(16), G, H):
             assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 0.0
 
     @pytest.mark.parametrize("n_nodes", [16, 24, 48])
     @pytest.mark.parametrize("squeeze", [0.0, 0.15 - 0.1j])
     def test_separable_build_matches_dense_exponential(self, n_nodes, squeeze):
-        pg = unit_gaussian(2)
-        pg.add_mixed(0, 1, 0.6 - 0.3j)
-        pg.add_mixed(1, 0, -0.2 + 0.4j)
-        pg.add_holo(0, 1, squeeze)
-        pg.add_anti(1, 0, 0.5 * np.conj(squeeze))
-        quadrature._coupling_matrix.cache_clear()
-        E = quadrature._pair_matrix(pg, 0, 1, n_nodes)
-        ref = self.dense(pg, 0, 1, n_nodes)
-        assert np.max(np.abs(E - ref) / np.abs(ref)) < 1e-13
+        # the factor contraction of single and stacked vectors against the
+        # dense exponential, on both conjugation sides of the cache key
+        key = (np.complex128(0.6 - 0.3j), np.complex128(-0.2 + 0.4j),
+               np.complex128(squeeze), np.complex128(0.5 * np.conj(squeeze)))
+        V = self.vectors(3, n_nodes)
+        sides = set()
+        for aij, aji, bb, cc in (key, self.mirror(*key)):
+            pg = PolyGaussian(2)
+            pg.add_mixed(0, 1, aij)
+            pg.add_mixed(1, 0, aji)
+            pg.add_holo(0, 1, bb)
+            pg.add_anti(0, 1, cc)
+            coupling = quadrature._pair_coupling(pg, 0, 1, n_nodes)
+            sides.add(coupling[1])
+            E = self.dense(pg, 0, 1, n_nodes)
+            for rows in (V[:1], V):
+                got = quadrature._contract(rows, coupling)
+                assert np.all(np.abs(got - rows @ E) <= 1e-13 * (np.abs(rows) @ np.abs(E)))
+        assert sides == {False, True}
 
     @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])
     def test_contraction_matches_copy_bit_for_bit(self, b):
-        # v @ conj(E) taken as conj(conj(v) @ E), without copying E
+        # rows times conj(E) taken as conj(conj(V) E), without conjugating the factors
         pg = unit_gaussian(3)
         pg.add_mixed(2, 0, b)
         pg.add_mixed(1, 2, np.conj(b))
-        v = np.random.default_rng(5).standard_normal((256, 2)) @ np.array([1, 1j])
+        V = self.vectors(4, 16)
+        sides = set()
         for i, j in ((0, 2), (1, 2)):
             coupling = quadrature._pair_coupling(pg, i, j, 16)
-            assert np.array_equal(quadrature._contract(v, coupling),
-                                  v @ quadrature._pair_matrix(pg, i, j, 16))
-        assert {quadrature._pair_coupling(pg, i, j, 16)[1] for i, j in ((0, 2), (1, 2))} \
-            == {False, True}
+            (G, H), conjugated = coupling
+            sides.add(conjugated)
+            copy = ((np.conj(G), np.conj(H)) if conjugated else (G, H), False)
+            for rows in (V[:1], V):
+                assert np.array_equal(quadrature._contract(rows, coupling),
+                                      quadrature._contract(rows, copy))
+        assert sides == {False, True}
+
+    def test_three_variable_integral_peak_memory(self):
+        # a 24-node g2 integral, factor build included: the dense coupling
+        # matrix alone took 5.3 MB
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0, eta=0.4), DampingChannel(),
+                         InitialState.coherent(0.6 + 0.2j), FockCutoff(30), t_prepare=0.5)
+        pg = phasespace._collapsed_integrand(sys, 0.5, 0.8, "propagator", "g2")
+        quadrature._gh_grid.cache_clear()
+        quadrature._coupling_factors.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            integrate(pg, QUAD24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestVectorisedSums:
