@@ -9,6 +9,9 @@ a phase-invariant damped mode each observable sits in one block of the
 generator, so only those blocks are exponentiated.  Both operator orderings
 are computed and checked for conjugacy; series store the <adag(t+tau) a(t)>
 ordering, whose free-oscillator phase is exp(+i omega tau).
+
+``normalized_series`` turns the numerators of every route, this one and the
+phase-space routes alike, into normalized g1 and g2 with their errors.
 """
 
 from __future__ import annotations
@@ -234,22 +237,43 @@ def regression_raw(sys: SystemSpec, taus):
     return mean_n, G_late, G_early, G2
 
 
-def regression_series(sys: SystemSpec, taus) -> CorrelationSeries:
-    """Normalized g1 and g2 on the tau grid; g1(0) = 1."""
-    mean_n, G_late, _, G2 = regression_raw(sys, taus)
+def normalized_series(taus, method_tag: str, mean_n: float, G1, G2,
+                      e_n=0.0, e1=0.0, e2=0.0) -> CorrelationSeries:
+    """The one rule that turns any route's numerators into a normalized series.
+
+    g1 = G1 / n and g2 = Re G2 / n^2 with n = mean_n, which must reach
+    MEAN_N_FLOOR.  error_estimate holds the larger of the two normalized
+    standard errors, each propagating the error e_n of n as well as that of
+    its numerator (e1 for G1, e2 for G2; zero for exact routes).  Im G2 / n^2
+    must stay within max(1e-9, 3 sigma_g2), sigma_g2 the error of g2.
+    """
     if mean_n < MEAN_N_FLOOR:
         raise ZeroDenominatorError(
             f"mean photon number {mean_n:.2e} below {MEAN_N_FLOOR}; "
             "normalized correlations are undefined on (near-)vacuum"
         )
-    g2 = G2 / mean_n**2
-    worst_imag = float(np.max(np.abs(g2.imag)))
-    if worst_imag > 1e-9:
-        raise SelfCheckError(f"g2 imaginary residue {worst_imag:.2e} exceeds 1e-9")
+    taus = np.asarray(taus, dtype=float)
+    err_g1 = np.hypot(e1 / mean_n, np.abs(G1) * e_n / mean_n**2)
+    err_g2 = np.hypot(e2 / mean_n**2, 2 * np.abs(G2.real) * e_n / mean_n**3)
+    residue = np.abs(G2.imag) / mean_n**2
+    tol = np.maximum(1e-9, 3 * err_g2)
+    if np.any(residue > tol):
+        k = int(np.argmax(residue - tol))
+        raise SelfCheckError(
+            f"{method_tag}: g2 imaginary residue {residue[k]:.2e} exceeds "
+            f"{tol[k]:.2e} at tau = {taus[k]:.6g}"
+        )
     return CorrelationSeries(
-        tau_grid=np.asarray(taus, dtype=float),
-        g1=G_late / mean_n,
-        g2=g2.real,
+        tau_grid=taus,
+        g1=G1 / mean_n,
+        g2=G2.real / mean_n**2,
         mean_n=mean_n,
-        method_tag="regression",
+        method_tag=method_tag,
+        error_estimate=np.maximum(err_g1, err_g2),
     )
+
+
+def regression_series(sys: SystemSpec, taus) -> CorrelationSeries:
+    """Normalized g1 and g2 on the tau grid; g1(0) = 1."""
+    mean_n, G_late, _, G2 = regression_raw(sys, taus)
+    return normalized_series(taus, "regression", mean_n, G_late, G2)

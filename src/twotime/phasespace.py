@@ -3,8 +3,8 @@
 Three routes compute g(tau) = <adag(t+tau) a(t)> and the g2 numerator
 <adag(t) adag(t+tau) a(t+tau) a(t)> for a coherent-state-prepared mode under
 a quadratic Hamiltonian.  Two integrand builders serve them, each over one
-``kind`` in {"late", "early", "g2"}: the late and early g1 orderings and the
-g2 numerator.
+``kind`` in {"late", "g2"}: the g1 ordering every series stores and the g2
+numerator.
 
 * ``_collapsed_integrand`` builds the three-variable integral of the
   coherent-state-propagator route (``propagator``: the five-fold propagator
@@ -21,9 +21,10 @@ g2 numerator.
   coefficient polynomial), and the shift/derivative applications on the
   Heisenberg-linear inner factor are exact symbolic operations.
 
-``phase_space_series`` is the entry point; ``_g_raw`` and ``_g2_raw`` give
-the unnormalized correlators of one route.  Open-system scenarios are out of
-scope here and served by the regression module only.
+``phase_space_series`` is the entry point: it collects the raw integrals of
+one route and hands them to ``correlators.normalized_series``; ``_g_raw``
+gives the unnormalized g1 correlator alone.  Open-system scenarios are out
+of scope here and served by the regression module only.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import MeasureConventionError, SelfCheckError
-from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid
+from .errors import MeasureConventionError, ScenarioSemanticError
+from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid, normalized_series
 from .dynamics import unitary_matrix
 from .hilbert import DensityMatrix, coherent_vector, ladder_matrices, normal_order_coeffs
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
@@ -44,10 +45,15 @@ MEASURE_SELFTEST_TOL = 1e-4  # 10x the quadrature cross-method tolerance
 
 
 def _require_phase_space_scenario(sys: SystemSpec):
+    """The admission rule of every phase-space route, which scenarios check too."""
     if not sys.closed:
-        raise ValueError("phase-space methods require closed dynamics (kappa = 0)")
+        raise ScenarioSemanticError(
+            "phase-space methods require closed dynamics (system.kappa = 0); "
+            f"scenario sets kappa = {sys.channel.kappa}"
+        )
     if sys.initial_state.kind != "coherent":
-        raise ValueError("phase-space methods require a coherent (or vacuum) initial state")
+        raise ScenarioSemanticError(
+            "phase-space methods require a coherent (or vacuum) initial state")
 
 
 def _attach_kernel(pg: PolyGaussian, k: GaussianKernel, out_var, in_var, conj=False,
@@ -174,18 +180,17 @@ def _collapsed_integrand(sys: SystemSpec, t: float, tau: float, method: str,
     """Three-variable integrand over 0 = alpha, 1 = alpha2, 2 = alpha4.
 
     The tau side is K(alpha4, tau|alpha, 0) times the conjugate kernel from
-    alpha2, with the conjugation swapped for every kind but "late".  The
-    prepared state enters on alpha and alpha2 with the same swap: through
-    t-kernels from the initial amplitude (propagator) or through the Fock
-    var-factors of psi_t, of a psi_t for g2 (qfunction_two_variable).  The
-    polynomial is z0 zbar2 for "late"; for "early" it is conj(alpha), from
-    <alpha2|rho adag|alpha> = conj(alpha) <alpha2|rho|alpha>, times the
-    linear factor of <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K; for
-    "g2" it is the product of the annihilation-shifted linear factors.  g2
-    keeps the swapped orientation: the late one would need a single linear
-    factor, but its Monte Carlo variance is several times larger.
+    alpha2, with the conjugation swapped for "g2".  The prepared state
+    enters on alpha and alpha2 with the same swap: through t-kernels from
+    the initial amplitude (propagator) or through the Fock var-factors of
+    psi_t, of a psi_t for g2 (qfunction_two_variable).  The polynomial is
+    z0 zbar2 for "late"; for "g2" it is the product of the
+    annihilation-shifted linear factors of <alpha4|a U|alpha2> =
+    (B a2 + 2C conj(a4) + E) K.  g2 keeps the swapped orientation: the late
+    one would need a single linear factor, but its Monte Carlo variance is
+    several times larger.
     """
-    sides = ((0, kind != "late"), (1, kind == "late"))
+    sides = ((0, kind == "g2"), (1, kind == "late"))
     ktau = kernel_quadratic(sys.hamiltonian, tau)
     pg = PolyGaussian(3)
     for var, conj in sides:
@@ -205,8 +210,6 @@ def _collapsed_integrand(sys: SystemSpec, t: float, tau: float, method: str,
             pg.set_var_factor(var, np.conj(w) if conj else w, conjugated=not conj)
     if kind == "late":
         forms = [_mono(3, 1.0, z_at=0, zbar_at=2)]
-    elif kind == "early":
-        forms = [_mono(3, 1.0, zbar_at=0), _linear_factor(3, ktau, 2, 1)]
     else:
         forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
         if method == "propagator":
@@ -334,9 +337,6 @@ def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
     if kind == "late":
         # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
         f_table = {(1, 1): cmu, (2, 0): cnu, (1, 0): clam}
-    elif kind == "early":
-        # <alpha| adag a(tau) |alpha> = abar (mu a + nu abar + lam)
-        f_table = {(1, 1): mu, (0, 2): nu, (0, 1): lam}
     else:
         # <alpha| adag(tau) a(tau) |alpha> = conj(F) F + |nu|^2 with F = mu a + nu abar + lam
         f_table = {(1, 1): cmu * mu + cnu * nu, (0, 2): cmu * nu,
@@ -382,63 +382,39 @@ def _integral(sys, t, tau, method, cfg, L_max, kind):
     return integrate(pg, cfg)
 
 
-def _g_raw(sys, t, tau, method, cfg, L_max, ordering="late"):
-    """(value, err) of <adag(t+tau) a(t)> ("late") or <adag(t) a(t+tau)> ("early").
+def _g_raw(sys, t, tau, method, cfg, L_max):
+    """(value, err) of <adag(t+tau) a(t)>.
 
     At tau = 0 the two-variable-Q route is self-tested against the Fock
     mean photon number under quadrature, which catches a misplaced 1/pi.
     """
-    value, err = _integral(sys, t, tau, method, cfg, L_max, ordering)
+    value, err = _integral(sys, t, tau, method, cfg, L_max, "late")
     if (method == "qfunction_two_variable" and tau == 0
             and cfg.engine == "gauss_hermite_tensor"):
         _measure_selftest(value, _mean_n_fock(sys, float(t)), "alpha")
     return value, err
 
 
-def _g2_raw(sys, t, tau, method, cfg, L_max):
-    """(value, err) of the real g2 numerator <adag(t) adag(t+tau) a(t+tau) a(t)>."""
-    value, err = _integral(sys, t, tau, method, cfg, L_max, "g2")
-    tol = max(1e-9, 3 * err)
-    if abs(value.imag) > tol * max(1.0, abs(value)):
-        where = method + (f" at lmax = {L_max}" if method == "qfunction_derivative" else "")
-        raise SelfCheckError(f"{where}: g2 numerator imaginary part {value.imag:.2e} too large")
-    return value.real, err
-
-
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,
-                       t: float | None = None, L_max: int = 12) -> CorrelationSeries:
-    """CorrelationSeries for one phase-space method over a tau grid.
+                       L_max: int = 12) -> CorrelationSeries:
+    """CorrelationSeries for one phase-space method over a tau grid at t_prepare.
 
-    g1 and g2 are normalized with the method's own tau = 0 mean photon
-    number n.  error_estimate holds the larger of the two normalized
-    standard errors, each propagating the error of n as well as that of its
-    numerator (zero under quadrature).  A grid that starts at tau = 0 reuses
-    the n integral as its first g1 row.
+    Collects the raw (value, err) of g1 and of the g2 numerator at each tau
+    and normalizes them with ``correlators.normalized_series``, using the
+    method's own tau = 0 integral as the mean photon number n.  A grid that
+    starts at tau = 0 reuses the n integral as its first g1 row.
 
     The Gauss-Hermite coupling of one tau is built once for all integrals
     at that tau, as two n x n^2 factor tables (0.44 MB at 24 nodes; see
     ``quadrature._pair_coupling``), and the normal-order tables of the
     prepared state once per series (``_prepared_q_tables``).
     """
-    _require_phase_space_scenario(sys)
-    taus = _check_tau_grid(np.asarray(taus, dtype=float))
-    if t is None:
-        t = sys.t_prepare
+    taus = _check_tau_grid(taus)
+    t = sys.t_prepare
     n, e_n = _g_raw(sys, t, 0.0, method, cfg, L_max)
-    mean_n = n.real
-    g1 = np.empty(len(taus), dtype=complex)
-    g2 = np.empty(len(taus), dtype=float)
-    errs = np.zeros(len(taus), dtype=float)
-    for i, tau in enumerate(taus):
-        gv, ge = (n, e_n) if tau == 0 else _g_raw(sys, t, float(tau), method, cfg, L_max)
-        g2v, g2e = _g2_raw(sys, t, float(tau), method, cfg, L_max)
-        g1[i] = gv / mean_n
-        g2[i] = g2v / mean_n**2
-        errs[i] = max(
-            np.hypot(ge / mean_n, abs(gv) * e_n / mean_n**2),
-            np.hypot(g2e / mean_n**2, 2 * abs(g2v) * e_n / mean_n**3),
-        )
-    return CorrelationSeries(
-        tau_grid=taus, g1=g1, g2=g2, mean_n=mean_n,
-        method_tag=method, error_estimate=errs,
-    )
+    rows = []
+    for tau in taus:
+        g1 = (n, e_n) if tau == 0 else _g_raw(sys, t, float(tau), method, cfg, L_max)
+        rows.append(g1 + _integral(sys, t, float(tau), method, cfg, L_max, "g2"))
+    G1, e1, G2, e2 = map(np.array, zip(*rows))
+    return normalized_series(taus, method, n.real, G1, G2, e_n, e1, e2)

@@ -30,7 +30,7 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   normals (common random numbers).  The leading chunks are drawn once and
   cached (``_normals``, read-only, at most ``MC_NORMALS_BYTES``).  The errors
   of the integrals of one series are therefore correlated, while the
-  ``hypot`` propagation of ``phasespace.phase_space_series`` treats them as
+  ``hypot`` propagation of ``correlators.normalized_series`` treats them as
   independent.
 
 Complex measures follow d^2 z = dRe(z) dIm(z); any 1/pi factors belong to the
@@ -145,44 +145,17 @@ class PolyGaussian:
 
     # ---- real-coordinate quadratic form -------------------------------------
     def real_form(self):
-        """(S, b, c) with Q = x^T S x + b.x + c over x = (Re z_0, Im z_0, ...)."""
+        """(S, b, c) with Q = x^T S x + b.x + c over x = (Re z_0, Im z_0, ...).
+
+        z = P x with P[r, 2r] = 1 and P[r, 2r + 1] = i, and zbar = conj(P) x,
+        so each quadratic block is a congruence by P or conj(P) and S is the
+        symmetric part of their sum.
+        """
         n = self.n_vars
-        d = 2 * n
-        S = np.zeros((d, d), dtype=complex)
-        b = np.zeros(d, dtype=complex)
-
-        def put(p, q, m):
-            if p == q:
-                S[p, p] += m
-            else:
-                S[p, q] += m / 2
-                S[q, p] += m / 2
-
-        for i in range(n):
-            xi, yi = 2 * i, 2 * i + 1
-            for j in range(n):
-                xj, yj = 2 * j, 2 * j + 1
-                m = self.A[i, j]  # zbar_i z_j
-                if m != 0:
-                    put(xi, xj, m)
-                    put(yi, yj, m)
-                    put(xi, yj, 1j * m)
-                    put(yi, xj, -1j * m)
-                m = self.B[i, j]  # z_i z_j
-                if m != 0:
-                    put(xi, xj, m)
-                    put(yi, yj, -m)
-                    put(xi, yj, 1j * m)
-                    put(yi, xj, 1j * m)
-                m = self.C[i, j]  # zbar_i zbar_j
-                if m != 0:
-                    put(xi, xj, m)
-                    put(yi, yj, -m)
-                    put(xi, yj, -1j * m)
-                    put(yi, xj, -1j * m)
-            b[xi] += self.u[i] + self.v[i]
-            b[yi] += 1j * (self.u[i] - self.v[i])
-        return S, b, self.const
+        P = (np.eye(n)[:, :, None] * [1.0, 1j]).reshape(n, 2 * n)
+        Pc = P.conj()
+        M = P.T @ self.B @ P + Pc.T @ self.C @ Pc + Pc.T @ self.A @ P
+        return (M + M.T) / 2, self.u @ P + self.v @ Pc, self.const
 
     def assert_integrable(self):
         S, _, _ = self.real_form()

@@ -40,6 +40,7 @@ from .errors import InvalidStateError, ScenarioSchemaError, ScenarioSemanticErro
 from .correlators import METHOD_TAGS, InitialState, SystemSpec
 from .dynamics import DampingChannel, QuadraticHamiltonian
 from .hilbert import FockCutoff
+from .phasespace import _require_phase_space_scenario
 from .quadrature import IntegrationConfig
 
 PHASE_SPACE_TAGS = ("propagator", "qfunction_two_variable", "qfunction_derivative")
@@ -148,17 +149,8 @@ def check_semantics(scn: Scenario) -> Scenario:
     ``parse_scenario`` runs these on every file, and the CLI runs them again
     after its command-line overrides.
     """
-    kappa = scn.system.channel.kappa
     if any(m in PHASE_SPACE_TAGS for m in scn.methods):
-        if kappa != 0:
-            raise ScenarioSemanticError(
-                "phase-space methods require closed dynamics (system.kappa = 0); "
-                f"scenario sets kappa = {kappa}"
-            )
-        if scn.system.initial_state.kind != "coherent":
-            raise ScenarioSemanticError(
-                "phase-space methods require a coherent (or vacuum) initial state"
-            )
+        _require_phase_space_scenario(scn.system)
     if "qfunction_derivative" in scn.methods and scn.L_max > scn.system.cutoff.n_max:
         raise ScenarioSemanticError(
             "lmax must not exceed system.cutoff for the qfunction_derivative method"

@@ -274,6 +274,15 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method", ["propagator", "qfunction_two_variable",
+                                        "qfunction_derivative"])
+    def test_vacuum_phase_space_run_exit_1(self, tmp_path, capsys, method):
+        text = MINIMAL.replace("coherent 1.0", "vacuum").replace("regression", method)
+        scn = write(tmp_path, text + "system.cutoff = 12\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: mean photon number")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
         assert main(["run", str(scn), "--seed", "-1", "--out", str(tmp_path)]) == 1

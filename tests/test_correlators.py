@@ -220,16 +220,26 @@ class TestSelfChecks:
         with pytest.raises(SelfCheckError, match="imaginary"):
             regression_series(damped_thermal(), np.linspace(0, 1, 3))
 
-    def test_phase_space_g2_imaginary_part_raises(self, monkeypatch):
+    @staticmethod
+    def tilted_integrals(monkeypatch, err):
         monkeypatch.setattr(phasespace, "integrate",
-                            lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
-        with pytest.raises(SelfCheckError, match="imaginary"):
-            phasespace._g2_raw(closed_coherent(), 0.0, 0.5, "propagator",
-                               IntegrationConfig(), 12)
+                            lambda *args, **kwargs: (1.0 + 1e-3j, err))
 
-    def test_q_derivative_g2_self_check_names_lmax(self, monkeypatch):
-        monkeypatch.setattr(phasespace, "integrate",
-                            lambda *args, **kwargs: (1.0 + 1e-3j, 0.0))
-        with pytest.raises(SelfCheckError, match="qfunction_derivative at lmax = 20"):
-            phasespace._g2_raw(closed_coherent(), 0.0, 0.5, "qfunction_derivative",
-                               IntegrationConfig(), 20)
+    def test_phase_space_g2_imaginary_part_raises(self, monkeypatch):
+        self.tilted_integrals(monkeypatch, 0.0)
+        with pytest.raises(SelfCheckError, match="propagator: g2 imaginary residue 1.00e-03"):
+            phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
+                                          "propagator", IntegrationConfig())
+
+    def test_q_derivative_g2_self_check_names_method(self, monkeypatch):
+        self.tilted_integrals(monkeypatch, 0.0)
+        with pytest.raises(SelfCheckError, match="qfunction_derivative: g2 imaginary"):
+            phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
+                                          "qfunction_derivative", IntegrationConfig(), L_max=20)
+
+    def test_g2_imaginary_tolerance_follows_monte_carlo_error(self, monkeypatch):
+        # 3 sigma_g2 = 3 hypot(1e-3, 2e-3) > 1e-3, so the residue is noise
+        self.tilted_integrals(monkeypatch, 1e-3)
+        s = phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
+                                          "propagator", IntegrationConfig())
+        assert np.all(s.g2 == 1.0)

@@ -5,13 +5,13 @@ import pytest
 
 from twotime.correlators import InitialState, SystemSpec, regression_raw
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
-from twotime.errors import MeasureConventionError
+from twotime.errors import MeasureConventionError, ScenarioSemanticError, ZeroDenominatorError
 from twotime import phasespace, quadrature
 from twotime.hilbert import FockCutoff, normal_order_coeffs
 from twotime.phasespace import (
-    _g2_raw,
     _g_propagator,
     _g_raw,
+    _integral,
     _measure_selftest,
     phase_space_series,
 )
@@ -28,7 +28,8 @@ def g(sys, t, tau, method, cfg=QUAD, L_max=12):
 
 def g2(sys, t, tau, method):
     """Normalized g2, with the route's own tau = 0 mean photon number."""
-    return _g2_raw(sys, t, tau, method, QUAD, 12)[0] / g(sys, t, 0.0, method).real ** 2
+    numerator = _integral(sys, t, tau, method, QUAD, 12, "g2")[0].real
+    return numerator / g(sys, t, 0.0, method).real ** 2
 
 
 def scenario(kind: str, n_max=40) -> SystemSpec:
@@ -65,13 +66,13 @@ class TestFirstOrderRoutes:
     def test_open_system_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
                          InitialState.coherent(1.0), FockCutoff(20))
-        with pytest.raises(ValueError, match="closed dynamics"):
+        with pytest.raises(ScenarioSemanticError, match="closed dynamics.*kappa = 0.5"):
             g(sys, 0.0, 0.1, "propagator")
 
     def test_noncoherent_initial_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.fock(1), FockCutoff(20))
-        with pytest.raises(ValueError, match="coherent"):
+        with pytest.raises(ScenarioSemanticError, match="coherent"):
             g(sys, 0.0, 0.1, "qfunction_two_variable")
 
 
@@ -111,15 +112,6 @@ class TestCollapseConsistency:
         sys = scenario("harmonic")
         with pytest.raises(QuadratureDimensionError):
             _g_propagator(sys, 0.0, 0.5, QUAD, collapse=False)
-
-
-class TestOrderingHermiticity:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_late_equals_conj_early(self, method):
-        sys = scenario("driven")
-        late, _ = _g_raw(sys, sys.t_prepare, 0.8, method, QUAD, 12, ordering="late")
-        early, _ = _g_raw(sys, sys.t_prepare, 0.8, method, QUAD, 12, ordering="early")
-        assert abs(late - np.conj(early)) < 1e-9
 
 
 class TestMeasureSelfTest:
@@ -222,6 +214,29 @@ class TestSeries:
         s = phase_space_series(sys, np.array([0.0, 0.5]), "propagator", cfg)
         assert np.all(s.error_estimate > 0)
 
+    def test_monte_carlo_errors_propagate_mean_n(self):
+        # coherent_mc's settings; each row's error is the larger of the g1 and
+        # g2 standard errors, hypot-combined with that of the mean photon number
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.coherent(1.0), FockCutoff(40))
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=100_000, seed=42)
+        taus = np.linspace(0.0, 3.0, 5)
+        s = phase_space_series(sys, taus, "propagator", cfg)
+        n, e_n = _g_raw(sys, 0.0, 0.0, "propagator", cfg, 12)
+        m = n.real
+        for tau, err in zip(taus, s.error_estimate):
+            gv, ge = _g_raw(sys, 0.0, tau, "propagator", cfg, 12)
+            g2v, g2e = _integral(sys, 0.0, tau, "propagator", cfg, 12, "g2")
+            assert err == max(np.hypot(ge / m, abs(gv) * e_n / m**2),
+                              np.hypot(g2e / m**2, 2 * abs(g2v.real) * e_n / m**3))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vacuum_series_has_no_normalization(self, method):
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.vacuum(), FockCutoff(12))
+        with pytest.raises(ZeroDenominatorError, match="mean photon number"):
+            phase_space_series(sys, np.linspace(0.0, 1.0, 3), method, QUAD)
+
     def test_quadrature_node_doubling_stable(self):
         sys = scenario("squeezed")
         tau = 0.6
@@ -248,9 +263,7 @@ class TestCaches:
 
     @staticmethod
     def integral(sys, tau, method, cfg, kind):
-        if kind == "g2":
-            return _g2_raw(sys, 0.5, tau, method, cfg, 20)
-        return _g_raw(sys, 0.5, tau, method, cfg, 20, ordering=kind)
+        return _integral(sys, 0.5, tau, method, cfg, 20, kind)
 
     def cold(self, sys, tau, method, cfg, kind):
         self.clear_caches()
@@ -262,7 +275,7 @@ class TestCaches:
         H, initial = self.SYSTEMS[name]
         sys = SystemSpec(H, DampingChannel(), initial, FockCutoff(30), t_prepare=0.5)
         cfg = IntegrationConfig(nodes_per_axis=16)
-        cases = [(tau, kind) for tau in (0.0, 0.7) for kind in ("late", "early", "g2")]
+        cases = [(tau, kind) for tau in (0.0, 0.7) for kind in ("late", "g2")]
         cold = [self.cold(sys, tau, method, cfg, kind) for tau, kind in cases]
         self.clear_caches()
         warm = [self.integral(sys, tau, method, cfg, kind) for tau, kind in cases]

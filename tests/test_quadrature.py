@@ -376,6 +376,22 @@ class TestVectorisedSums:
         value, _ = integrate(pg, QUAD24)
         assert abs(value - loop) < 1e-14 * abs(loop)
 
+    def test_real_form_matches_complex_exponent(self):
+        rng = np.random.default_rng(9)
+        pg = PolyGaussian(3)
+        for M in (pg.A, pg.B, pg.C):
+            M += rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        pg.u += rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        pg.v += rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        pg.add_const(0.3 - 0.7j)
+        S, b, c = pg.real_form()
+        assert np.array_equal(S, S.T)
+        for x in rng.standard_normal((5, 6)):
+            z = x[0::2] + 1j * x[1::2]
+            Q = (np.conj(z) @ pg.A @ z + z @ pg.B @ z + np.conj(z) @ pg.C @ np.conj(z)
+                 + pg.u @ z + pg.v @ np.conj(z) + pg.const)
+            assert abs(x @ S @ x + b @ x + c - Q) < 1e-13 * (1 + abs(Q))
+
     def test_qderiv_assembly_matches_monomial_loop(self):
         rng = np.random.default_rng(8)
         f_tables = [{(1, 1): 0.3 + 0.1j, (0, 2): -0.2j, (0, 1): 0.5, (2, 0): 0.1},
