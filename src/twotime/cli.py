@@ -24,9 +24,9 @@ from .correlators import CorrelationSeries
 # under its old name, which the benchmark tracer wraps as the regression route
 from .correlators import regression_series as _normalized_series
 from .errors import ScenarioSchemaError, TwotimeError
-from .hilbert import FockCutoff
+from .hilbert import DEFAULT_TRACE_BUDGET, FockCutoff
 from .phasespace import phase_space_series
-from .scenario import Scenario, check_semantics, parse_scenario
+from .scenario import Scenario, _parse_methods, check_semantics, parse_scenario
 
 CROSS_VALIDATION_TOL = 1e-5
 CSV_HEADER = "tau,method,g1_re,g1_im,g2,abs_err"
@@ -103,12 +103,14 @@ def compute_series(scn: Scenario) -> list[CorrelationSeries]:
 def _report_text(scn: Scenario, series_list, checks, verdict: str) -> str:
     lines = [f"scenario: {scn.name}", "", "settings (effective, including defaults):"]
     for key, val in scn.settings.items():
+        if isinstance(val, (tuple, list)):  # methods, defaulted_keys
+            val = ", ".join(val) or "(none)"
         lines.append(f"  {key} = {val}")
     prepared = scn.system.prepared_state()
     lines += [
         "",
         f"truncation leakage |1 - tr rho(t_prepare)| = {prepared.trace_defect:.3e}"
-        f" (budget {scn.system.trace_budget:.1e}, n_max {scn.system.cutoff.n_max})",
+        f" (budget {DEFAULT_TRACE_BUDGET:.1e}, n_max {scn.system.cutoff.n_max})",
         f"rng seed = {scn.integration.seed}",
         "",
         "per-method results:",
@@ -168,29 +170,36 @@ def run(scn: Scenario, out_dir=None) -> int:
     return 0
 
 
+def _echo_override(scn: Scenario, key: str, value):
+    """Echo a command-line value in place of the file's; the key is then not defaulted."""
+    scn.settings[key] = f"{value}  [cli override]"
+    scn.settings["defaulted_keys"] = [k for k in scn.settings["defaulted_keys"] if k != key]
+
+
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     changes = {}
     if args.method:
-        for m in args.method:
+        methods = _parse_methods(", ".join(args.method), "methods", "--method")
+        for m in methods:
             if m not in scn.methods:
                 raise TwotimeError(
                     f"--method {m!r} not declared in the scenario (has {scn.methods})"
                 )
-        changes["methods"] = tuple(args.method)
-        scn.settings["methods"] = ", ".join(args.method) + "  [cli override]"
+        changes["methods"] = methods
+        _echo_override(scn, "methods", ", ".join(methods))
     if args.seed is not None:
         try:
             changes["integration"] = dataclasses.replace(scn.integration, seed=args.seed)
         except ValueError as exc:
             raise ScenarioSchemaError(f"--seed: {exc}")
-        scn.settings["integration.seed"] = f"{args.seed}  [cli override]"
+        _echo_override(scn, "integration.seed", args.seed)
     if getattr(args, "cutoff", None) is not None:
         try:
             cutoff = FockCutoff(args.cutoff)
         except ValueError as exc:
             raise ScenarioSchemaError(f"--cutoff: {exc}")
         changes["system"] = dataclasses.replace(scn.system, cutoff=cutoff)
-        scn.settings["system.cutoff"] = f"{args.cutoff}  [cli override]"
+        _echo_override(scn, "system.cutoff", args.cutoff)
     return check_semantics(dataclasses.replace(scn, **changes)) if changes else scn
 
 

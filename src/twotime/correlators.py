@@ -30,7 +30,6 @@ from .dynamics import (
     unitary_matrix,
 )
 from .hilbert import (
-    DEFAULT_TRACE_BUDGET,
     DensityMatrix,
     FockCutoff,
     coherent_dm,
@@ -113,7 +112,6 @@ class SystemSpec:
     initial_state: InitialState
     cutoff: FockCutoff
     t_prepare: float = 0.0
-    trace_budget: float = DEFAULT_TRACE_BUDGET
 
     def prepared_state(self) -> DensityMatrix:
         """rho(t_prepare), built and validated once per spec; its matrix is read-only."""
@@ -121,11 +119,9 @@ class SystemSpec:
 
     @cached_property
     def _prepared(self) -> DensityMatrix:
-        rho = self.initial_state.build(self.cutoff).validate(self.trace_budget)
+        rho = self.initial_state.build(self.cutoff).validate()
         if self.t_prepare != 0:
-            rho = evolve_lindblad(
-                rho, self.hamiltonian, self.channel, self.t_prepare, self.trace_budget
-            )
+            rho = evolve_lindblad(rho, self.hamiltonian, self.channel, self.t_prepare)
         rho.mat.flags.writeable = False
         return rho
 

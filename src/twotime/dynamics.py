@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.linalg import expm, null_space
 from scipy.sparse.csgraph import connected_components
 
-from .hilbert import DEFAULT_TRACE_BUDGET, DensityMatrix, FockCutoff, ladder_matrices
+from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class QuadraticHamiltonian:
     """H = omega adag a + (xi adag^2 + conj(xi) a^2)/2 + (eta adag + conj(eta) a)."""
 
     omega: float = 0.0
-    xi: complex = 0.0
-    eta: complex = 0.0
+    xi: complex = 0j
+    eta: complex = 0j
 
     @property
     def is_free(self) -> bool:
@@ -184,33 +184,24 @@ def propagated_map(
     return Propagated(*_generator_blocks(H, ch, cutoff), float(tau), cutoff.dim)
 
 
-def evolve_unitary(
-    rho0: DensityMatrix,
-    H: QuadraticHamiltonian,
-    t: float,
-    trace_budget: float = DEFAULT_TRACE_BUDGET,
-) -> DensityMatrix:
+def evolve_unitary(rho0: DensityMatrix, H: QuadraticHamiltonian, t: float) -> DensityMatrix:
     """rho(t) = U(t) rho0 U(t)^dag; negative t runs the evolution backwards."""
     U = unitary_matrix(H, t, rho0.cutoff)
     out = DensityMatrix(U @ rho0.mat @ U.conj().T, rho0.cutoff)
-    return out.validate(trace_budget)
+    return out.validate()
 
 
 def evolve_lindblad(
-    rho0: DensityMatrix,
-    H: QuadraticHamiltonian,
-    ch: DampingChannel,
-    t: float,
-    trace_budget: float = DEFAULT_TRACE_BUDGET,
+    rho0: DensityMatrix, H: QuadraticHamiltonian, ch: DampingChannel, t: float
 ) -> DensityMatrix:
     """Damped evolution for t >= 0; kappa = 0 reduces to the unitary path."""
     if t < 0:
         raise ValueError("t must be >= 0 for damped evolution")
     if ch.kappa == 0:
-        return evolve_unitary(rho0, H, t, trace_budget)
+        return evolve_unitary(rho0, H, t)
     M = propagated_map(H, ch, t, rho0.cutoff)
     out = DensityMatrix(M.apply(rho0.mat), rho0.cutoff)
-    return out.validate(trace_budget)
+    return out.validate()
 
 
 def steady_state(

@@ -25,6 +25,7 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEFAULT_TRACE_BUDGET = 1e-8
 DEFAULT_N_MAX = 40
+DEFAULT_L_MAX = 12  # normal-order expansion order of ``normal_order_coeffs``
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,16 @@ class DensityMatrix:
     """State of the mode as a complex matrix over the truncated Fock basis.
 
     ``validate`` enforces finite entries, hermiticity, positivity up to
-    numerical noise and trace closeness to one; evolution code calls it after
-    every step so that truncation leakage is an audited, not silent, failure.
+    numerical noise and a trace within ``DEFAULT_TRACE_BUDGET`` of one;
+    evolution code calls it after every step so that truncation leakage is an
+    audited, not silent, failure.
     """
 
     mat: np.ndarray
     cutoff: FockCutoff
     trace_defect: float = 0.0  # |1 - tr| recorded by whoever produced the state
 
-    def validate(self, trace_budget: float = DEFAULT_TRACE_BUDGET) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         m = self.mat
         if m.shape != (self.cutoff.dim, self.cutoff.dim):
             raise InvalidStateError(
@@ -67,9 +69,9 @@ class DensityMatrix:
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"hermiticity defect {herm:.3e} > {HERMITICITY_TOL}")
         defect = abs(1.0 - float(np.real(np.trace(m))))
-        if defect > trace_budget:
+        if defect > DEFAULT_TRACE_BUDGET:
             raise CutoffTooSmallError(
-                f"trace leakage {defect:.3e} exceeds budget {trace_budget:.3e}; "
+                f"trace leakage {defect:.3e} exceeds budget {DEFAULT_TRACE_BUDGET:.3e}; "
                 "raise n_max"
             )
         lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
@@ -214,7 +216,7 @@ class NormalOrderExpansion:
 
 
 def normal_order_coeffs(
-    rho: DensityMatrix, L_max: int = 12, check_roundtrip: bool = True
+    rho: DensityMatrix, L_max: int = DEFAULT_L_MAX, check_roundtrip: bool = True
 ) -> NormalOrderExpansion:
     """Normal-order expansion of a density operator.
 

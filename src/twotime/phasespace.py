@@ -37,7 +37,8 @@ from scipy.special import gammaln
 from .errors import MeasureConventionError, ScenarioSemanticError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid, normalized_series
 from .dynamics import unitary_matrix
-from .hilbert import DensityMatrix, coherent_vector, ladder_matrices, normal_order_coeffs
+from .hilbert import (DEFAULT_L_MAX, DensityMatrix, coherent_vector, ladder_matrices,
+                      normal_order_coeffs)
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
@@ -396,7 +397,7 @@ def _g_raw(sys, t, tau, method, cfg, L_max):
 
 
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,
-                       L_max: int = 12) -> CorrelationSeries:
+                       L_max: int = DEFAULT_L_MAX) -> CorrelationSeries:
     """CorrelationSeries for one phase-space method over a tau grid at t_prepare.
 
     Collects the raw (value, err) of g1 and of the g2 numerator at each tau

@@ -4,7 +4,7 @@ Grammar (one `key = value` per line, `#` starts a comment):
 
     name = thermal_steady
     system.omega = 1.0            # rad/time
-    system.xi = 0.0               # complex accepted: 0.2+0.1j
+    system.xi = 0.0               # complex accepted: 0.2+0.1j or 0.2 + 0.1j
     system.eta = 0.0
     system.kappa = 1.0
     system.n_thermal = 0.5
@@ -12,7 +12,6 @@ Grammar (one `key = value` per line, `#` starts a comment):
                                   # | superposition W:N, W:N, ...
     system.cutoff = 40
     system.t_prepare = 20.0       # defaults: 20/kappa if kappa > 0 else 0
-    system.trace_budget = 1e-8
     tau.start = 0.0
     tau.stop = 5.0
     tau.count = 20
@@ -25,12 +24,16 @@ Grammar (one `key = value` per line, `#` starts a comment):
     outputs.series_path = thermal_series.csv
     outputs.report_path = thermal_report.txt
 
-Every default that influenced a run is echoed into the report so results are
-reproducible from the report alone.
+``_SCHEMA`` holds each key's parser and default; the defaults are the
+library's own (``QuadraticHamiltonian``, ``DampingChannel``,
+``IntegrationConfig``, ``DEFAULT_N_MAX``, ``DEFAULT_L_MAX``).  Every setting
+that influenced a run is echoed into the report, with the keys that took
+their default, so results are reproducible from the report alone.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,37 +42,13 @@ import numpy as np
 from .errors import InvalidStateError, ScenarioSchemaError, ScenarioSemanticError
 from .correlators import METHOD_TAGS, InitialState, SystemSpec
 from .dynamics import DampingChannel, QuadraticHamiltonian
-from .hilbert import FockCutoff
+from .hilbert import DEFAULT_L_MAX, DEFAULT_N_MAX, FockCutoff
 from .phasespace import _require_phase_space_scenario
 from .quadrature import IntegrationConfig
 
 PHASE_SPACE_TAGS = ("propagator", "qfunction_two_variable", "qfunction_derivative")
-
-_KNOWN_KEYS = {
-    "name", "methods", "lmax",
-    "system.omega", "system.xi", "system.eta", "system.kappa", "system.n_thermal",
-    "system.initial", "system.cutoff", "system.t_prepare", "system.trace_budget",
-    "tau.start", "tau.stop", "tau.count",
-    "integration.engine", "integration.nodes_per_axis", "integration.sample_count",
-    "integration.seed",
-    "outputs.series_path", "outputs.report_path",
-}
-
-_DEFAULTS = {
-    "system.omega": 0.0,
-    "system.xi": 0j,
-    "system.eta": 0j,
-    "system.kappa": 0.0,
-    "system.n_thermal": 0.0,
-    "system.initial": "vacuum",
-    "system.cutoff": 40,
-    "system.trace_budget": 1e-8,
-    "integration.engine": "gauss_hermite_tensor",
-    "integration.nodes_per_axis": 24,
-    "integration.sample_count": 1_000_000,
-    "integration.seed": 42,
-    "lmax": 12,
-}
+# spaces next to a +/- sign are dropped, so "0.2 + 0.1j" parses; any other space is an error
+_SIGN_SPACE = re.compile(r"\s+(?=[+-])|(?<=[+-])\s+")
 
 
 @dataclass
@@ -85,34 +64,51 @@ class Scenario:
     settings: dict = field(default_factory=dict)  # effective values, for the report
 
 
-def _finite(value, raw: str, key: str, line_no: int):
+def _finite(value, raw: str, key: str, where: str):
     if not np.isfinite(value):
-        raise ScenarioSchemaError(f"line {line_no}: {key} must be finite, got {raw!r}")
+        raise ScenarioSchemaError(f"{where}: {key} must be finite, got {raw!r}")
     return value
 
 
-def _parse_complex(raw: str, key: str, line_no: int) -> complex:
+def _complex(text: str) -> complex:
+    return complex(_SIGN_SPACE.sub("", text))
+
+
+def _parse_text(raw: str, key: str, where: str) -> str:
+    return raw
+
+
+def _parse_complex(raw: str, key: str, where: str) -> complex:
     try:
-        return _finite(complex(raw.replace(" ", "")), raw, key, line_no)
+        return _finite(_complex(raw), raw, key, where)
     except ValueError:
-        raise ScenarioSchemaError(f"line {line_no}: {key} expects a number, got {raw!r}")
+        raise ScenarioSchemaError(f"{where}: {key} expects a number, got {raw!r}")
 
 
-def _parse_float(raw: str, key: str, line_no: int) -> float:
+def _parse_float(raw: str, key: str, where: str) -> float:
     try:
-        return _finite(float(raw), raw, key, line_no)
+        return _finite(float(raw), raw, key, where)
     except ValueError:
-        raise ScenarioSchemaError(f"line {line_no}: {key} expects a real number, got {raw!r}")
+        raise ScenarioSchemaError(f"{where}: {key} expects a real number, got {raw!r}")
 
 
-def _parse_int(raw: str, key: str, line_no: int) -> int:
+def _parse_int(raw: str, key: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ScenarioSchemaError(f"line {line_no}: {key} expects an integer, got {raw!r}")
+        raise ScenarioSchemaError(f"{where}: {key} expects an integer, got {raw!r}")
 
 
-def _parse_initial(raw: str, line_no: int) -> InitialState:
+def _at_least(low, parse):
+    def parse_bounded(raw: str, key: str, where: str):
+        value = parse(raw, key, where)
+        if value < low:
+            raise ScenarioSchemaError(f"{key} must be >= {low}")
+        return value
+    return parse_bounded
+
+
+def _parse_initial(raw: str, key: str, where: str) -> InitialState:
     parts = raw.split(None, 1)
     kind = parts[0].lower()
     arg = parts[1].strip() if len(parts) > 1 else ""
@@ -120,7 +116,7 @@ def _parse_initial(raw: str, line_no: int) -> InitialState:
         if kind == "vacuum":
             return InitialState.vacuum()
         if kind == "coherent":
-            return InitialState.coherent(complex(arg.replace(" ", "")))
+            return InitialState.coherent(_complex(arg))
         if kind == "fock":
             return InitialState.fock(int(arg))
         if kind == "thermal":
@@ -129,18 +125,55 @@ def _parse_initial(raw: str, line_no: int) -> InitialState:
             terms = []
             for chunk in arg.split(","):
                 w, n = chunk.split(":")
-                terms.append((complex(w.strip()), int(n)))
+                terms.append((_complex(w.strip()), int(n)))
             return InitialState.superposition(terms)
     except (ValueError, IndexError):
-        raise ScenarioSchemaError(
-            f"line {line_no}: malformed system.initial value {raw!r}"
-        )
+        raise ScenarioSchemaError(f"{where}: malformed {key} value {raw!r}")
     except InvalidStateError as exc:
-        raise ScenarioSchemaError(f"line {line_no}: system.initial {raw!r}: {exc}")
+        raise ScenarioSchemaError(f"{where}: {key} {raw!r}: {exc}")
     raise ScenarioSchemaError(
-        f"line {line_no}: unknown initial state kind {kind!r} "
+        f"{where}: unknown initial state kind {kind!r} "
         "(vacuum|coherent|fock|thermal|superposition)"
     )
+
+
+def _parse_methods(raw: str, key: str, where: str) -> tuple:
+    methods = tuple(m.strip() for m in raw.split(",") if m.strip())
+    if not methods:
+        raise ScenarioSchemaError(f"{where}: methods list is empty")
+    for m in methods:
+        if m not in METHOD_TAGS:
+            raise ScenarioSchemaError(
+                f"{where}: unknown method {m!r} (choose from {METHOD_TAGS})")
+    if len(set(methods)) != len(methods):
+        raise ScenarioSchemaError(f"{where}: methods list contains duplicates")
+    return methods
+
+
+_REQUIRED = object()
+# key -> (parser, default), in report order; a None default is derived in parse_scenario
+_SCHEMA = {
+    "name": (_parse_text, _REQUIRED),
+    "system.omega": (_parse_float, QuadraticHamiltonian.omega),
+    "system.xi": (_parse_complex, QuadraticHamiltonian.xi),
+    "system.eta": (_parse_complex, QuadraticHamiltonian.eta),
+    "system.kappa": (_parse_float, DampingChannel.kappa),
+    "system.n_thermal": (_parse_float, DampingChannel.n_thermal),
+    "system.initial": (_parse_initial, InitialState.vacuum()),
+    "system.cutoff": (_parse_int, DEFAULT_N_MAX),
+    "system.t_prepare": (_at_least(0, _parse_float), None),
+    "tau.start": (_at_least(0, _parse_float), _REQUIRED),
+    "tau.stop": (_parse_float, _REQUIRED),
+    "tau.count": (_at_least(2, _parse_int), _REQUIRED),
+    "methods": (_parse_methods, _REQUIRED),
+    "integration.engine": (_parse_text, IntegrationConfig.engine),
+    "integration.nodes_per_axis": (_parse_int, IntegrationConfig.nodes_per_axis),
+    "integration.sample_count": (_parse_int, IntegrationConfig.sample_count),
+    "integration.seed": (_parse_int, IntegrationConfig.seed),
+    "lmax": (_at_least(1, _parse_int), DEFAULT_L_MAX),
+    "outputs.series_path": (_parse_text, None),
+    "outputs.report_path": (_parse_text, None),
+}
 
 
 def check_semantics(scn: Scenario) -> Scenario:
@@ -159,15 +192,14 @@ def check_semantics(scn: Scenario) -> Scenario:
 
 
 def parse_scenario(path) -> Scenario:
-    """Parse and validate a scenario file, applying documented defaults."""
+    """Parse and validate a scenario file; a key it omits takes its ``_SCHEMA`` default."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioSchemaError(f"cannot read scenario file {path}: {exc}")
 
-    raw: dict = {}
-    lines: dict = {}
+    raw, given = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -175,127 +207,55 @@ def parse_scenario(path) -> Scenario:
         if "=" not in stripped:
             raise ScenarioSchemaError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ScenarioSchemaError(f"line {line_no}: unknown key {key!r}")
         if key in raw:
             raise ScenarioSchemaError(f"line {line_no}: duplicate key {key!r}")
         if not value:
             raise ScenarioSchemaError(f"line {line_no}: empty value for {key!r}")
         raw[key] = value
-        lines[key] = line_no
+        given[key] = _SCHEMA[key][0](value, key, f"line {line_no}")
 
-    def has(key):
-        return key in raw
-
-    def get(key, parser=None):
-        if key in raw:
-            if parser is None:
-                return raw[key]
-            return parser(raw[key], key, lines[key])
-        return _DEFAULTS[key]
-
-    for required in ("name", "tau.start", "tau.stop", "tau.count", "methods"):
-        if required not in raw:
-            raise ScenarioSchemaError(f"missing required key {required!r}")
-
-    name = raw["name"]
-    kappa = get("system.kappa", _parse_float)
-    n_thermal = get("system.n_thermal", _parse_float)
-    omega = get("system.omega", _parse_float)
-    xi = get("system.xi", _parse_complex)
-    eta = get("system.eta", _parse_complex)
-    cutoff_n = get("system.cutoff", _parse_int)
-    trace_budget = get("system.trace_budget", _parse_float)
-
-    if has("system.t_prepare"):
-        t_prepare = _parse_float(raw["system.t_prepare"], "system.t_prepare",
-                                 lines["system.t_prepare"])
-    else:
-        t_prepare = 20.0 / kappa if kappa > 0 else 0.0
-    if t_prepare < 0:
-        raise ScenarioSchemaError("system.t_prepare must be >= 0")
-    if trace_budget <= 0:
-        raise ScenarioSchemaError("system.trace_budget must be > 0")
-
-    initial = (_parse_initial(raw["system.initial"], lines["system.initial"])
-               if has("system.initial") else InitialState.vacuum())
-
-    tau_start = _parse_float(raw["tau.start"], "tau.start", lines["tau.start"])
-    tau_stop = _parse_float(raw["tau.stop"], "tau.stop", lines["tau.stop"])
-    tau_count = _parse_int(raw["tau.count"], "tau.count", lines["tau.count"])
-    if tau_start < 0:
-        raise ScenarioSchemaError("tau.start must be >= 0")
-    if tau_count < 2:
-        raise ScenarioSchemaError("tau.count must be >= 2")
-    if tau_stop <= tau_start:
+    v = {}
+    for key, (_, default) in _SCHEMA.items():
+        if default is _REQUIRED and key not in given:
+            raise ScenarioSchemaError(f"missing required key {key!r}")
+        v[key] = given.get(key, default)
+    name, kappa = v["name"], v["system.kappa"]
+    if v["system.t_prepare"] is None:
+        v["system.t_prepare"] = 20.0 / kappa if kappa > 0 else 0.0
+    if v["tau.stop"] <= v["tau.start"]:
         raise ScenarioSchemaError("tau.stop must exceed tau.start")
 
-    methods = tuple(m.strip() for m in raw["methods"].split(",") if m.strip())
-    if not methods:
-        raise ScenarioSchemaError("methods list is empty")
-    for m in methods:
-        if m not in METHOD_TAGS:
-            raise ScenarioSchemaError(
-                f"line {lines['methods']}: unknown method {m!r} (choose from {METHOD_TAGS})"
-            )
-    if len(set(methods)) != len(methods):
-        raise ScenarioSchemaError("methods list contains duplicates")
-
-    engine = get("integration.engine")
     try:
         integration = IntegrationConfig(
-            engine=engine,
-            nodes_per_axis=get("integration.nodes_per_axis", _parse_int),
-            sample_count=get("integration.sample_count", _parse_int),
-            seed=get("integration.seed", _parse_int),
+            engine=v["integration.engine"],
+            nodes_per_axis=v["integration.nodes_per_axis"],
+            sample_count=v["integration.sample_count"],
+            seed=v["integration.seed"],
         )
-    except ValueError as exc:
-        raise ScenarioSchemaError(str(exc))
-
-    L_max = get("lmax", _parse_int)
-    if L_max < 1:
-        raise ScenarioSchemaError("lmax must be >= 1")
-
-    try:
         system = SystemSpec(
-            hamiltonian=QuadraticHamiltonian(omega=omega, xi=xi, eta=eta),
-            channel=DampingChannel(kappa=kappa, n_thermal=n_thermal),
-            initial_state=initial,
-            cutoff=FockCutoff(cutoff_n),
-            t_prepare=t_prepare,
-            trace_budget=trace_budget,
+            hamiltonian=QuadraticHamiltonian(v["system.omega"], v["system.xi"], v["system.eta"]),
+            channel=DampingChannel(kappa, v["system.n_thermal"]),
+            initial_state=v["system.initial"],
+            cutoff=FockCutoff(v["system.cutoff"]),
+            t_prepare=v["system.t_prepare"],
         )
     except ValueError as exc:
         raise ScenarioSchemaError(str(exc))
 
-    settings = {
-        "name": name,
-        "system.omega": omega, "system.xi": xi, "system.eta": eta,
-        "system.kappa": kappa, "system.n_thermal": n_thermal,
-        "system.initial": raw.get("system.initial", "vacuum"),
-        "system.cutoff": cutoff_n, "system.t_prepare": t_prepare,
-        "system.trace_budget": trace_budget,
-        "tau.start": tau_start, "tau.stop": tau_stop, "tau.count": tau_count,
-        "methods": ", ".join(methods),
-        "integration.engine": integration.engine,
-        "integration.nodes_per_axis": integration.nodes_per_axis,
-        "integration.sample_count": integration.sample_count,
-        "integration.seed": integration.seed,
-        "lmax": L_max,
-    }
-    defaulted = sorted(k for k in _DEFAULTS if k not in raw)
-    if not has("system.t_prepare"):
-        defaulted.append("system.t_prepare")
-    settings["defaulted_keys"] = ", ".join(sorted(defaulted)) if defaulted else "(none)"
+    settings = {key: val for key, val in v.items() if not key.startswith("outputs.")}
+    settings["system.initial"] = raw.get("system.initial", "vacuum")
+    settings["defaulted_keys"] = sorted(settings.keys() - raw.keys())
 
     return check_semantics(Scenario(
         name=name,
         system=system,
-        taus=np.linspace(tau_start, tau_stop, tau_count),
-        methods=methods,
+        taus=np.linspace(v["tau.start"], v["tau.stop"], v["tau.count"]),
+        methods=v["methods"],
         integration=integration,
-        L_max=L_max,
-        series_path=raw.get("outputs.series_path", f"{name}_series.csv"),
-        report_path=raw.get("outputs.report_path", f"{name}_report.txt"),
+        L_max=v["lmax"],
+        series_path=v["outputs.series_path"] or f"{name}_series.csv",
+        report_path=v["outputs.report_path"] or f"{name}_report.txt",
         settings=settings,
     ))

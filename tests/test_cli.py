@@ -140,6 +140,13 @@ class TestParsing:
         scn = parse_scenario(write(tmp_path, text))
         assert scn.system.hamiltonian.xi == 0.1 + 0.05j
 
+    def test_spaces_around_complex_sign(self, tmp_path):
+        text = MINIMAL.replace("system.initial = coherent 1.0",
+                               "system.initial = coherent 1.0 - 0.5j\nsystem.xi = 0.2 + 0.1j")
+        scn = parse_scenario(write(tmp_path, text))
+        assert scn.system.hamiltonian.xi == 0.2 + 0.1j
+        assert scn.system.initial_state.amplitude == 1.0 - 0.5j
+
     def test_superposition_initial(self, tmp_path):
         text = MINIMAL.replace("system.initial = coherent 1.0",
                                "system.initial = superposition 0.8:0, 0.6:2")
@@ -192,6 +199,25 @@ class TestMainEntry:
         assert main(["run", str(scn), "--cutoff", "18", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "thermal_report.txt").read_text()
         assert "18  [cli override]" in report
+        # a key set on the command line is not echoed as defaulted
+        scn = write(tmp_path, THERMAL.replace("system.cutoff = 20\n", ""))
+        assert main(["run", str(scn), "--cutoff", "18", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "thermal_report.txt").read_text()
+        assert "system.cutoff = 18  [cli override]" in report
+        assert "integration.seed = 3  [cli override]" in report
+        (defaulted,) = [ln for ln in report.splitlines() if "defaulted_keys" in ln]
+        assert "system.cutoff" not in defaulted
+        assert "integration.seed" not in defaulted
+        assert "integration.engine" in defaulted
+
+    def test_repeated_method_exit_1(self, tmp_path, capsys):
+        scn = write(tmp_path, MULTI)
+        assert main(["run", str(scn), "--method", "regression", "--method", "regression",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --method: methods list contains duplicates")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cutoff, message", [
         ("11", "error: lmax must not exceed system.cutoff"),
@@ -231,7 +257,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("line, message", [
         ("system.t_prepare = -1.0", "error: system.t_prepare must be >= 0"),
         ("lmax = -3", "error: lmax must be >= 1"),
-        ("system.trace_budget = -1", "error: system.trace_budget must be > 0"),
+        ("system.trace_budget = -1", "error: line 9: unknown key 'system.trace_budget'"),
         ("integration.seed = -1", "error: integration.seed must be >= 0"),
         ("integration.nodes_per_axis = 65",
          "error: quadrature needs 8 <= nodes_per_axis <= 64, got 65"),
@@ -239,6 +265,9 @@ class TestMainEntry:
         ("tau.stop = inf", "error: line 6: tau.stop must be finite"),
         ("system.t_prepare = inf", "error: line 9: system.t_prepare must be finite"),
         ("system.eta = 1+infj", "error: line 9: system.eta must be finite"),
+        ("system.eta = 0 5", "error: line 9: system.eta expects a number, got '0 5'"),
+        ("system.initial = coherent 1 2",
+         "error: line 4: malformed system.initial value 'coherent 1 2'"),
         ("system.initial = thermal -1", "error: line 4: system.initial 'thermal -1'"),
         ("system.initial = superposition 0:0, 0:1",
          "error: line 4: system.initial 'superposition 0:0, 0:1'"),
