@@ -11,19 +11,32 @@ builds one small dense ``expm`` of a block the first time it is applied to
 entry in that block, and keeps it.  A connected generator is a single block.
 Maps are cached per distinct duration, since correlators reuse the same map
 across a whole tau grid.
+
+Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
+Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
+generator, its blocks, the block ``expm`` and ``steady_state``) imports
+SciPy, on first use, so ``import twotime`` and every closed run load none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm, null_space
-from scipy.sparse.csgraph import connected_components
 
 from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential, ``scipy.linalg.expm`` imported on first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(m)
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,8 @@ def lindblad_generator(
     effective K = -i H - sum_c rate_c cdag c / 2.  The vec convention is
     row-major (C order): vec(A rho B) = kron(A, B.T) vec(rho).
     """
+    from scipy import sparse
+
     a, adag = ladder_matrices(cutoff)
     jumps = []
     if ch.kappa > 0:
@@ -133,6 +148,8 @@ class Propagated:
     @property
     def map(self) -> sparse.csr_matrix:
         """The whole superoperator as sparse CSR; exponentiates every block."""
+        from scipy import sparse
+
         M = sparse.block_diag([self._block_exp(b) for b in range(len(self.blocks))],
                               format="csr")
         position = np.argsort(np.concatenate(self.members))  # row of M of each vec index
@@ -141,8 +158,18 @@ class Propagated:
 
 @lru_cache(maxsize=32)
 def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.ndarray:
-    """exp(-i H t) on the truncated basis, cached per (H, t, cutoff)."""
-    U = expm(-1j * t * hamiltonian_matrix(H, cutoff))
+    """exp(-i H t) on the truncated basis, cached per (H, t, cutoff).
+
+    A free H is diagonal, so U is the exponential of its diagonal (what
+    ``expm`` itself does with a diagonal matrix); any other H is hermitian,
+    H = V diag(E) V^dag, and U = V diag(exp(-i E t)) V^dag.
+    """
+    Hm = hamiltonian_matrix(H, cutoff)
+    if H.is_free:
+        U = np.diag(np.exp(np.diag(-1j * t * Hm)))
+    else:
+        E, V = np.linalg.eigh(Hm)
+        U = (V * np.exp(-1j * t * E)) @ V.conj().T
     U.flags.writeable = False
     return U
 
@@ -156,6 +183,8 @@ def _generator_blocks(
     A connected block of L's sparsity graph couples to no index outside it,
     so exp(L tau) has the same blocks, each the exponential of its block of L.
     """
+    from scipy.sparse.csgraph import connected_components
+
     L = lindblad_generator(H, ch, cutoff).tocoo()
     n_blocks, labels = connected_components(abs(L), directed=False)
     sizes = np.bincount(labels, minlength=n_blocks)
@@ -210,6 +239,8 @@ def steady_state(
     """Null-space state of the generator (kappa > 0 required for uniqueness)."""
     if ch.kappa <= 0:
         raise ValueError("steady state requires kappa > 0")
+    from scipy.linalg import null_space
+
     L = lindblad_generator(H, ch, cutoff)
     ns = null_space(L.toarray(), rcond=1e-10)
     if ns.shape[1] == 0:

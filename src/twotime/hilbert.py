@@ -7,11 +7,11 @@ the normal-order coefficient expansion of a density operator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     CutoffTooSmallError,
@@ -100,7 +100,9 @@ def ladder_matrices(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_factorial(n: np.ndarray | int) -> np.ndarray:
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
+    """log(n!) elementwise, from ``math.lgamma``."""
+    n = np.asarray(n, dtype=float)
+    return np.array([math.lgamma(k + 1.0) for k in n.flat]).reshape(n.shape)
 
 
 def coherent_vector(alpha: complex, cutoff: FockCutoff) -> np.ndarray:

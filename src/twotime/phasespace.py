@@ -32,13 +32,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import MeasureConventionError, ScenarioSemanticError
+from .errors import MeasureConventionError, ScenarioSemanticError, ZeroDenominatorError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid, normalized_series
 from .dynamics import unitary_matrix
-from .hilbert import (DEFAULT_L_MAX, DensityMatrix, coherent_vector, ladder_matrices,
-                      normal_order_coeffs)
+from .hilbert import (DEFAULT_L_MAX, DensityMatrix, _log_factorial, coherent_vector,
+                      ladder_matrices, normal_order_coeffs)
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
@@ -156,7 +155,7 @@ def _mono(n_vars, coef, z_at=None, zbar_at=None):
 
 def _fock_factor_coeffs(psi: np.ndarray) -> np.ndarray:
     n = np.arange(len(psi))
-    return psi * np.exp(-0.5 * gammaln(n + 1.0))
+    return psi * np.exp(-0.5 * _log_factorial(n))
 
 
 def _prepared_vector(sys: SystemSpec, t: float) -> np.ndarray:
@@ -170,6 +169,22 @@ def _mean_n_fock(sys: SystemSpec, t: float) -> float:
     psi = _prepared_vector(sys, t)
     n = np.arange(sys.cutoff.dim)
     return float(np.sum(n * np.abs(psi) ** 2))
+
+
+def _require_resolved_mean_n(n: float, exact: float, L_max: int):
+    """Reject a qfunction_derivative mean photon number that is mostly roundoff.
+
+    The resummed tables cancel terms that grow about twofold per lmax step, so
+    this route computes a vacuum's n as roundoff of either sign (2e-11 at
+    lmax 12, 3e-6 at 30), above ``correlators.MEAN_N_FLOOR``.  Its n is
+    resolved when it lies closer to the Fock-space value than half its size.
+    """
+    if not abs(n - exact) < 0.5 * n:
+        raise ZeroDenominatorError(
+            f"mean photon number {n:.2e} is not resolved by qfunction_derivative at "
+            f"lmax {L_max} (Fock-space value {exact:.2e}); normalized correlations are "
+            "undefined on (near-)vacuum"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +297,7 @@ def _resummed_q_tables(C: np.ndarray, L_max: int, orders: int) -> list[np.ndarra
     """
     size = L_max + 1
     R = np.zeros((size + orders, size), dtype=complex)
-    for k, w in enumerate(np.exp(-gammaln(np.arange(size) + 1.0))):
+    for k, w in enumerate(np.exp(-_log_factorial(np.arange(size)))):
         R[k:size, k:] += w * C[:size - k, :size - k]
     tables = [R]
     for _ in range(orders):
@@ -362,7 +377,7 @@ def _qderiv_poly(f_tables: list[dict], R_tables) -> dict:
                      n_zbar + max(q for _, q in f_tables[0])), dtype=complex)
     for j, ft in enumerate(f_tables):
         RT = R_tables[j].T
-        w = 1.0 / np.pi / float(np.exp(gammaln(j + 1.0)))
+        w = 1.0 / np.pi / float(np.exp(_log_factorial(j)))
         for (pf, qf), cf in ft.items():
             coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
     return {((int(p),), (int(q),)): coef[p, q] for p, q in zip(*np.nonzero(coef))}
@@ -413,6 +428,8 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     taus = _check_tau_grid(taus)
     t = sys.t_prepare
     n, e_n = _g_raw(sys, t, 0.0, method, cfg, L_max)
+    if method == "qfunction_derivative":
+        _require_resolved_mean_n(n.real, _mean_n_fock(sys, float(t)), L_max)
     rows = []
     for tau in taus:
         g1 = (n, e_n) if tau == 0 else _g_raw(sys, t, float(tau), method, cfg, L_max)

@@ -9,10 +9,11 @@ validates it.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmallError, InstabilityError
 from .dynamics import QuadraticHamiltonian, unitary_matrix
@@ -62,7 +63,8 @@ def kernel_harmonic(omega: float, t: float) -> GaussianKernel:
 
 def _generator(H: QuadraticHamiltonian) -> np.ndarray:
     """N = [[M, e_3], [0, 0]] with M as in bogoliubov_map; the first row of
-    expm(N t) is (mu, nu, lam, Lam) with Lam = int_0^t lam ds."""
+    expm(N t) is (mu, nu, lam, Lam) with Lam = int_0^t lam ds.  The closed
+    form of ``_map_row`` is checked against it."""
     xi, eta = complex(H.xi), complex(H.eta)
     return np.array([[-1j * H.omega, -1j * xi, -1j * eta, 0.0],
                      [1j * np.conj(xi), 1j * H.omega, 1j * np.conj(eta), 0.0],
@@ -70,14 +72,53 @@ def _generator(H: QuadraticHamiltonian) -> np.ndarray:
                      [0.0, 0.0, 0.0, 0.0]])
 
 
+def _series(w2: float, t: float) -> tuple[complex, complex, complex, complex]:
+    """(c0, c1, c2, c3) with c_j = t^j sum_k (-w2 t^2)^k / (2k + j)!.
+
+    Closed forms cos(W t), sin(W t)/W, (1 - cos W t)/W^2 and
+    (t - sin(W t)/W)/W^2 with W = sqrt(w2); the Taylor series below
+    |w2 t^2| = 1, where those cancel (w2 = 0 included).
+    """
+    x = -w2 * t * t
+    if abs(x) < 1:
+        cs = []
+        for j in range(4):
+            term = t ** j / math.factorial(j)
+            total = term
+            for k in range(12):  # the first term left out is below x^12 / 24!
+                term *= x / ((2 * k + j + 1) * (2 * k + j + 2))
+                total += term
+            cs.append(total)
+        return tuple(cs)
+    W = cmath.sqrt(w2)
+    cos, sinc = cmath.cos(W * t), cmath.sin(W * t) / W
+    return cos, sinc, (1 - cos) / w2, (t - sinc) / w2
+
+
+def _map_row(H: QuadraticHamiltonian, t: float) -> tuple[complex, complex, complex, complex]:
+    """(mu, nu, lam, Lam), the first row of expm(t _generator(H)), in closed form.
+
+    The 2x2 block M2 = [[-i omega, -i xi], [i conj(xi), i omega]] squares to
+    -w2 with w2 = omega^2 - |xi|^2, so every power series in M2 t collapses:
+    exp(M2 t) = c0 + c1 M2, and with v = (-i eta, i conj(eta)) the drive
+    column is lam = e1.(c1 + c2 M2) v and its time integral Lam =
+    e1.(c2 + c3 M2) v (c_j from ``_series``).
+    """
+    omega, xi, eta = float(H.omega), complex(H.xi), complex(H.eta)
+    c0, c1, c2, c3 = _series(omega * omega - abs(xi) ** 2, t)
+    m2v = -omega * eta + xi * eta.conjugate()  # e1.M2 v
+    return (c0 - 1j * omega * c1, -1j * xi * c1,
+            -1j * eta * c1 + c2 * m2v, -1j * eta * c2 + c3 * m2v)
+
+
 def bogoliubov_map(H: QuadraticHamiltonian, t: float):
     """(mu, nu, lam) with U(t)^dag a U(t) = mu a + nu adag + lam.
 
     (a, adag, 1) evolves under d/dt v = M v with
     M = [[-i omega, -i xi, -i eta], [i conj(xi), i omega, i conj(eta)], [0, 0, 0]],
-    so (mu, nu, lam) is the first row of expm(M t).
+    so (mu, nu, lam) is the first row of expm(M t) (see ``_map_row``).
     """
-    return tuple(expm(float(t) * _generator(H)[:3, :3])[0])
+    return _map_row(H, float(t))[:3]
 
 
 def _coefficients(mu, nu, lam):
@@ -98,14 +139,14 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
     since |B|^2 = 1 - 4|C|^2.  U = e^(i phi) D(lam) U_q with phi' =
     -Re(conj(eta) lam) gives A = log<0|U|0> = i omega t/2 - log(conj(mu))/2
     - conj(lam) E/2 - i Re(conj(eta) Lam), the log continued along [0, t] and
-    (mu, nu, lam, Lam) the first row of one expm (see _generator).  Raises
+    (mu, nu, lam, Lam) from ``_map_row``.  Raises
     InstabilityError when 1 - 2|C| falls below MARGIN_FLOOR (extreme
     squeezing) or a coefficient overflows.
     """
     if H.is_free:
         return kernel_harmonic(H.omega, t)
     t = float(t)
-    mu, nu, lam, Lam = expm(t * _generator(H))[0]
+    mu, nu, lam, Lam = _map_row(H, t)
     # arg conj(mu) continued along [0, t]: Re mu > 0 throughout if omega^2 <=
     # |xi|^2, else it stays within pi/2 of sign(omega) sqrt(omega^2 - |xi|^2) t
     theta = np.angle(np.conj(mu))

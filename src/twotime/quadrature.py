@@ -60,6 +60,7 @@ MC_RELATIVE_ERROR_WARN = 0.10
 # A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
 # its contraction a nodes^3 work table per vector (4.2 MB at 64).
 MAX_NODES = 64
+ENGINES = ("gauss_hermite_tensor", "monte_carlo_gaussian")
 
 
 @dataclass
@@ -70,7 +71,7 @@ class IntegrationConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.engine not in ("gauss_hermite_tensor", "monte_carlo_gaussian"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown integration engine {self.engine!r}")
         if self.engine == "gauss_hermite_tensor" and not 8 <= self.nodes_per_axis <= MAX_NODES:
             raise ValueError(f"quadrature needs 8 <= nodes_per_axis <= {MAX_NODES}, "

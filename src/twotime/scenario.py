@@ -44,7 +44,7 @@ from .correlators import METHOD_TAGS, InitialState, SystemSpec
 from .dynamics import DampingChannel, QuadraticHamiltonian
 from .hilbert import DEFAULT_L_MAX, DEFAULT_N_MAX, FockCutoff
 from .phasespace import _require_phase_space_scenario
-from .quadrature import IntegrationConfig
+from .quadrature import ENGINES, IntegrationConfig
 
 PHASE_SPACE_TAGS = ("propagator", "qfunction_two_variable", "qfunction_derivative")
 # spaces next to a +/- sign are dropped, so "0.2 + 0.1j" parses; any other space is an error
@@ -103,9 +103,16 @@ def _at_least(low, parse):
     def parse_bounded(raw: str, key: str, where: str):
         value = parse(raw, key, where)
         if value < low:
-            raise ScenarioSchemaError(f"{key} must be >= {low}")
+            raise ScenarioSchemaError(f"{where}: {key} must be >= {low}")
         return value
     return parse_bounded
+
+
+def _parse_engine(raw: str, key: str, where: str) -> str:
+    if raw not in ENGINES:
+        raise ScenarioSchemaError(
+            f"{where}: unknown integration engine {raw!r} (choose from {ENGINES})")
+    return raw
 
 
 def _parse_initial(raw: str, key: str, where: str) -> InitialState:
@@ -157,19 +164,19 @@ _SCHEMA = {
     "system.omega": (_parse_float, QuadraticHamiltonian.omega),
     "system.xi": (_parse_complex, QuadraticHamiltonian.xi),
     "system.eta": (_parse_complex, QuadraticHamiltonian.eta),
-    "system.kappa": (_parse_float, DampingChannel.kappa),
-    "system.n_thermal": (_parse_float, DampingChannel.n_thermal),
+    "system.kappa": (_at_least(0, _parse_float), DampingChannel.kappa),
+    "system.n_thermal": (_at_least(0, _parse_float), DampingChannel.n_thermal),
     "system.initial": (_parse_initial, InitialState.vacuum()),
-    "system.cutoff": (_parse_int, DEFAULT_N_MAX),
+    "system.cutoff": (_at_least(1, _parse_int), DEFAULT_N_MAX),
     "system.t_prepare": (_at_least(0, _parse_float), None),
     "tau.start": (_at_least(0, _parse_float), _REQUIRED),
     "tau.stop": (_parse_float, _REQUIRED),
     "tau.count": (_at_least(2, _parse_int), _REQUIRED),
     "methods": (_parse_methods, _REQUIRED),
-    "integration.engine": (_parse_text, IntegrationConfig.engine),
+    "integration.engine": (_parse_engine, IntegrationConfig.engine),
     "integration.nodes_per_axis": (_parse_int, IntegrationConfig.nodes_per_axis),
     "integration.sample_count": (_parse_int, IntegrationConfig.sample_count),
-    "integration.seed": (_parse_int, IntegrationConfig.seed),
+    "integration.seed": (_at_least(0, _parse_int), IntegrationConfig.seed),
     "lmax": (_at_least(1, _parse_int), DEFAULT_L_MAX),
     "outputs.series_path": (_parse_text, None),
     "outputs.report_path": (_parse_text, None),
@@ -199,7 +206,7 @@ def parse_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioSchemaError(f"cannot read scenario file {path}: {exc}")
 
-    raw, given = {}, {}
+    raw, given, lines = {}, {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -214,7 +221,8 @@ def parse_scenario(path) -> Scenario:
         if not value:
             raise ScenarioSchemaError(f"line {line_no}: empty value for {key!r}")
         raw[key] = value
-        given[key] = _SCHEMA[key][0](value, key, f"line {line_no}")
+        lines[key] = f"line {line_no}"
+        given[key] = _SCHEMA[key][0](value, key, lines[key])
 
     v = {}
     for key, (_, default) in _SCHEMA.items():
@@ -225,24 +233,29 @@ def parse_scenario(path) -> Scenario:
     if v["system.t_prepare"] is None:
         v["system.t_prepare"] = 20.0 / kappa if kappa > 0 else 0.0
     if v["tau.stop"] <= v["tau.start"]:
-        raise ScenarioSchemaError("tau.stop must exceed tau.start")
+        raise ScenarioSchemaError(f"{lines['tau.stop']}: tau.stop must exceed tau.start")
 
+    engine = v["integration.engine"]
+    size_key = ("integration.nodes_per_axis" if engine == "gauss_hermite_tensor"
+                else "integration.sample_count")
     try:
         integration = IntegrationConfig(
-            engine=v["integration.engine"],
+            engine=engine,
             nodes_per_axis=v["integration.nodes_per_axis"],
             sample_count=v["integration.sample_count"],
             seed=v["integration.seed"],
         )
-        system = SystemSpec(
-            hamiltonian=QuadraticHamiltonian(v["system.omega"], v["system.xi"], v["system.eta"]),
-            channel=DampingChannel(kappa, v["system.n_thermal"]),
-            initial_state=v["system.initial"],
-            cutoff=FockCutoff(v["system.cutoff"]),
-            t_prepare=v["system.t_prepare"],
-        )
     except ValueError as exc:
-        raise ScenarioSchemaError(str(exc))
+        # the schema checked engine and seed; what is left is the engine's size
+        # key, which its default satisfies, so the file sets it
+        raise ScenarioSchemaError(f"{lines[size_key]}: {exc}")
+    system = SystemSpec(
+        hamiltonian=QuadraticHamiltonian(v["system.omega"], v["system.xi"], v["system.eta"]),
+        channel=DampingChannel(kappa, v["system.n_thermal"]),
+        initial_state=v["system.initial"],
+        cutoff=FockCutoff(v["system.cutoff"]),
+        t_prepare=v["system.t_prepare"],
+    )
 
     settings = {key: val for key, val in v.items() if not key.startswith("outputs.")}
     settings["system.initial"] = raw.get("system.initial", "vacuum")

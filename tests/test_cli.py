@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -255,14 +256,20 @@ class TestMainEntry:
         assert "FAIL near tau" in report
 
     @pytest.mark.parametrize("line, message", [
-        ("system.t_prepare = -1.0", "error: system.t_prepare must be >= 0"),
-        ("lmax = -3", "error: lmax must be >= 1"),
+        ("system.t_prepare = -1.0", "error: line 9: system.t_prepare must be >= 0"),
+        ("lmax = -3", "error: line 9: lmax must be >= 1"),
         ("system.trace_budget = -1", "error: line 9: unknown key 'system.trace_budget'"),
-        ("integration.seed = -1", "error: integration.seed must be >= 0"),
+        ("integration.seed = -1", "error: line 9: integration.seed must be >= 0"),
         ("integration.nodes_per_axis = 65",
-         "error: quadrature needs 8 <= nodes_per_axis <= 64, got 65"),
+         "error: line 9: quadrature needs 8 <= nodes_per_axis <= 64, got 65"),
+        ("integration.engine = trapezoid",
+         "error: line 9: unknown integration engine 'trapezoid'"),
         ("system.omega = nan", "error: line 3: system.omega must be finite"),
         ("tau.stop = inf", "error: line 6: tau.stop must be finite"),
+        ("tau.count = 1", "error: line 7: tau.count must be >= 2"),
+        ("tau.stop = 0.0", "error: line 6: tau.stop must exceed tau.start"),
+        ("system.kappa = -1", "error: line 9: system.kappa must be >= 0"),
+        ("system.cutoff = 0", "error: line 9: system.cutoff must be >= 1"),
         ("system.t_prepare = inf", "error: line 9: system.t_prepare must be finite"),
         ("system.eta = 1+infj", "error: line 9: system.eta must be finite"),
         ("system.eta = 0 5", "error: line 9: system.eta expects a number, got '0 5'"),
@@ -289,6 +296,12 @@ class TestMainEntry:
         assert err.startswith(message)
         assert "Traceback" not in err
 
+    def test_small_monte_carlo_sample_count_names_its_line(self, tmp_path, capsys):
+        text = MC_NORMALISATION.replace("sample_count = 100000", "sample_count = 100")
+        assert main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 10: Monte Carlo needs sample_count >= 10^4")
+
     # a rate so large that exp(L tau) overflows to NaN inside expm
     @pytest.mark.parametrize("t_prepare, message", [
         ("0", "error: regression numerators are not finite"),
@@ -311,6 +324,15 @@ class TestMainEntry:
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: mean photon number")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["regression", "propagator"])
+    def test_weak_coherent_exact_route_exit_0(self, tmp_path, method):
+        # n = 1e-10 lies above the mean-photon-number floor of the exact routes
+        text = MINIMAL.replace("coherent 1.0", "coherent 1e-5").replace("regression", method)
+        assert main(["run", str(write(tmp_path, text)), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "minimal_series.csv").read_text().splitlines()[1:]
+        g2 = np.array([float(row.split(",")[4]) for row in rows])
+        assert np.allclose(g2, 1.0, atol=1e-6)
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
@@ -364,6 +386,34 @@ def test_bundled_scenario_runs_clean(cfg, tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
     (report,) = tmp_path.glob("*_report.txt")
     assert "FAIL" not in report.read_text()
+
+
+SCIPY_PROBE = """
+import sys
+from twotime import cli
+
+def scipy_modules():
+    return sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+print("scipy:", "import", scipy_modules())
+for cfg in sys.argv[2:]:
+    code = cli.main(["run", cfg, "--out", sys.argv[1]])
+    print("scipy:", cfg.rsplit("/", 1)[-1], code, scipy_modules())
+"""
+
+
+def test_closed_runs_import_no_scipy(tmp_path):
+    # SciPy serves only the damped path, and is imported by its first use
+    root = Path(__file__).resolve().parent.parent
+    closed = ["coherent_closed", "coherent_mc", "driven_vacuum", "squeezed_vacuum"]
+    cfgs = [str(root / "scenarios" / f"{name}.cfg") for name in closed + ["thermal_steady"]]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *cfgs],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, check=True)
+    lines = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("scipy:")]
+    assert lines[0] == ["import", "0"]
+    assert lines[1:5] == [[f"{name}.cfg", "0", "0"] for name in closed]
+    assert lines[5][:2] == ["thermal_steady.cfg", "0"] and int(lines[5][2]) > 0
 
 
 def test_console_script_installed():

@@ -12,6 +12,7 @@ from twotime.dynamics import (
     lindblad_generator,
     propagated_map,
     steady_state,
+    unitary_matrix,
 )
 from twotime.errors import CutoffTooSmallError
 from twotime.hilbert import (
@@ -83,6 +84,23 @@ class TestUnitary:
     def test_squeezing_leak_aborts(self):
         with pytest.raises(CutoffTooSmallError):
             evolve_unitary(coherent_dm(1.0, FockCutoff(8)), QuadraticHamiltonian(xi=1.0), 2.5)
+
+    @pytest.mark.parametrize("H", [QuadraticHamiltonian(omega=1.0, eta=0.5),
+                                   QuadraticHamiltonian(omega=1.0, xi=0.2),
+                                   QuadraticHamiltonian(omega=0.5, xi=0.5, eta=0.3),
+                                   QuadraticHamiltonian(omega=1.0, xi=0.1j, eta=0.3)])
+    @pytest.mark.parametrize("t", [0.9, 4.0])
+    def test_eigh_unitary_matches_expm(self, H, t):
+        cut = FockCutoff(40)
+        U = unitary_matrix(H, t, cut)
+        assert np.max(np.abs(U - expm(-1j * t * hamiltonian_matrix(H, cut)))) < 1e-13
+
+    @pytest.mark.parametrize("omega", [0.0, 0.8, -1.3])
+    def test_free_unitary_bit_identical_to_expm(self, omega):
+        cut = FockCutoff(40)
+        H = QuadraticHamiltonian(omega=omega)
+        assert np.array_equal(unitary_matrix(H, 1.1, cut),
+                              expm(-1j * 1.1 * hamiltonian_matrix(H, cut)))
 
 
 class TestLindblad:

@@ -237,6 +237,16 @@ class TestSeries:
         with pytest.raises(ZeroDenominatorError, match="mean photon number"):
             phase_space_series(sys, np.linspace(0.0, 1.0, 3), method, QUAD)
 
+    @pytest.mark.parametrize("L_max", [4, 12, 20, 30])
+    def test_vacuum_rejected_above_derivative_roundoff(self, L_max):
+        # the route's vacuum n is roundoff of either sign: 4e-14 at L_max = 4,
+        # 3.9e-9 at 20 (above MEAN_N_FLOOR), -2.9e-6 at 30
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.vacuum(), FockCutoff(30))
+        with pytest.raises(ZeroDenominatorError, match="mean photon number"):
+            phase_space_series(sys, np.linspace(0.0, 1.0, 3), "qfunction_derivative", QUAD,
+                               L_max)
+
     def test_quadrature_node_doubling_stable(self):
         sys = scenario("squeezed")
         tau = 0.6

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from twotime import propagator
+from twotime import dynamics, propagator
 from twotime.dynamics import QuadraticHamiltonian
 from twotime.errors import CutoffTooSmallError, InstabilityError
 from twotime.hilbert import FockCutoff, coherent_overlap
@@ -105,12 +106,14 @@ class TestQuadraticKernel:
                 num = kernel_numeric(H, t, a, b, FockCutoff(n_max))
                 assert abs(k.evaluate(a, b) - num) / abs(num) < 1e-7
 
-    def test_one_expm_per_build(self, monkeypatch):
-        # the degenerate driven case takes the same single exponential as any other
-        shapes = []
-        monkeypatch.setattr(propagator, "expm", lambda m: shapes.append(m.shape) or expm(m))
+    def test_build_calls_no_expm(self, monkeypatch):
+        # the map is in closed form, the degenerate driven case included
+        calls = []
+        for module in (scipy.linalg, dynamics):
+            monkeypatch.setattr(module, "expm", lambda m: calls.append(m.shape))
         kernel_quadratic(QuadraticHamiltonian(omega=0.5, xi=0.5, eta=0.3), 2.0)
-        assert shapes == [(4, 4)]
+        bogoliubov_map(QuadraticHamiltonian(omega=1.0, xi=0.2, eta=0.5), 2.0)
+        assert calls == []
 
     def test_unitarity_identity(self):
         # |B|^2 = 1 - 4|C|^2 for every unitary quadratic kernel
@@ -149,6 +152,50 @@ class TestQuadraticKernel:
         expected = heisenberg_ode_oracle(H, t)
         for g, e in zip(got, expected):
             assert abs(g - e) < 1e-10
+
+
+REGIMES = {
+    "oscillating": QuadraticHamiltonian(omega=1.0, xi=0.2, eta=0.5),
+    "amplifying": QuadraticHamiltonian(omega=0.1, xi=0.5, eta=0.7),
+    "exceptional_point": QuadraticHamiltonian(omega=0.5, xi=0.5, eta=0.3),
+    "driven_only": QuadraticHamiltonian(omega=1.0, eta=0.5),
+}
+
+
+class TestClosedFormMap:
+    """The closed-form map against the reference exponential of _generator."""
+
+    @staticmethod
+    def reference_row(H, t):
+        return expm(t * propagator._generator(H))[0]
+
+    @pytest.mark.parametrize("t", [0.3, 4.0, 12.0, 40.0])
+    @pytest.mark.parametrize("name", REGIMES)
+    def test_map_matches_expm(self, name, t):
+        ref = self.reference_row(REGIMES[name], t)
+        got = np.array(propagator._map_row(REGIMES[name], t))
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert bogoliubov_map(REGIMES[name], t) == propagator._map_row(REGIMES[name], t)[:3]
+
+    @pytest.mark.parametrize("name,t", [(name, t) for name in REGIMES for t in (0.3, 4.0, 40.0)
+                                        if (name, t) != ("amplifying", 40.0)])
+    def test_kernel_matches_expm(self, name, t, monkeypatch):
+        # at t = 40 the amplifying kernel trips the instability guard (tested above)
+        H = REGIMES[name]
+        k = kernel_quadratic(H, t)
+        monkeypatch.setattr(propagator, "_map_row", self.reference_row)
+        ref = kernel_quadratic(H, t)
+        for c in "ABCDEF":
+            assert abs(getattr(k, c) - getattr(ref, c)) < 1e-12 * max(1.0, abs(getattr(ref, c)))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_series_and_closed_form_meet(self, t, sign):
+        # |w2| t^2 = 1 switches from the Taylor series to cos/sin (cosh/sinh)
+        w2 = sign / (t * t)
+        below = np.array(propagator._series(w2 * (1 - 4e-16), t))
+        above = np.array(propagator._series(w2 * (1 + 4e-16), t))
+        assert np.all(np.abs(below - above) < 1e-14 * np.abs(above))
 
 
 class TestNumericKernel:
