@@ -31,7 +31,13 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   cached (``_normals``, read-only, at most ``MC_NORMALS_BYTES``).  The errors
   of the integrals of one series are therefore correlated, while the
   ``hypot`` propagation of ``correlators.normalized_series`` treats them as
-  independent.
+  independent.  A chunk is evaluated in tiles of ``MC_TILE`` samples held
+  coordinate-major, X = chol g^T + mu of shape (2n, tile): the phase, the
+  polynomial and the sums of h and |h|^2 are computed per tile, and the real
+  Gaussian prefactor is applied once to the totals.  A tile's temporaries
+  (0.66 MB at n = 3) stay in cache, where whole-chunk ones (6.8 MB) were
+  page-faulted afresh; the tile size changes no sample, only the rounding
+  of the sums.
 
 Complex measures follow d^2 z = dRe(z) dIm(z); any 1/pi factors belong to the
 caller's integrand.
@@ -56,6 +62,12 @@ MC_CHUNK = 1 << 16
 MC_CACHED_CHUNKS = 4
 MC_CACHED_BLOCK = MC_CHUNK * 10
 MC_NORMALS_BYTES = MC_CACHED_CHUNKS * MC_CACHED_BLOCK * 8
+# Each chunk is evaluated in tiles of MC_TILE samples.  A 10^5-sample
+# integral over six real coordinates took a median 9.8-10.0 / 9.1 /
+# 8.9-9.1 ms at 2048 / 4096 / 8192 (two runs of 30 interleaved repeats,
+# 1 BLAS thread, 2-vCPU host) and peaked at 0.33 / 0.66 / 1.3 MB of
+# scratch; 4096 is as fast as the larger tile at half its memory.
+MC_TILE = 4096
 MC_RELATIVE_ERROR_WARN = 0.10
 # A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
 # its contraction a nodes^3 work table per vector (4.2 MB at 64).
@@ -167,19 +179,22 @@ class PolyGaussian:
             )
 
     # ---- pointwise polynomial part (Monte Carlo) ---------------------------
-    def _poly_values(self, z: np.ndarray) -> np.ndarray:
-        """poly(z, conj z) times the var_factors at the rows of z, shape (samples, n_vars).
+    def _poly_values(self, X: np.ndarray) -> np.ndarray:
+        """poly(z, conj z) times the var_factors at the columns of X, shape (2 n_vars, samples).
 
-        Each (variable, power, conjugated) column is computed once and shared
-        by every monomial and vector factor that needs it.
+        Rows 2i and 2i + 1 of X hold Re z_i and Im z_i.  Only the complex
+        (variable, power, conjugated) rows that a monomial or vector factor
+        uses are built, each once, and shared by all of them.
         """
         cols: dict = {}
 
-        # not recursive: a self-referencing closure would keep z alive in a
+        # not recursive: a self-referencing closure would keep X alive in a
         # reference cycle until the cyclic collector runs
         def col(i, p, conj):
             if (i, 1, conj) not in cols:
-                cols[i, 1, conj] = np.conj(z[:, i]) if conj else z[:, i]
+                z = np.empty(X.shape[1], dtype=complex)
+                z.real, z.imag = X[2 * i], -X[2 * i + 1] if conj else X[2 * i + 1]
+                cols[i, 1, conj] = z
             if (i, p, conj) not in cols:
                 cols[i, p, conj] = cols[i, 1, conj] ** p
             return cols[i, p, conj]
@@ -189,7 +204,7 @@ class PolyGaussian:
         for (p, q), coef in poly.items():
             factors = [col(i, k, conj) for i in range(self.n_vars)
                        for k, conj in ((p[i], False), (q[i], True)) if k]
-            term = coef * factors[0] if factors else np.full(z.shape[0], coef, dtype=complex)
+            term = coef * factors[0] if factors else np.full(X.shape[1], coef, dtype=complex)
             for f in factors[1:]:
                 term *= f
             if vals is None:
@@ -408,29 +423,29 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
     log_norm = 0.5 * d * np.log(2 * np.pi) + 0.5 * logdet
     prefactor = np.exp(req_mu + log_norm)
 
-    SI, bI, cI = S.imag, b.imag, c.imag
+    SI, bI, cI = S.imag, b.imag[:, None], c.imag
+    mu = mu[:, None]
     total = 0.0 + 0.0j
-    total_sq_re = 0.0
-    total_sq_im = 0.0
+    total_sq = 0.0
     for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
         m = min(MC_CHUNK, cfg.sample_count - start)
-        x = _chunk_normals(cfg.seed, chunk, m, d) @ chol.T
-        x += mu
-        arg = np.einsum("ni,ni->n", x @ SI, x)
-        arg += x @ bI
-        arg += cI
-        # x holds (Re z_i, Im z_i) pairs, so its complex view is z without a copy
-        h = pg._poly_values(x.view(complex))
-        h *= np.exp(1j * arg)
-        h *= prefactor
-        total += np.sum(h)
-        total_sq_re += np.sum(h.real**2)
-        total_sq_im += np.sum(h.imag**2)
+        gT = _chunk_normals(cfg.seed, chunk, m, d).T
+        for lo in range(0, m, MC_TILE):
+            # rows of X are the real coordinates (Re z_0, Im z_0, ...) of the tile
+            X = chol @ gT[:, lo:lo + MC_TILE]
+            X += mu
+            h = pg._poly_values(X)
+            # the phase x^T SI x + bI.x + cI, built in one (2n, tile) buffer
+            Y = SI @ X
+            Y += bI
+            Y *= X
+            h *= np.exp(1j * (Y.sum(0) + cI))
+            total += h.sum()
+            total_sq += np.vdot(h, h).real
     count = cfg.sample_count
-    mean = total / count
-    var_re = max(total_sq_re / count - mean.real**2, 0.0)
-    var_im = max(total_sq_im / count - mean.imag**2, 0.0)
-    stderr = float(np.sqrt((var_re + var_im) / count))
+    mean = prefactor * total / count
+    var = max(prefactor**2 * total_sq / count - abs(mean) ** 2, 0.0)
+    stderr = float(np.sqrt(var / count))
     if abs(mean) > 0 and stderr / abs(mean) > MC_RELATIVE_ERROR_WARN:
         warnings.warn(
             f"MC relative standard error {stderr / abs(mean):.1%} exceeds "

@@ -436,7 +436,7 @@ def test_mc_phase_matches_three_operand_form():
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,))))
         x = mu + rng.standard_normal((m, 6)) @ chol.T
         phase = np.exp(1j * (np.einsum("ni,ij,nj->n", x, S.imag, x) + x @ b.imag + c.imag))
-        total += np.sum(pg._poly_values(x[:, 0::2] + 1j * x[:, 1::2]) * phase * pref)
+        total += np.sum(pg._poly_values(x.T) * phase * pref)
     assert abs(value - total / cfg.sample_count) < 1e-13 * abs(value)
 
 
@@ -505,6 +505,57 @@ class TestNormalsCache:
         assert (info.misses, info.hits) == (cached, cached)
 
 
+class TestTiles:
+    """Each chunk is evaluated in tiles of MC_TILE samples; the tiles change no sample."""
+
+    MC = TestNormalsCache.MC
+
+    @pytest.mark.parametrize("tile", [1000, quadrature.MC_CHUNK])
+    def test_tile_size_changes_nothing(self, monkeypatch, tile):
+        # two full chunks plus a remainder; 1000 divides no chunk length
+        pg = TestNormalsCache.integrand()
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian",
+                                sample_count=2 * quadrature.MC_CHUNK + 20_000, seed=8)
+        value, err = integrate(pg, cfg)
+        monkeypatch.setattr(quadrature, "MC_TILE", tile)
+        tiled, tiled_err = integrate(pg, cfg)
+        assert abs(tiled - value) <= 1e-14 * abs(value)
+        assert abs(tiled_err - err) <= 1e-14 * err
+
+    def test_series_matches_stored_stream(self):
+        # the coherent_mc propagator series, as computed before the tiles: a
+        # reordering of the normals would keep the run-to-run determinism of
+        # the CLI but move these values far beyond 1e-12
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.coherent(1.0), FockCutoff(40))
+        series = phasespace.phase_space_series(sys, np.linspace(0.0, 3.0, 5), "propagator",
+                                               self.MC)
+        g1 = [1 + 0.0043346567479234065j, 0.7424844931914516 + 0.6769321719487086j,
+              0.08043516989945385 + 1.0001280938721j, -0.6137282042404005 + 0.7872251436289445j,
+              -0.9957856936546262 + 0.12939818337719422j]
+        g2 = [0.9986406048411669, 0.9870277653990993, 0.9945060036164735,
+              0.9998149489911214, 1.0122410829854869]
+        err = [0.043852465406141045, 0.04342175896890028, 0.04369902802886274,
+               0.043896064190202734, 0.04435787522537386]
+        assert np.max(np.abs(series.g1 - g1)) < 1e-12
+        assert np.max(np.abs(series.g2 - g2)) < 1e-12
+        assert np.max(np.abs(series.error_estimate - err)) < 1e-12
+
+    def test_scratch_memory_bounded_by_tile(self):
+        # with the normals cached, one integral allocates only tile-sized
+        # temporaries: under 1 MiB, where whole-chunk temporaries took 6.8 MB
+        pg = TestNormalsCache.integrand()
+        integrate(pg, self.MC)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            integrate(pg, self.MC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestPolyValues:
     """Monte Carlo polynomial factors on shapes the bundled scenarios never build."""
 
@@ -526,8 +577,9 @@ class TestPolyValues:
 
     @staticmethod
     def samples():
-        # the complex view of (Re z_i, Im z_i) pairs, as _mc_sample passes it
-        return np.random.default_rng(12).standard_normal((500, 6)).view(complex)
+        """(z, X): complex samples of shape (500, 3) and their real rows, as _mc_sample passes them."""
+        z = np.random.default_rng(12).standard_normal((500, 6)).view(complex)
+        return z, np.ascontiguousarray(z.view(float).T)
 
     def test_multi_monomial_with_vector_factors(self):
         rng = np.random.default_rng(13)
@@ -537,18 +589,18 @@ class TestPolyValues:
             pg.poly_add(p, q, complex(*rng.standard_normal(2)))
         pg.set_var_factor(0, rng.standard_normal(5) + 1j * rng.standard_normal(5), conjugated=True)
         pg.set_var_factor(2, rng.standard_normal(4) + 1j * rng.standard_normal(4), conjugated=False)
-        z = self.samples()
+        z, X = self.samples()
         ref = self.reference(pg, z)
-        assert np.max(np.abs(pg._poly_values(z) - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(pg._poly_values(X) - ref)) < 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("with_factor", [False, True])
     def test_empty_polynomial(self, with_factor):
         pg = PolyGaussian(3)
         if with_factor:
             pg.set_var_factor(1, np.array([0.5, 1j, -0.25]), conjugated=True)
-        z = self.samples()
+        z, X = self.samples()
         ref = self.reference(pg, z)
-        assert np.max(np.abs(pg._poly_values(z) - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(pg._poly_values(X) - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_two_variable_q_series_on_driven_mode(self):
         # the Fock-vector var_factors of qfunction_two_variable, under MC
