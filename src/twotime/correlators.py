@@ -4,9 +4,10 @@ A two-time average Tr[O M(tau)(Y)] pairs an observable O with a deformed
 state Y (a rho, rho adag or a rho adag) evolved by the map M that evolves
 single-time averages.  The regression route reads it in the Heisenberg
 picture, Tr[M^dag(tau)(O) Y]: the three observables adag, a and adag a are
-evolved by the adjoint map and traced against the fixed deformed states.  For
-a phase-invariant damped mode each observable sits in one block of the
-generator, so only those blocks are exponentiated.  Both operator orderings
+evolved together and traced against the fixed deformed states.  A damped mode
+holds them as one compact array over the generator blocks they occupy (for a
+phase-invariant mode the coherence orders -1, +1 and 0), so only those blocks
+are exponentiated.  Both operator orderings
 are computed and checked for conjugacy; series store the <adag(t+tau) a(t)>
 ordering, whose free-oscillator phase is exp(+i omega tau).
 
@@ -26,6 +27,7 @@ from .dynamics import (
     DampingChannel,
     QuadraticHamiltonian,
     evolve_lindblad,
+    occupied_rows,
     propagated_map,
     unitary_matrix,
 )
@@ -150,8 +152,8 @@ class CorrelationSeries:
 
 def _check_tau_grid(taus: np.ndarray) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or len(taus) == 0:
-        raise ValueError("tau grid must be a nonempty 1-d array")
+    if taus.ndim != 1 or len(taus) == 0 or not np.all(np.isfinite(taus)):
+        raise ValueError("tau grid must be a nonempty 1-d array of finite values")
     if taus[0] < 0:
         raise ValueError("negative tau is not supported; correlators use tau >= 0")
     if np.any(np.diff(taus) <= 0):
@@ -160,15 +162,15 @@ def _check_tau_grid(taus: np.ndarray) -> np.ndarray:
 
 
 class _GridPropagator:
-    """Evolves a set of observables along an ascending tau grid (Heisenberg picture).
+    """Traces evolved observables against fixed states along an ascending tau grid.
 
     Uses the semigroup property: one cached map per distinct grid increment,
     applied sequentially, instead of one map per tau.  A grid whose increments
     agree to 1e-12 relative (np.linspace rounding) steps with its single mean
     increment, so it needs one map besides the step from 0 to its first tau.
-    Damped systems apply ``adjoint`` of the map from ``propagated_map``, which
-    exponentiates only the generator blocks the observables occupy; closed
-    systems use U^dag O U.
+    Closed systems use U^dag O U.  Damped systems step the columns vec(O.T) on
+    the rows ``occupied_rows`` gathers once, by ``heisenberg`` of each map from
+    ``propagated_map``, and gather the states on the same rows.
     """
 
     def __init__(self, sys: SystemSpec, taus: np.ndarray):
@@ -180,19 +182,24 @@ class _GridPropagator:
                 increments = np.full_like(increments, mean)
         self.steps = np.concatenate(([taus[0]], increments))
 
-    def run(self, ops: list[np.ndarray]):
-        """Yields (tau_index, evolved_ops) in grid order."""
+    def traces(self, ops: list[np.ndarray], states: list[np.ndarray]):
+        """Yields [Tr[O(tau_k) Y] for each pair (O, Y) of ops and states] in grid order."""
         sys = self.sys
-        current = ops
-        for i, dt in enumerate(self.steps):
-            if dt > 0:
-                if sys.closed:
+        if sys.closed:
+            states_T = [y.T for y in states]  # Tr[O Y] = sum(O * Y.T)
+            for dt in self.steps:
+                if dt > 0:
                     U = unitary_matrix(sys.hamiltonian, dt, sys.cutoff)
-                    current = [U.conj().T @ op @ U for op in current]
-                else:
-                    M = propagated_map(sys.hamiltonian, sys.channel, dt, sys.cutoff)
-                    current = [M.adjoint(op) for op in current]
-            yield i, current
+                    ops = [U.conj().T @ op @ U for op in ops]
+                yield [np.sum(op * y) for op, y in zip(ops, states_T)]
+            return
+        C = np.stack([op.T.reshape(-1) for op in ops], axis=1)
+        rows, spans = occupied_rows(sys.hamiltonian, sys.channel, sys.cutoff, C)
+        C, Y = C[rows], np.stack([y.reshape(-1) for y in states], axis=1)[rows]
+        for dt in self.steps:
+            if dt > 0:
+                propagated_map(sys.hamiltonian, sys.channel, dt, sys.cutoff).heisenberg(C, spans)
+            yield (C * Y).sum(axis=0)
 
 
 def regression_raw(sys: SystemSpec, taus):
@@ -213,11 +220,8 @@ def regression_raw(sys: SystemSpec, taus):
     mean_n = float(np.real(np.trace(number @ rho_t.mat)))
 
     rho = rho_t.mat
-    # Tr[O Y] = sum(O * Y.T), so each fixed deformed state is transposed once
-    deformed_T = [(a @ rho).T, (rho @ adag).T, (a @ rho @ adag).T]
-    G = np.empty((3, len(taus)), dtype=complex)
-    for k, evolved in _GridPropagator(sys, taus).run([adag, a, number]):
-        G[:, k] = [np.sum(op * y) for op, y in zip(evolved, deformed_T)]
+    deformed = [a @ rho, rho @ adag, a @ rho @ adag]
+    G = np.array(list(_GridPropagator(sys, taus).traces([adag, a, number], deformed))).T
     if not np.all(np.isfinite(G)):
         raise SelfCheckError(
             "regression numerators are not finite; the evolution overflowed "

@@ -6,11 +6,11 @@ matrix.  L often splits into independent blocks: a phase-invariant generator
 (xi = eta = 0) keeps the coherence order m - n of |m><n| fixed, which gives
 2d - 1 blocks of at most d rows; squeezing alone keeps the parity of m + n,
 which gives two.  exp(L tau) is block diagonal with the same pattern.  A map
-builds one small dense ``expm`` of a block the first time it is applied to
-(or, in the Heisenberg picture, adjoint-applied to) a matrix with a nonzero
-entry in that block, and keeps it.  A connected generator is a single block.
-Maps are cached per distinct duration, since correlators reuse the same map
-across a whole tau grid.
+builds one small dense ``expm`` of a block the first time it acts on a vector
+with a nonzero entry in that block, and keeps it; ``occupied_rows`` gathers
+once the blocks a set of Heisenberg observables occupies, which no map changes.
+A connected generator is a single block.  Maps are cached per distinct
+duration, since correlators reuse the same map across a whole tau grid.
 
 Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
 Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
@@ -60,8 +60,8 @@ class DampingChannel:
     n_thermal: float = 0.0
 
     def __post_init__(self):
-        if self.kappa < 0 or self.n_thermal < 0:
-            raise ValueError("kappa and n_thermal must be >= 0")
+        if not (0 <= self.kappa < np.inf and 0 <= self.n_thermal < np.inf):
+            raise ValueError("kappa and n_thermal must be finite and >= 0")
 
 
 def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarray:
@@ -108,10 +108,11 @@ def lindblad_generator(
 class Propagated:
     """Linear map M(tau) = exp(L tau), exponentiated block by block on first use.
 
-    ``apply(rho)`` is rho(tau) = M(rho); ``adjoint(op)`` is the Heisenberg
-    picture map, with Tr[adjoint(op) rho] = Tr[op apply(rho)] for every rho.
-    Both exponentiate only the blocks in which their argument has a nonzero
-    entry; each block's exponential is read-only and kept for later calls.
+    ``apply(rho)`` is rho(tau) = M(rho).  ``heisenberg(C, spans)`` steps compact
+    columns C = vec(O.T)[rows], laid out by ``occupied_rows``, in place to
+    vec(O(tau).T) = M.T vec(O.T), since Tr[O M(Y)] = vec(O.T) . M vec(Y).  Both
+    exponentiate only the blocks their argument occupies; each block's
+    exponential is read-only and kept for later calls.
     """
 
     def __init__(self, blocks, members, labels, duration: float, dim: int):
@@ -130,20 +131,18 @@ class Propagated:
             self._exps[b] = E
         return E
 
-    def _act(self, v: np.ndarray, transpose: bool) -> np.ndarray:
+    def apply(self, rho_mat: np.ndarray) -> np.ndarray:
+        v = rho_mat.reshape(-1)
         out = np.zeros(v.shape, dtype=complex)
         for b in np.unique(self.labels[np.flatnonzero(v)]):
             idx = self.members[b]
-            E = self._block_exp(b)
-            out[idx] = (E.T if transpose else E) @ v[idx]
-        return out
+            out[idx] = self._block_exp(b) @ v[idx]
+        return out.reshape(self.dim, self.dim)
 
-    def apply(self, rho_mat: np.ndarray) -> np.ndarray:
-        return self._act(rho_mat.reshape(-1), False).reshape(self.dim, self.dim)
-
-    def adjoint(self, op: np.ndarray) -> np.ndarray:
-        # Tr[X Y] = vec(X.T) . vec(Y), so the adjoint acts as M.T on vec(op.T)
-        return self._act(op.T.reshape(-1), True).reshape(self.dim, self.dim).T
+    def heisenberg(self, C: np.ndarray, spans) -> None:
+        """M.T on compact columns C in place, one E_b.T @ C[span] per occupied block b."""
+        for b, span in spans:
+            C[span] = self._block_exp(b).T @ C[span]
 
     @property
     def map(self) -> sparse.csr_matrix:
@@ -211,6 +210,17 @@ def propagated_map(
     if tau < 0:
         raise ValueError("tau must be >= 0 for the damped map")
     return Propagated(*_generator_blocks(H, ch, cutoff), float(tau), cutoff.dim)
+
+
+def occupied_rows(H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff,
+                  columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """Vec indices of the blocks of L in which any column (d^2, k) is nonzero, block by
+    block, and each block's label and slice of them: the rows ``heisenberg`` steps."""
+    _, members, labels = _generator_blocks(H, ch, cutoff)
+    occupied = np.unique(labels[np.any(columns != 0, axis=1)])
+    ends = np.cumsum([len(members[b]) for b in occupied])
+    spans = [(b, slice(end - len(members[b]), end)) for b, end in zip(occupied, ends)]
+    return np.concatenate([members[b] for b in occupied]), spans
 
 
 def evolve_unitary(rho0: DensityMatrix, H: QuadraticHamiltonian, t: float) -> DensityMatrix:

@@ -14,7 +14,7 @@ from twotime.correlators import (
 )
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
 from twotime.errors import SelfCheckError, ZeroDenominatorError
-from twotime.hilbert import FockCutoff
+from twotime.hilbert import FockCutoff, ladder_matrices
 from twotime.quadrature import IntegrationConfig
 
 
@@ -117,6 +117,38 @@ class TestUnnormalized:
         assert abs(G2[0].real - 1.1**4) < 1e-9
 
 
+class TestDenseSchrodingerReference:
+    """regression_raw against exp(L tau) of the dense generator on the deformed states."""
+
+    @pytest.mark.parametrize("H, initial", [
+        (QuadraticHamiltonian(omega=1.0), InitialState.coherent(0.6 + 0.3j)),
+        (QuadraticHamiltonian(omega=1.1, xi=0.15), InitialState.coherent(0.4)),
+        (QuadraticHamiltonian(omega=0.9, eta=0.3), InitialState.fock(1)),
+    ], ids=["free", "squeezed", "driven"])
+    @pytest.mark.parametrize("taus", [
+        np.linspace(0.0, 3.0, 12),
+        np.linspace(0.4, 3.0, 12),
+        np.array([0.0, 0.1, 0.35, 1.0, 2.2]),
+    ], ids=["linspace", "linspace_offset", "nonuniform"])
+    def test_numerators_match_dense_map(self, H, initial, taus):
+        cut = FockCutoff(9)
+        ch = DampingChannel(kappa=0.8, n_thermal=0.2)
+        sys = SystemSpec(H, ch, initial, cut, t_prepare=0.5)
+        L = dynamics.lindblad_generator(H, ch, cut).toarray()
+        d = cut.dim
+        rho = (expm(0.5 * L) @ initial.build(cut).mat.reshape(-1)).reshape(d, d)
+        a, adag = ladder_matrices(cut)
+        expected = []
+        for tau in taus:
+            M = expm(tau * L)
+            evolved = [(M @ y.reshape(-1)).reshape(d, d) for y in (a @ rho, rho @ adag,
+                                                                   a @ rho @ adag)]
+            expected.append([np.trace(op @ y) for op, y in zip((adag, a, adag @ a), evolved)])
+        mean_n, *G = regression_raw(sys, taus)
+        assert abs(mean_n - np.trace(adag @ a @ rho).real) < 1e-12
+        assert np.max(np.abs(np.array(G) - np.array(expected).T)) < 1e-12
+
+
 class TestStationarity:
     def test_two_preparation_times_agree(self):
         taus = np.linspace(0, 3, 7)
@@ -145,6 +177,17 @@ class TestSeriesContract:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             regression_series(closed_coherent(), np.array([-0.1, 0.2]))
+
+    @pytest.mark.parametrize("taus", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf]],
+                             ids=["nan_inside", "nan_alone", "inf"])
+    @pytest.mark.parametrize("route", [
+        lambda sys, taus: regression_series(sys, taus),
+        lambda sys, taus: phasespace.phase_space_series(sys, taus, "propagator",
+                                                        IntegrationConfig()),
+    ], ids=["regression", "phase_space"])
+    def test_non_finite_tau_rejected(self, route, taus):
+        with pytest.raises(ValueError, match="finite"):
+            route(closed_coherent(), np.array(taus))
 
     def test_method_tag_guard(self):
         with pytest.raises(ValueError):

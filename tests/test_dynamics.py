@@ -10,6 +10,7 @@ from twotime.dynamics import (
     evolve_unitary,
     hamiltonian_matrix,
     lindblad_generator,
+    occupied_rows,
     propagated_map,
     steady_state,
     unitary_matrix,
@@ -104,6 +105,13 @@ class TestUnitary:
 
 
 class TestLindblad:
+    @pytest.mark.parametrize("kappa, n_thermal", [
+        (-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_rates_must_be_finite_and_nonnegative(self, kappa, n_thermal):
+        with pytest.raises(ValueError, match="finite"):
+            DampingChannel(kappa=kappa, n_thermal=n_thermal)
+
     def test_kappa_zero_matches_unitary(self):
         cut = FockCutoff(20)
         rho = coherent_dm(0.7, cut)
@@ -219,12 +227,38 @@ class TestPropagatedMap:
         QuadraticHamiltonian(omega=1.0, eta=0.3),
     ], ids=["free", "squeezed", "driven"])
     def test_adjoint_duality(self, H):
-        # Tr[adjoint(O) rho] = Tr[O apply(rho)] for arbitrary complex O and rho
+        # the compact Heisenberg step on vec(O.T), traced against vec(rho) on the
+        # occupied rows, is Tr[O apply(rho)] for an arbitrary complex O and for
+        # the regression observables, which occupy only some blocks
         cut = FockCutoff(8)
-        P = propagated_map(H, DampingChannel(kappa=0.9, n_thermal=0.3), 0.7, cut)
+        ch = DampingChannel(kappa=0.9, n_thermal=0.3)
+        P = propagated_map(H, ch, 0.7, cut)
         rng = np.random.default_rng(11)
         O, rho = (rng.standard_normal((2, 9, 9)) + 1j * rng.standard_normal((2, 9, 9))) / 9
-        assert abs(np.trace(P.adjoint(O) @ rho) - np.trace(O @ P.apply(rho))) < 1e-12
+        a, adag = ladder_matrices(cut)
+        for ops in ([O], [adag, a, adag @ a]):
+            columns = np.stack([op.T.reshape(-1) for op in ops], axis=1)
+            rows, spans = occupied_rows(H, ch, cut, columns)
+            C = columns[rows]
+            P.heisenberg(C, spans)
+            expected = [np.trace(op @ P.apply(rho)) for op in ops]
+            assert np.max(np.abs(C.T @ rho.reshape(-1)[rows] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("H, rows", [
+        (QuadraticHamiltonian(omega=1.0), 3 * 9 - 2),
+        (QuadraticHamiltonian(omega=1.0, xi=0.2), 81),
+        (QuadraticHamiltonian(omega=1.0, eta=0.3), 81),
+    ], ids=["free", "squeezed", "driven"])
+    def test_occupied_rows_cover_the_observables(self, H, rows):
+        # coherence orders -1, +1 and 0 (d - 1, d - 1 and d rows) for a free
+        # mode; both parity blocks when squeezed; the one block when driven
+        cut = FockCutoff(8)
+        a, adag = ladder_matrices(cut)
+        columns = np.stack([op.T.reshape(-1) for op in (adag, a, adag @ a)], axis=1)
+        got, spans = occupied_rows(H, DampingChannel(kappa=0.9, n_thermal=0.3), cut, columns)
+        assert len(got) == rows and len(set(got)) == rows
+        assert not np.any(np.delete(columns, got, axis=0))
+        assert spans[-1][1].stop == rows
 
     def test_apply_builds_only_touched_blocks(self, monkeypatch):
         # coherence orders 0 and +1 only: the other 2d - 3 blocks stay zero
