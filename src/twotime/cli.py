@@ -15,6 +15,7 @@ import dataclasses
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,9 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return check_semantics(dataclasses.replace(scn, **changes)) if changes else scn
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="twotime",
         description="Two-time correlation functions of a damped/driven bosonic mode.",
@@ -226,8 +229,11 @@ def main(argv=None) -> int:
     p_orc.add_argument("scenario", type=Path)
     p_orc.add_argument("--seed", type=int)
     p_orc.add_argument("--out", type=Path)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         scn = parse_scenario(args.scenario)
         if args.command == "validate":

@@ -1,21 +1,19 @@
 """Time evolution: quadratic Hamiltonians, unitary and Markovian-damped dynamics.
 
 The open-system channel is a single thermal damping bath (rate kappa, mean
-occupation n_thermal) in Lindblad form.  Its generator L is a sparse CSR
-matrix.  L often splits into independent blocks: a phase-invariant generator
-(xi = eta = 0) keeps the coherence order m - n of |m><n| fixed, which gives
-2d - 1 blocks of at most d rows; squeezing alone keeps the parity of m + n,
-which gives two.  exp(L tau) is block diagonal with the same pattern.  A map
-builds one small dense ``expm`` of a block the first time it acts on a vector
-with a nonzero entry in that block, and keeps it; ``occupied_rows`` gathers
-once the blocks a set of Heisenberg observables occupies, which no map changes.
-A connected generator is a single block.  Maps are cached per distinct
-duration, since correlators reuse the same map across a whole tau grid.
+occupation n_thermal) in Lindblad form.  Its generator L is CSR, built from
+index arithmetic on d x d operators, and block diagonal by its phase grading:
+a phase-invariant H (xi = eta = 0) keeps the coherence order m - n of |m><n|
+(2d - 1 blocks of at most d rows), squeezing alone its parity (two), and a
+drive couples all.  exp(L tau) has the same blocks.  A map builds a block's
+dense ``expm`` the first time it acts on a vector nonzero there, and keeps it;
+``occupied_rows`` gathers once the blocks a set of Heisenberg observables
+occupies.  Maps are cached per duration, since a tau grid reuses them.
 
 Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
 Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
-generator, its blocks, the block ``expm`` and ``steady_state``) imports
-SciPy, on first use, so ``import twotime`` and every closed run load none.
+generator, the block ``expm`` and ``steady_state``) imports SciPy, on first
+use, so ``import twotime`` and every closed run load none.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import SelfCheckError
 from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
 
 if TYPE_CHECKING:
@@ -78,29 +77,32 @@ def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarra
 def lindblad_generator(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
 ) -> sparse.csr_matrix:
-    """Sparse generator L with d rho/dt = L vec(rho).
+    """Sparse generator L with d rho/dt = L vec(rho), as canonical CSR.
 
     L = -i[H, .] + kappa (n+1) D[a] + kappa n D[adag],
     D[c] rho = c rho cdag - (cdag c rho + rho cdag c)/2,
-    assembled as K rho + rho Kdag + sum_c rate_c c rho cdag with the
-    effective K = -i H - sum_c rate_c cdag c / 2.  The vec convention is
-    row-major (C order): vec(A rho B) = kron(A, B.T) vec(rho).
+    is K rho + rho Kdag + sum_c rate_c c rho cdag with the effective
+    K = -i H - sum_c rate_c cdag c / 2.  In row-major (C order) vec,
+    vec(A rho B) = kron(A, B.T) vec(rho); the COO triplets of each Kronecker
+    term come from the nonzeros of its two d x d factors.
     """
     from scipy import sparse
 
     a, adag = ladder_matrices(cutoff)
-    jumps = []
-    if ch.kappa > 0:
-        jumps = [(ch.kappa * (ch.n_thermal + 1.0), a)]
-        if ch.n_thermal > 0:
-            jumps.append((ch.kappa * ch.n_thermal, adag))
+    jumps = [(ch.kappa * (ch.n_thermal + 1.0), a), (ch.kappa * ch.n_thermal, adag)]
+    jumps = [(rate, c) for rate, c in jumps if rate > 0]
     K = -1j * hamiltonian_matrix(H, cutoff)
     for rate, c in jumps:
         K = K - 0.5 * rate * (c.conj().T @ c)
-    eye = sparse.identity(cutoff.dim, dtype=complex, format="csr")
-    L = sparse.kron(K, eye, format="csr") + sparse.kron(eye, K.conj(), format="csr")
-    for rate, c in jumps:
-        L = L + rate * sparse.kron(c, c.conj(), format="csr")
+    d, eye = cutoff.dim, np.eye(cutoff.dim)
+    triplets = []
+    for rate, A, B in [(1, K, eye), (1, eye, K.conj())] + [(r, c, c.conj()) for r, c in jumps]:
+        (i, j), (k, m) = np.nonzero(A), np.nonzero(B)  # rate kron(A, B) from the nonzeros
+        triplets.append((rate * (A[i, j][:, None] * B[k, m]),
+                         i[:, None] * d + k, j[:, None] * d + m))
+    vals, rows, cols = (np.concatenate([t[x].ravel() for t in triplets]) for x in range(3))
+    L = sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))  # sums the diagonal
+    L.data += 0.0  # +0.0 for every zero real or imaginary part, whatever the term order
     L.eliminate_zeros()
     return L
 
@@ -179,22 +181,27 @@ def _generator_blocks(
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
     """Dense diagonal blocks of L, the vec indices of each, and each index's block.
 
-    A connected block of L's sparsity graph couples to no index outside it,
-    so exp(L tau) has the same blocks, each the exponential of its block of L.
+    The blocks are L's phase grading (the coherence order m - n of |m><n| for a
+    free H, its parity under squeezing alone, one block under a drive), numbered by
+    lowest vec index.  No entry of L couples two (checked), so exp(L tau) has them too.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    L = lindblad_generator(H, ch, cutoff).tocoo()
-    n_blocks, labels = connected_components(abs(L), directed=False)
-    sizes = np.bincount(labels, minlength=n_blocks)
+    L = lindblad_generator(H, ch, cutoff)
+    m, n = np.divmod(np.arange(L.shape[0]), cutoff.dim)
+    grade = m - n if H.is_free else (m - n) % 2 if H.eta == 0 else 0 * m
+    _, first, labels = np.unique(grade, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    r = np.repeat(np.arange(len(labels)), np.diff(L.indptr))  # row of each entry
+    k = labels[r]
+    if np.any(k != labels[L.indices]):
+        raise SelfCheckError("the Lindblad generator couples two of its phase-grading blocks")
+    sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
     members = np.argsort(labels, kind="stable")  # indices of L, block by block
     local = np.empty_like(members)  # position of each index within its block
     local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
     offsets = np.cumsum(sizes**2) - sizes**2  # where each raveled block starts
     flat = np.zeros(np.sum(sizes**2), dtype=complex)
-    k = labels[L.row]
-    flat[offsets[k] + local[L.row] * sizes[k] + local[L.col]] = L.data
+    flat[offsets[k] + local[r] * sizes[k] + local[L.indices]] = L.data
     blocks = tuple(flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes))
     return blocks, tuple(np.split(members, starts[1:])), labels
 
@@ -246,16 +253,17 @@ def evolve_lindblad(
 def steady_state(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
 ) -> DensityMatrix:
-    """Null-space state of the generator (kappa > 0 required for uniqueness)."""
+    """Null space of L's block holding the diagonal (kappa > 0 makes it unique)."""
     if ch.kappa <= 0:
         raise ValueError("steady state requires kappa > 0")
     from scipy.linalg import null_space
 
-    L = lindblad_generator(H, ch, cutoff)
-    ns = null_space(L.toarray(), rcond=1e-10)
+    blocks, members, labels = _generator_blocks(H, ch, cutoff)
+    ns = null_space(blocks[labels[0]], rcond=1e-10)
     if ns.shape[1] == 0:
         raise RuntimeError("generator null space is empty at this tolerance")
-    rho = ns[:, 0].reshape(cutoff.dim, cutoff.dim)
+    rho = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    rho.flat[members[labels[0]]] = ns[:, 0]
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / np.trace(rho).real
     return DensityMatrix(rho, cutoff).validate()

@@ -190,6 +190,23 @@ class TestMainEntry:
         csv = (tmp_path / "multi_series.csv").read_text()
         assert "propagator" not in csv
 
+    def test_parser_reused_without_carrying_methods(self, tmp_path):
+        # one parser serves every call in a process; each call's --method list is its own
+        scn = write(tmp_path, MULTI)
+        assert main(["run", str(scn), "--method", "regression", "--out", str(tmp_path)]) == 0
+        parser = cli._parser()
+        assert main(["run", str(scn), "--method", "propagator", "--out", str(tmp_path)]) == 0
+        assert cli._parser() is parser
+        csv = (tmp_path / "multi_series.csv").read_text()
+        assert "propagator" in csv and "regression" not in csv
+
+    def test_parser_not_built_at_import(self):
+        probe = "import twotime.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                              check=True)
+        assert proc.stdout.strip() == "0"
+
     def test_method_not_declared(self, tmp_path):
         scn = write(tmp_path, MINIMAL)
         assert main(["run", str(scn), "--method", "propagator",

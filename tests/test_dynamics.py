@@ -15,7 +15,7 @@ from twotime.dynamics import (
     steady_state,
     unitary_matrix,
 )
-from twotime.errors import CutoffTooSmallError
+from twotime.errors import CutoffTooSmallError, SelfCheckError
 from twotime.hilbert import (
     DensityMatrix,
     FockCutoff,
@@ -24,6 +24,27 @@ from twotime.hilbert import (
     ladder_matrices,
     thermal_dm,
 )
+
+FREE = QuadraticHamiltonian(omega=1.0)
+SQUEEZED = QuadraticHamiltonian(omega=1.0, xi=0.2)
+DRIVEN = QuadraticHamiltonian(omega=1.0, eta=0.3)
+DRIVEN_SQUEEZED = QuadraticHamiltonian(omega=0.7, xi=0.2 + 0.1j, eta=0.4 - 0.3j)
+HAMILTONIANS = [FREE, SQUEEZED, DRIVEN, DRIVEN_SQUEEZED]
+H_IDS = ["free", "squeezed", "driven", "driven_squeezed"]
+
+
+def dense_generator(H, ch, cut):
+    """L = kron(K, I) + kron(I, conj K) + sum_c rate_c kron(c, conj c), dense."""
+    a, adag = ladder_matrices(cut)
+    eye = np.eye(cut.dim)
+    jumps = [(ch.kappa * (ch.n_thermal + 1.0), a), (ch.kappa * ch.n_thermal, adag)]
+    K = -1j * hamiltonian_matrix(H, cut)
+    for rate, c in jumps:
+        K = K - 0.5 * rate * (c.conj().T @ c)
+    L = np.kron(K, eye) + np.kron(eye, K.conj())
+    for rate, c in jumps:
+        L = L + rate * np.kron(c, c.conj())
+    return L
 
 
 class TestHamiltonianMatrix:
@@ -214,7 +235,7 @@ class TestPropagatedMap:
         propagated_map.cache_clear()
         t = 0.7
         P = propagated_map(H, ch, t, cut)
-        dense = expm(lindblad_generator(H, ch, cut).toarray() * t)
+        dense = expm(dense_generator(H, ch, cut) * t)
         assert np.max(np.abs(P.map.toarray() - dense)) < 1e-12
         assert len(block_rows) == n_blocks
         assert sum(block_rows) == cut.dim**2
@@ -275,7 +296,7 @@ class TestPropagatedMap:
         propagated_map.cache_clear()
         rho = np.diag(np.arange(1.0, 10.0)) + np.diag(np.full(8, 0.5j), 1)
         out = propagated_map(H, ch, 0.7, cut).apply(rho)
-        dense = expm(lindblad_generator(H, ch, cut).toarray() * 0.7) @ rho.reshape(-1)
+        dense = expm(dense_generator(H, ch, cut) * 0.7) @ rho.reshape(-1)
         assert np.max(np.abs(out.reshape(-1) - dense)) < 1e-12
         assert sorted(block_rows) == [cut.dim - 1, cut.dim]
 
@@ -299,3 +320,81 @@ def test_generator_annihilates_thermal():
     L = lindblad_generator(QuadraticHamiltonian(omega=1.0), ch, cut)
     resid = L @ thermal_dm(0.5, cut).mat.reshape(-1)
     assert np.max(np.abs(resid)) < 1e-12
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
+    @pytest.mark.parametrize("n_thermal", [0.0, 0.3])
+    @pytest.mark.parametrize("kappa", [0.0, 0.9])
+    @pytest.mark.parametrize("n_max", [1, 2, 8])
+    def test_matches_dense_kron_reference(self, H, n_thermal, kappa, n_max):
+        cut = FockCutoff(n_max)
+        ch = DampingChannel(kappa=kappa, n_thermal=n_thermal)
+        L = lindblad_generator(H, ch, cut)
+        assert np.array_equal(L.toarray(), dense_generator(H, ch, cut))
+        assert L.has_canonical_format and np.all(L.data != 0)
+
+    @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
+    @pytest.mark.parametrize("n_thermal", [0.0, 0.3])
+    @pytest.mark.parametrize("n_max", range(3, 11))
+    def test_grading_labels_are_the_connected_components(self, H, n_thermal, n_max):
+        from scipy.sparse.csgraph import connected_components
+
+        cut = FockCutoff(n_max)
+        ch = DampingChannel(kappa=0.9, n_thermal=n_thermal)
+        _, labels = connected_components(abs(lindblad_generator(H, ch, cut)), directed=False)
+        assert np.array_equal(dynamics._generator_blocks(H, ch, cut)[2], labels)
+
+    @pytest.mark.parametrize("H, kappa, n_max", [
+        (SQUEEZED, 0.9, 1), (FREE, 0.0, 4), (SQUEEZED, 0.0, 4), (DRIVEN, 0.0, 4),
+        (DRIVEN_SQUEEZED, 0.0, 4),
+    ], ids=["squeezed_cutoff_1", "free_closed", "squeezed_closed", "driven_closed",
+            "driven_squeezed_closed"])
+    def test_grading_blocks_join_whole_components(self, H, kappa, n_max):
+        # adag^2 vanishes at cutoff 1, and without damping nothing links |m><n| to
+        # |m-1><n-1|: a grading block may then hold several components, never part of one
+        from scipy.sparse.csgraph import connected_components
+
+        cut = FockCutoff(n_max)
+        ch = DampingChannel(kappa=kappa, n_thermal=0.3)
+        labels = dynamics._generator_blocks(H, ch, cut)[2]
+        n_parts, parts = connected_components(abs(lindblad_generator(H, ch, cut)),
+                                              directed=False)
+        assert all(len(set(labels[parts == p])) == 1 for p in range(n_parts))
+        M = propagated_map(H, ch, 0.7, cut).map.toarray()
+        assert np.max(np.abs(M - expm(dense_generator(H, ch, cut) * 0.7))) < 1e-12
+
+    def test_coupling_between_blocks_raises(self, monkeypatch):
+        # |0><0| (coherence order 0) and |0><1| (order -1) lie in different blocks
+        generator = dynamics.lindblad_generator
+
+        def doctored(H, ch, cut):
+            L = generator(H, ch, cut).tolil()
+            L[0, 1] = 1e-3
+            return L.tocsr()
+
+        monkeypatch.setattr(dynamics, "lindblad_generator", doctored)
+        dynamics._generator_blocks.cache_clear()
+        with pytest.raises(SelfCheckError, match="couples two"):
+            dynamics._generator_blocks(FREE, DampingChannel(kappa=0.9), FockCutoff(4))
+
+    @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
+    def test_steady_state_matches_full_null_space(self, H):
+        # the population block holds the whole one-dimensional null space of L
+        from scipy.linalg import null_space
+
+        cut = FockCutoff(8)
+        ch = DampingChannel(kappa=0.9, n_thermal=0.3)
+        ns = null_space(dense_generator(H, ch, cut), rcond=1e-10)
+        assert ns.shape[1] == 1
+        rho = ns[:, 0].reshape(cut.dim, cut.dim)
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / np.trace(rho).real
+        assert np.max(np.abs(steady_state(H, ch, cut).mat - rho)) < 1e-12
+
+    def test_steady_state_empty_null_space_raises(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "null_space", lambda m, rcond: np.zeros((len(m), 0)))
+        with pytest.raises(RuntimeError, match="null space is empty"):
+            steady_state(FREE, DampingChannel(kappa=1.0), FockCutoff(4))
