@@ -9,7 +9,6 @@ oracles.
 from .hilbert import (
     DensityMatrix,
     FockCutoff,
-    NormalOrderExpansion,
     coherent_dm,
     coherent_overlap,
     coherent_vector,
@@ -49,7 +48,6 @@ from .scenario import Scenario, parse_scenario
 __all__ = [
     "DensityMatrix",
     "FockCutoff",
-    "NormalOrderExpansion",
     "coherent_dm",
     "coherent_overlap",
     "coherent_vector",

@@ -233,7 +233,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage; 2 means cross-validation here
+        return 1 if exc.code else 0
     try:
         scn = parse_scenario(args.scenario)
         if args.command == "validate":
@@ -248,6 +251,9 @@ def main(argv=None) -> int:
         return run(scn, out_dir=args.out)
     except TwotimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: double-precision overflow: {exc}", file=sys.stderr)
         return 1
 
 

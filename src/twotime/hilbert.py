@@ -209,24 +209,29 @@ def two_variable_q(rho: DensityMatrix, alpha: complex, alpha2: complex) -> compl
     return complex(np.vdot(w, rho.mat @ v)) / np.pi
 
 
-@dataclass
-class NormalOrderExpansion:
-    """Coefficients C_lm of rho = sum_lm C_lm adag^l a^m, 0 <= l, m <= L_max."""
+def _shifted_diagonal_sum(T: np.ndarray, weights, rows: int | None = None) -> np.ndarray:
+    """sum_k weights[k] T shifted k places down the diagonal, on T's block.
 
-    coeffs: np.ndarray  # (L_max+1, L_max+1) complex
-    L_max: int
+    Slice k adds weights[k] T[:n-k, :n-k] to out[k:n, k:] (n = len(T)); rows
+    below n, up to ``rows``, stay zero.
+    """
+    n = len(T)
+    out = np.zeros((n if rows is None else rows, n), dtype=complex)
+    for k, w in enumerate(weights):
+        out[k:n, k:] += w * T[:n - k, :n - k]
+    return out
 
 
 def normal_order_coeffs(
     rho: DensityMatrix, L_max: int = DEFAULT_L_MAX, check_roundtrip: bool = True
-) -> NormalOrderExpansion:
-    """Normal-order expansion of a density operator.
+) -> np.ndarray:
+    """Coefficients C_lm of rho = sum_lm C_lm adag^l a^m, an (L_max+1)^2 array.
 
     Aggregates |n><m| = sum_k (-1)^k / k! adag^(n+k) a^(m+k) / sqrt(n! m!)
     into C_lm = sum_k (-1)^k rho[l-k, m-k] / (k! sqrt((l-k)! (m-k)!)), one
-    shifted diagonal slice per k: C[k:, k:] += (-1)^k / k! X[:L+1-k, :L+1-k]
-    with X[l, m] = rho[l, m] / sqrt(l! m!).  Factorials enter through
-    floating logs so the table stays finite well past l ~ 20.
+    shifted diagonal slice of X[l, m] = rho[l, m] / sqrt(l! m!) per k
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Factorials enter
+    through floating logs so the table stays finite well past l ~ 20.
     """
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
@@ -243,45 +248,36 @@ def normal_order_coeffs(
     log_fact = _log_factorial(np.arange(size))
     inv_sqrt = np.exp(-0.5 * log_fact)
     X = rho.mat[:size, :size] * np.outer(inv_sqrt, inv_sqrt)
-    weights = (-1.0) ** np.arange(size) * np.exp(-log_fact)
-    C = np.zeros((size, size), dtype=complex)
-    for k, w in enumerate(weights):
-        C[k:, k:] += w * X[:size - k, :size - k]
-    expansion = NormalOrderExpansion(C, L_max)
+    C = _shifted_diagonal_sum(X, (-1.0) ** np.arange(size) * np.exp(-log_fact))
     if check_roundtrip:
-        err = reconstruction_residual(expansion, rho)
+        err = reconstruction_residual(C, rho)
         if err > 1e-8:
             raise ReconstructionError(
                 f"normal-order roundtrip residual {err:.2e} > 1e-8 "
                 f"(L_max={L_max}, n_max={rho.cutoff.n_max})"
             )
-    return expansion
+    return C
 
 
-def reconstruct_from_normal_order(
-    expansion: NormalOrderExpansion, cutoff: FockCutoff
-) -> np.ndarray:
-    """Evaluate sum_lm C_lm adag^l a^m on the truncated space."""
-    a, adag = ladder_matrices(cutoff)
+def reconstruct_from_normal_order(C: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """Evaluate sum_lm C_lm adag^l a^m on the truncated space, in closed form.
+
+    <r|adag^l a^m|r'> = sqrt(r! r'!) / j! when r - l = r' - m = j >= 0, so
+    shift j adds C times that weight to the window r, r' in [j, j + L_max].
+    The weights come from log-factorials and stay finite at any cutoff.
+    """
     d = cutoff.dim
-    L = expansion.L_max
-    a_pows = [np.eye(d, dtype=complex)]
-    for _ in range(L):
-        a_pows.append(a_pows[-1] @ a)
+    log_fact = _log_factorial(np.arange(d))
     out = np.zeros((d, d), dtype=complex)
-    for l in range(L + 1):
-        left = a_pows[l].conj().T
-        row = expansion.coeffs[l]
-        acc = np.zeros((d, d), dtype=complex)
-        for m in range(L + 1):
-            if row[m] != 0:
-                acc += row[m] * a_pows[m]
-        out += left @ acc
+    for j in range(d):
+        n = min(len(C), d - j)
+        half = np.exp(0.5 * (log_fact[j:j + n] - log_fact[j]))
+        out[j:j + n, j:j + n] += C[:n, :n] * np.outer(half, half)
     return out
 
 
-def reconstruction_residual(expansion: NormalOrderExpansion, rho: DensityMatrix) -> float:
-    """Max entrywise roundtrip error on the [0..L_max]^2 block.
+def reconstruction_residual(C: np.ndarray, rho: DensityMatrix) -> float:
+    """Max entrywise roundtrip error on the [0..L_max]^2 block, L_max = len(C) - 1.
 
     Matrix elements <r|adag^l a^m|r'> vanish unless l <= r and m <= r', so on
     that block the truncated table contains every contributing term and the
@@ -289,7 +285,7 @@ def reconstruction_residual(expansion: NormalOrderExpansion, rho: DensityMatrix)
     by the missing cancellations of the (infinite) tail and carry no
     information about the state, which must live at or below L_max anyway.
     """
-    rec = reconstruct_from_normal_order(expansion, rho.cutoff)
-    edge = min(expansion.L_max, rho.cutoff.n_max) + 1
+    rec = reconstruct_from_normal_order(C, rho.cutoff)
+    edge = min(len(C), rho.cutoff.dim)
     block = np.s_[:edge, :edge]
     return float(np.max(np.abs(rec[block] - rho.mat[block])))

@@ -36,8 +36,8 @@ import numpy as np
 from .errors import MeasureConventionError, ScenarioSemanticError, ZeroDenominatorError
 from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid, normalized_series
 from .dynamics import unitary_matrix
-from .hilbert import (DEFAULT_L_MAX, DensityMatrix, _log_factorial, coherent_vector,
-                      ladder_matrices, normal_order_coeffs)
+from .hilbert import (DEFAULT_L_MAX, DensityMatrix, _log_factorial, _shifted_diagonal_sum,
+                      coherent_vector, ladder_matrices, normal_order_coeffs)
 from .propagator import GaussianKernel, bogoliubov_map, kernel_quadratic
 from .quadrature import IntegrationConfig, PolyGaussian, integrate
 
@@ -153,16 +153,14 @@ def _mono(n_vars, coef, z_at=None, zbar_at=None):
     return {(tuple(p), tuple(q)): coef}
 
 
-def _fock_factor_coeffs(psi: np.ndarray) -> np.ndarray:
-    n = np.arange(len(psi))
-    return psi * np.exp(-0.5 * _log_factorial(n))
-
-
-def _prepared_vector(sys: SystemSpec, t: float) -> np.ndarray:
-    psi0 = coherent_vector(sys.initial_state.amplitude, sys.cutoff)
-    if t == 0:
-        return psi0
-    return unitary_matrix(sys.hamiltonian, t, sys.cutoff) @ psi0
+def _prepared_vector(sys: SystemSpec, t: float, shifted: bool = False) -> np.ndarray:
+    """psi(t) on the Fock basis, or a psi(t) if shifted (the g2 side of both Q routes)."""
+    psi = coherent_vector(sys.initial_state.amplitude, sys.cutoff)
+    if t != 0:
+        psi = unitary_matrix(sys.hamiltonian, t, sys.cutoff) @ psi
+    if shifted:
+        psi = ladder_matrices(sys.cutoff)[0] @ psi
+    return psi
 
 
 def _mean_n_fock(sys: SystemSpec, t: float) -> float:
@@ -217,10 +215,8 @@ def _collapsed_integrand(sys: SystemSpec, t: float, tau: float, method: str,
         for var, conj in sides:
             _attach_kernel(pg, kt, var, None, conj=conj, in_val=a0)
     else:
-        psi = _prepared_vector(sys, t)
-        if kind == "g2":
-            psi = ladder_matrices(sys.cutoff)[0] @ psi
-        w = _fock_factor_coeffs(psi)
+        psi = _prepared_vector(sys, t, shifted=kind == "g2")
+        w = psi * np.exp(-0.5 * _log_factorial(np.arange(len(psi))))  # psi_n / sqrt(n!)
         for var, conj in sides:
             pg.add_abs2(var, -0.5)  # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
             pg.set_var_factor(var, np.conj(w) if conj else w, conjugated=not conj)
@@ -286,20 +282,17 @@ def _measure_selftest(value: complex, expected: float, where: str):
 # Q-function route: normal-order derivative form
 # ---------------------------------------------------------------------------
 
-def _resummed_q_tables(C: np.ndarray, L_max: int, orders: int) -> list[np.ndarray]:
+def _resummed_q_tables(C: np.ndarray, orders: int) -> list[np.ndarray]:
     """Gaussian-stripped Q-derivative polynomials R_j from the C_lm table.
 
     R_0[a, b] = sum_k C[a-k, b-k] / k! recovers the entire-function part of
     the normal-order symbol (its Gaussian exp(-uv) is reattached by the
-    integrand builder), one shifted diagonal slice per k; R_{j+1} =
+    integrand builder), with ``orders`` zero rows below it; R_{j+1} =
     (d/dv - u) R_j realizes d/dv of the symbol.  Row index a tracks powers
     of u (the conjugate variable), column b of v.
     """
-    size = L_max + 1
-    R = np.zeros((size + orders, size), dtype=complex)
-    for k, w in enumerate(np.exp(-_log_factorial(np.arange(size)))):
-        R[k:size, k:] += w * C[:size - k, :size - k]
-    tables = [R]
+    weights = np.exp(-_log_factorial(np.arange(len(C))))
+    tables = [_shifted_diagonal_sum(C, weights, len(C) + orders)]
     for _ in range(orders):
         prev = tables[-1]
         nxt = np.zeros_like(prev)
@@ -329,12 +322,10 @@ def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
 
     They do not depend on tau, so a series expands the prepared state once.
     """
-    psi = _prepared_vector(sys, t)
-    if shifted:
-        psi = ladder_matrices(sys.cutoff)[0] @ psi
-    expansion = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
-                                    L_max, check_roundtrip=False)
-    tables = _resummed_q_tables(expansion.coeffs, L_max, orders)
+    psi = _prepared_vector(sys, t, shifted)
+    C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
+                            L_max, check_roundtrip=False)
+    tables = _resummed_q_tables(C, orders)
     for R in tables:
         R.flags.writeable = False
     return tuple(tables)

@@ -153,17 +153,21 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
     gap = H.omega ** 2 - abs(H.xi) ** 2
     if gap > 0:
         theta += 2 * np.pi * np.round((np.sign(H.omega) * np.sqrt(gap) * t - theta) / (2 * np.pi))
-    B, C, D, E, F = _coefficients(mu, nu, lam)
-    A = (0.5j * H.omega * t - 0.5 * (np.log(abs(mu)) + 1j * theta)
-         - np.conj(lam) * E / 2 - 1j * (np.conj(H.eta) * Lam).real)
-    k = GaussianKernel(A, B, C, D, E, F, t)
-    margin = 1 - 2 * abs(k.C)
-    if not (margin >= MARGIN_FLOOR and np.all(np.isfinite([k.A, k.B, k.C, k.D, k.E, k.F]))):
+    with np.errstate(all="ignore"):  # an overflow is reported below, as InstabilityError
+        B, C, D, E, F = _coefficients(mu, nu, lam)
+        A = (0.5j * H.omega * t - 0.5 * (np.log(abs(mu)) + 1j * theta)
+             - np.conj(lam) * E / 2 - 1j * (np.conj(H.eta) * Lam).real)
+    bad = [name for name, c in zip("ABCDEF", (A, B, C, D, E, F)) if not np.isfinite(c)]
+    if bad:
+        raise InstabilityError(f"kernel coefficient(s) {', '.join(bad)} not finite at "
+                               f"t = {t}; the kernel overflows double precision")
+    margin = 1 - 2 * abs(C)
+    if not margin >= MARGIN_FLOOR:
         raise InstabilityError(
             f"1 - 2|C| = {margin:.3g} < {MARGIN_FLOOR:.2g} at t = {t}; squeezing has "
             "left the normalizable-kernel regime in floating point"
         )
-    return k
+    return GaussianKernel(A, B, C, D, E, F, t)
 
 
 def kernel_numeric(

@@ -351,6 +351,41 @@ class TestMainEntry:
         g2 = np.array([float(row.split(",")[4]) for row in rows])
         assert np.allclose(g2, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--cutoff", "abc"], "argument --cutoff: invalid int value: 'abc'"),
+        (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["--samples", "10"], "unrecognized arguments: --samples 10"),
+    ])
+    def test_usage_error_exit_1(self, tmp_path, capsys, flags, message):
+        # exit 2 is the cross-validation code, so argparse's own exit is mapped to 1
+        scn = write(tmp_path, MINIMAL)
+        assert main(["run", str(scn), *flags, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: twotime")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_0(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: twotime run")
+
+    # each overflows a Python float: |alpha|^2 in coherent_vector, cos(W t) in
+    # propagator._series, and t^j in its Taylor branch at the last tau
+    @pytest.mark.parametrize("lines", [
+        ["system.initial = coherent 1e155"],
+        ["system.xi = 1e154", "methods = propagator"],
+        ["system.omega = 0.0", "system.eta = 0.1", "tau.stop = 1e154", "methods = propagator"],
+    ])
+    def test_overflow_exit_1(self, tmp_path, capsys, lines):
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [old for old in MINIMAL.split("\n") if old.split(" = ")[0] not in keys]
+        scn = write(tmp_path, "\n".join(kept + lines) + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: double-precision overflow")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
         assert main(["run", str(scn), "--seed", "-1", "--out", str(tmp_path)]) == 1

@@ -144,7 +144,7 @@ class TestNormalOrder:
         for l in range(11):
             for m in range(11):
                 expected = (-1.0) ** l / math.factorial(l) if l == m else 0.0
-                assert abs(exp.coeffs[l, m] - expected) < 1e-12
+                assert abs(exp[l, m] - expected) < 1e-12
 
     def test_identity_roundtrip_small_cutoff(self):
         # at L_max = n_max the series terminates exactly on the truncated space
@@ -165,7 +165,7 @@ class TestNormalOrder:
             weight = sum(
                 math.factorial(n) / math.factorial(n - l) for n in range(l, 4)
             )
-            total += exp.coeffs[l, l] * weight
+            total += exp[l, l] * weight
         assert abs(total - 1.0) < 1e-10
 
     def test_coherent_roundtrip(self):
@@ -185,7 +185,7 @@ class TestNormalOrder:
         l = np.arange(13)
         for alpha in (0.2, 0.5 + 0.3j, -0.9j):
             mono = alpha ** l
-            poly = np.conj(mono) @ exp.coeffs @ mono / np.pi
+            poly = np.conj(mono) @ exp @ mono / np.pi
             assert abs(poly - husimi_q(rho, alpha)) < 1e-9
 
     def test_support_above_lmax_rejected(self):
@@ -198,7 +198,7 @@ class TestNormalOrder:
         # the per-entry sum C_lm = sum_k (-1)^k rho[l-k, m-k] / (k! sqrt((l-k)! (m-k)!)),
         # summed term by term; the shifted-diagonal slices only reorder rounding
         rho = DensityMatrix(random_density(L_max + 1, L_max), FockCutoff(L_max))
-        C = normal_order_coeffs(rho, L_max, check_roundtrip=False).coeffs
+        C = normal_order_coeffs(rho, L_max, check_roundtrip=False)
         ref = np.zeros_like(C)
         scale = np.zeros(C.shape)
         for l in range(L_max + 1):
@@ -216,6 +216,33 @@ class TestNormalOrder:
         exp = normal_order_coeffs(rho, L_max=6)
         rec = reconstruct_from_normal_order(exp, rho.cutoff)
         assert np.max(np.abs(rec[:7, :7] - rho.mat[:7, :7])) <= 1e-8
+
+    @staticmethod
+    def matrix_power_reference(C, cutoff):
+        # sum_lm C_lm adag^l a^m from products of ladder-matrix powers
+        a = ladder_matrices(cutoff)[0]
+        a_pows = [np.eye(cutoff.dim, dtype=complex)]
+        for _ in range(len(C) - 1):
+            a_pows.append(a_pows[-1] @ a)
+        out = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+        for l, row in enumerate(C):
+            out += a_pows[l].conj().T @ sum(c * a_pows[m] for m, c in enumerate(row))
+        return out
+
+    @pytest.mark.parametrize("n_max, L_max", [(12, 12), (40, 12), (40, 20), (60, 30)])
+    def test_closed_form_matches_matrix_powers(self, n_max, L_max):
+        cut = FockCutoff(n_max)
+        mat = np.zeros((cut.dim, cut.dim), dtype=complex)
+        mat[:L_max + 1, :L_max + 1] = random_density(L_max + 1, n_max + L_max)
+        C = normal_order_coeffs(DensityMatrix(mat, cut), L_max, check_roundtrip=False)
+        ref = self.matrix_power_reference(C, cut)
+        rec = reconstruct_from_normal_order(C, cut)
+        assert np.max(np.abs(rec - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_closed_form_finite_at_large_cutoff(self):
+        rho = fock_dm(2, FockCutoff(250))
+        rec = reconstruct_from_normal_order(normal_order_coeffs(rho, L_max=6), rho.cutoff)
+        assert np.all(np.isfinite(rec))
 
 
 class TestDensityMatrixContracts:

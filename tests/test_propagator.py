@@ -141,6 +141,19 @@ class TestQuadraticKernel:
         with pytest.raises(InstabilityError):
             kernel_quadratic(QuadraticHamiltonian(omega=omega, xi=xi, eta=eta), t)
 
+    @pytest.mark.parametrize("H,t,message", [
+        (QuadraticHamiltonian(xi=1.0), 30.0, "1 - 2|C| = 0 < 2.2e-11 at t = 30.0; squeezing"),
+        (QuadraticHamiltonian(omega=1.0, eta=1e200), 0.5,
+         "kernel coefficient(s) A not finite at t = 0.5; the kernel overflows"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_instability_message_names_its_cause(self, H, t, message):
+        # an overflowed coefficient is not blamed on the margin, which is 1 here,
+        # and numpy's overflow warnings do not precede the error
+        with pytest.raises(InstabilityError) as info:
+            kernel_quadratic(H, t)
+        assert str(info.value).startswith(message)
+
     def test_small_accurate_margin_still_builds(self):
         k = kernel_quadratic(QuadraticHamiltonian(omega=0.1, xi=0.5, eta=0.7), 12.0)
         assert 1e-5 < 1 - 2 * abs(k.C) < 2e-5
