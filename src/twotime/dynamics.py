@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SelfCheckError
+from .errors import InstabilityError, SelfCheckError
 from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
 
 if TYPE_CHECKING:
@@ -66,12 +66,18 @@ class DampingChannel:
 def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarray:
     """Fock matrix of the Hamiltonian; exactly hermitian by symmetrization."""
     a, adag = ladder_matrices(cutoff)
-    m = H.omega * (adag @ a)
-    if H.xi != 0:
-        m = m + (H.xi * (adag @ adag) + np.conj(H.xi) * (a @ a)) / 2.0
-    if H.eta != 0:
-        m = m + H.eta * adag + np.conj(H.eta) * a
-    return (m + m.conj().T) / 2.0
+    with np.errstate(all="ignore"):  # an overflow is reported below, as InstabilityError
+        m = H.omega * (adag @ a)
+        if H.xi != 0:
+            m = m + (H.xi * (adag @ adag) + np.conj(H.xi) * (a @ a)) / 2.0
+        if H.eta != 0:
+            m = m + H.eta * adag + np.conj(H.eta) * a
+        m = (m + m.conj().T) / 2.0
+    if not np.isfinite(m).all():
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise InstabilityError(f"double-precision overflow: Hamiltonian matrix entry "
+                               f"H[{row}, {col}] is not finite at cutoff {cutoff.n_max}")
+    return m
 
 
 def lindblad_generator(

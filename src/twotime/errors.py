@@ -14,7 +14,7 @@ class InvalidStateError(TwotimeError):
 
 
 class InstabilityError(TwotimeError):
-    """Propagator coefficients left the normalizable-Gaussian regime."""
+    """Coefficients overflow double precision or leave the normalizable-Gaussian regime."""
 
 
 class ZeroDenominatorError(TwotimeError):

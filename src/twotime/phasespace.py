@@ -2,24 +2,24 @@
 
 Three routes compute g(tau) = <adag(t+tau) a(t)> and the g2 numerator
 <adag(t) adag(t+tau) a(t+tau) a(t)> for a coherent-state-prepared mode under
-a quadratic Hamiltonian.  Two integrand builders serve them, each over one
-``kind`` in {"late", "g2"}: the g1 ordering every series stores and the g2
-numerator.
+a quadratic Hamiltonian.  Two evaluators serve them, each over one ``kind``
+in {"late", "g2"}: the g1 ordering every series stores and the g2 numerator.
 
 * ``_collapsed_integrand`` builds the three-variable integral of the
   coherent-state-propagator route (``propagator``: the five-fold propagator
   integral with two integrals collapsed by the reproducing property) and of
   the two-variable-Q route (``qfunction_two_variable``: the two-variable
   Q-kernel of the prepared state, from its truncated Fock vector, paired
-  with the propagator-composed Q of the evolved projector).
-  ``_five_variable_integrand`` keeps the uncollapsed propagator integral.
-* ``_qderiv_integrand`` builds the normal-order route
-  (``qfunction_derivative``).  The coefficient table C_lm of the prepared
-  state is resummed into Gaussian-carrying Q-derivative polynomials (a
-  term-by-term truncated integral diverges; the resummation is the
-  convergent equivalent of substituting (alpha + d/d alpha*) into the
-  coefficient polynomial), and the shift/derivative applications on the
-  Heisenberg-linear inner factor are exact symbolic operations.
+  with the propagator-composed Q of the evolved projector), which the
+  ``quadrature`` engines integrate.  ``_five_variable_integrand`` keeps the
+  uncollapsed propagator integral.
+* ``_qderiv_integral`` evaluates the normal-order route
+  (``qfunction_derivative``) with no engine.  The coefficient table C_lm of
+  the prepared state is resummed into Gaussian-carrying Q-derivative
+  polynomials (a term-by-term truncated integral diverges; the resummation
+  is the convergent equivalent of substituting (alpha + d/d alpha*) into the
+  coefficient polynomial); the shift/derivative applications on the
+  Heisenberg-linear inner factor and the Gaussian moments are exact.
 
 ``phase_space_series`` is the entry point: it collects the raw integrals of
 one route and hands them to ``correlators.normalized_series``; ``_g_raw``
@@ -286,8 +286,8 @@ def _resummed_q_tables(C: np.ndarray, orders: int) -> list[np.ndarray]:
     """Gaussian-stripped Q-derivative polynomials R_j from the C_lm table.
 
     R_0[a, b] = sum_k C[a-k, b-k] / k! recovers the entire-function part of
-    the normal-order symbol (its Gaussian exp(-uv) is reattached by the
-    integrand builder), with ``orders`` zero rows below it; R_{j+1} =
+    the normal-order symbol (its Gaussian exp(-uv) is reattached by
+    ``_qderiv_integral``), with ``orders`` zero rows below it; R_{j+1} =
     (d/dv - u) R_j realizes d/dv of the symbol.  Row index a tracks powers
     of u (the conjugate variable), column b of v.
     """
@@ -331,13 +331,15 @@ def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
     return tuple(tables)
 
 
-def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
-                      kind: str) -> PolyGaussian:
-    """One-variable normal-order integrand of rho(t), or of a rho(t) adag for g2.
+def _qderiv_integral(sys: SystemSpec, t: float, tau: float, L_max: int,
+                     kind: str) -> complex:
+    """Normal-order integral of rho(t), or of a rho(t) adag for g2, in closed form.
 
-    The inner factor <alpha|...|alpha> is a polynomial table {(p, q): coef}
-    in (alpha, conj(alpha)) with Bogoliubov-map coefficients; derivative
-    applications are exact polynomial operations.
+    The inner factor <alpha|...|alpha> is a polynomial table {(p, q): coef} in
+    (alpha, conj(alpha)) with Bogoliubov-map coefficients, and f_j its d^j/d zbar^j.
+    sum_j R_j(u = zbar, v = z) f_j / j! accumulates in one dense (z power, zbar
+    power) array, and (1/pi) int z^p zbar^q exp(-|z|^2) d^2z = p! delta_pq sums
+    its diagonal.
     """
     mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
     cmu, cnu, clam = np.conj(mu), np.conj(nu), np.conj(lam)
@@ -351,27 +353,16 @@ def _qderiv_integrand(sys: SystemSpec, t: float, tau: float, L_max: int,
                    (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
     f_tables = _conj_deriv_tables(f_table)
     R_tables = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
-    pg = PolyGaussian(1)
-    pg.add_abs2(0, -1.0)
-    pg.poly = _qderiv_poly(f_tables, R_tables)
-    return pg
-
-
-def _qderiv_poly(f_tables: list[dict], R_tables) -> dict:
-    """sum_j R_j(u = zbar, v = z) f_j(z, zbar) / (pi j!) as a one-variable monomial table.
-
-    The products accumulate in one dense (z power, zbar power) array, one
-    shifted slice per monomial of each f_j; the table holds its nonzeros.
-    """
     n_zbar, n_z = R_tables[0].shape
-    coef = np.zeros((n_z + max(p for p, _ in f_tables[0]),
-                     n_zbar + max(q for _, q in f_tables[0])), dtype=complex)
+    coef = np.zeros((n_z + max(p for p, _ in f_table), n_zbar + max(q for _, q in f_table)),
+                    dtype=complex)
     for j, ft in enumerate(f_tables):
         RT = R_tables[j].T
-        w = 1.0 / np.pi / float(np.exp(_log_factorial(j)))
+        w = 1.0 / float(np.exp(_log_factorial(j)))
         for (pf, qf), cf in ft.items():
             coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
-    return {((int(p),), (int(q),)): coef[p, q] for p, q in zip(*np.nonzero(coef))}
+    diag = np.diagonal(coef)
+    return complex(diag @ np.exp(_log_factorial(np.arange(len(diag)))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +372,10 @@ def _qderiv_poly(f_tables: list[dict], R_tables) -> dict:
 def _integral(sys, t, tau, method, cfg, L_max, kind):
     _require_phase_space_scenario(sys)
     if method == "qfunction_derivative":
-        pg = _qderiv_integrand(sys, float(t), float(tau), L_max, kind)
-    elif method in ("propagator", "qfunction_two_variable"):
-        pg = _collapsed_integrand(sys, float(t), float(tau), method, kind)
-    else:
+        return _qderiv_integral(sys, float(t), float(tau), L_max, kind), 0.0
+    if method not in ("propagator", "qfunction_two_variable"):
         raise ValueError(f"unknown phase-space method {method!r}")
-    return integrate(pg, cfg)
+    return integrate(_collapsed_integrand(sys, float(t), float(tau), method, kind), cfg)
 
 
 def _g_raw(sys, t, tau, method, cfg, L_max):

@@ -5,9 +5,9 @@ their conjugates plus a polynomial prefactor (and optional per-variable vector
 factors such as truncated Fock polynomials).  Both engines consume it:
 
 * ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes.
-  It integrates one complex variable, or three whose (0, 1) pair is
-  uncoupled, the only shapes the routes build; the sum over the last
-  variable then factorizes into one contraction per pair coupling.  A
+  It integrates three variables whose (0, 1) pair is uncoupled, the shape
+  the routes build, or one, a reference for the tests; the sum over the
+  last variable then factorizes into one contraction per pair coupling.  A
   coupling exponent is bilinear in the real coordinates, so its node-grid
   matrix E factors over the real and imaginary node indices,
   E[(ik, jk), (il, jl)] = G[ik, (il, jl)] H[jk, (il, jl)], and is never

@@ -370,11 +370,13 @@ class TestMainEntry:
         assert capsys.readouterr().out.startswith("usage: twotime run")
 
     # each overflows a Python float: |alpha|^2 in coherent_vector, cos(W t) in
-    # propagator._series, and t^j in its Taylor branch at the last tau
+    # propagator._series, t^j in its Taylor branch at the last tau, and the entries of
+    # dynamics.hamiltonian_matrix (reported before numpy can warn)
     @pytest.mark.parametrize("lines", [
         ["system.initial = coherent 1e155"],
         ["system.xi = 1e154", "methods = propagator"],
         ["system.omega = 0.0", "system.eta = 0.1", "tau.stop = 1e154", "methods = propagator"],
+        ["system.omega = 1e308", "system.initial = coherent 0.5", "system.cutoff = 10"],
     ])
     def test_overflow_exit_1(self, tmp_path, capsys, lines):
         keys = {line.split(" = ")[0] for line in lines}

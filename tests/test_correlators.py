@@ -275,7 +275,8 @@ class TestSelfChecks:
                                           "propagator", IntegrationConfig())
 
     def test_q_derivative_g2_self_check_names_method(self, monkeypatch):
-        self.tilted_integrals(monkeypatch, 0.0)
+        # this route integrates in closed form, without phasespace.integrate
+        monkeypatch.setattr(phasespace, "_qderiv_integral", lambda *args: 1.0 + 1e-3j)
         with pytest.raises(SelfCheckError, match="qfunction_derivative: g2 imaginary"):
             phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
                                           "qfunction_derivative", IntegrationConfig(), L_max=20)

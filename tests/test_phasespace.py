@@ -281,7 +281,7 @@ class TestCaches:
 
     @pytest.mark.parametrize("name", list(SYSTEMS))
     @pytest.mark.parametrize("method", METHODS)
-    def test_warm_equals_cold_bit_for_bit(self, name, method):
+    def test_warm_equals_cold_bit_for_bit(self, name, method, monkeypatch):
         H, initial = self.SYSTEMS[name]
         sys = SystemSpec(H, DampingChannel(), initial, FockCutoff(30), t_prepare=0.5)
         cfg = IntegrationConfig(nodes_per_axis=16)
@@ -290,6 +290,21 @@ class TestCaches:
         self.clear_caches()
         warm = [self.integral(sys, tau, method, cfg, kind) for tau, kind in cases]
         assert repr(warm) == repr(cold)
+        if method != "qfunction_derivative":
+            return
+        # the closed form calls no engine, so no engine setting changes a bit
+        def no_engine(*args):
+            raise AssertionError("qfunction_derivative called an integration engine")
+
+        monkeypatch.setattr(phasespace, "integrate", no_engine)
+        taus = np.linspace(0.0, 1.5, 4)
+        series = [phase_space_series(sys, taus, method, c, 20)
+                  for c in (IntegrationConfig(nodes_per_axis=8), IntegrationConfig(), MC)]
+        for s in series:
+            assert s.g1.tobytes() == series[0].g1.tobytes()
+            assert s.g2.tobytes() == series[0].g2.tobytes()
+            assert s.mean_n == series[0].mean_n
+            assert not np.any(s.error_estimate)
 
     def test_grid_sizes_never_collide(self):
         sys = scenario("driven", n_max=30)

@@ -392,24 +392,31 @@ class TestVectorisedSums:
                  + pg.u @ z + pg.v @ np.conj(z) + pg.const)
             assert abs(x @ S @ x + b @ x + c - Q) < 1e-13 * (1 + abs(Q))
 
-    def test_qderiv_assembly_matches_monomial_loop(self):
-        rng = np.random.default_rng(8)
-        f_tables = [{(1, 1): 0.3 + 0.1j, (0, 2): -0.2j, (0, 1): 0.5, (2, 0): 0.1},
-                    {(1, 0): 0.3 + 0.1j, (0, 1): -0.4j, (0, 0): 0.5},
-                    {(0, 0): -0.4j}]
-        R_tables = [rng.standard_normal((15, 13)) + 1j * rng.standard_normal((15, 13))
-                    for _ in f_tables]
-        R_tables[0][3, 4] = 0.0
-        pg = PolyGaussian(1)
-        for j, ft in enumerate(f_tables):
-            w = 1.0 / np.pi / math.factorial(j)
-            for a, b in zip(*np.nonzero(R_tables[j])):
-                for (pf, qf), cf in ft.items():
-                    pg.poly_add((b + pf,), (a + qf,), w * R_tables[j][a, b] * cf)
-        table = phasespace._qderiv_poly(f_tables, R_tables)
-        assert table.keys() == pg.poly.keys()
-        for key, coef in pg.poly.items():
-            assert abs(table[key] - coef) <= 1e-14 * abs(coef)
+    def test_qderiv_assembly_matches_monomial_loop(self, monkeypatch):
+        # the closed form against its per-monomial integrand integrated by Gauss-Hermite,
+        # on the tables of a driven, squeezed, coherent start (every f monomial nonzero)
+        recorded = {}
+
+        def spy(name):
+            original = getattr(phasespace, name)
+            return lambda *a: recorded.setdefault(name, original(*a))
+
+        for name in ("_conj_deriv_tables", "_prepared_q_tables"):
+            monkeypatch.setattr(phasespace, name, spy(name))
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0, xi=0.2, eta=0.3), DampingChannel(),
+                         InitialState.coherent(0.6 - 0.2j), FockCutoff(30), t_prepare=0.5)
+        for kind in ("late", "g2"):
+            recorded.clear()
+            value = phasespace._qderiv_integral(sys, 0.5, 0.7, 20, kind)
+            f_tables, R_tables = recorded["_conj_deriv_tables"], recorded["_prepared_q_tables"]
+            pg = unit_gaussian()
+            for j, ft in enumerate(f_tables):
+                w = 1.0 / np.pi / math.factorial(j)
+                for a, b in zip(*np.nonzero(R_tables[j])):
+                    for (pf, qf), cf in ft.items():
+                        pg.poly_add((b + pf,), (a + qf,), w * R_tables[j][a, b] * cf)
+            reference, _ = integrate(pg, QUAD24)
+            assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 def test_mc_phase_matches_three_operand_form():
