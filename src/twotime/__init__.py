@@ -13,13 +13,10 @@ from .hilbert import (
     coherent_overlap,
     coherent_vector,
     fock_dm,
-    husimi_q,
     ladder_matrices,
     normal_order_coeffs,
-    reconstruct_from_normal_order,
     superposition_dm,
     thermal_dm,
-    two_variable_q,
 )
 from .dynamics import (
     DampingChannel,
@@ -52,13 +49,10 @@ __all__ = [
     "coherent_overlap",
     "coherent_vector",
     "fock_dm",
-    "husimi_q",
     "ladder_matrices",
     "normal_order_coeffs",
-    "reconstruct_from_normal_order",
     "superposition_dm",
     "thermal_dm",
-    "two_variable_q",
     "DampingChannel",
     "Propagated",
     "QuadraticHamiltonian",

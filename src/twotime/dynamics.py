@@ -152,16 +152,6 @@ class Propagated:
         for b, span in spans:
             C[span] = self._block_exp(b).T @ C[span]
 
-    @property
-    def map(self) -> sparse.csr_matrix:
-        """The whole superoperator as sparse CSR; exponentiates every block."""
-        from scipy import sparse
-
-        M = sparse.block_diag([self._block_exp(b) for b in range(len(self.blocks))],
-                              format="csr")
-        position = np.argsort(np.concatenate(self.members))  # row of M of each vec index
-        return M[position][:, position]
-
 
 @lru_cache(maxsize=32)
 def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.ndarray:

@@ -14,7 +14,8 @@ class InvalidStateError(TwotimeError):
 
 
 class InstabilityError(TwotimeError):
-    """Coefficients overflow double precision or leave the normalizable-Gaussian regime."""
+    """Coefficients overflow double precision, leave the normalizable-Gaussian regime or
+    drown in roundoff."""
 
 
 class ZeroDenominatorError(TwotimeError):
@@ -31,10 +32,6 @@ class QuadratureDimensionError(TwotimeError):
 
 class LMaxInsufficientError(TwotimeError):
     """Normal-order expansion order too small for the state's Fock support."""
-
-
-class ReconstructionError(TwotimeError):
-    """Normal-order coefficient roundtrip exceeded its residual budget."""
 
 
 class MeasureConventionError(TwotimeError):

@@ -1,8 +1,8 @@
 """Truncated Fock-space representation of a single bosonic mode.
 
 Provides ladder operators, common states (coherent, Fock, thermal,
-superpositions), the Husimi Q-function and its two-variable relative, and
-the normal-order coefficient expansion of a density operator.
+superpositions) and the normal-order coefficient expansion of a density
+operator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     CutoffWarning,
     InvalidStateError,
     LMaxInsufficientError,
-    ReconstructionError,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -189,26 +188,6 @@ def superposition_dm(terms, cutoff: FockCutoff) -> DensityMatrix:
     return density_from_vector(psi / norm, cutoff)
 
 
-def husimi_q(rho: DensityMatrix, alpha: complex) -> float:
-    """Husimi function Q(alpha) = <alpha|rho|alpha> / pi, real and >= 0."""
-    v = coherent_vector(alpha, rho.cutoff)
-    q = complex(np.vdot(v, rho.mat @ v)) / np.pi
-    if abs(q.imag) > 1e-12:
-        raise InvalidStateError(f"Q imaginary residue {q.imag:.2e} exceeds 1e-12")
-    return q.real
-
-
-def two_variable_q(rho: DensityMatrix, alpha: complex, alpha2: complex) -> complex:
-    """Off-diagonal Q-like kernel <alpha2|rho|alpha> / pi.
-
-    Reduces to ``husimi_q`` at alpha2 == alpha and is conjugate-symmetric for
-    hermitian rho: Q(a, a2) == conj(Q(a2, a)).
-    """
-    v = coherent_vector(alpha, rho.cutoff)
-    w = coherent_vector(alpha2, rho.cutoff)
-    return complex(np.vdot(w, rho.mat @ v)) / np.pi
-
-
 def _shifted_diagonal_sum(T: np.ndarray, weights, rows: int | None = None) -> np.ndarray:
     """sum_k weights[k] T shifted k places down the diagonal, on T's block.
 
@@ -222,9 +201,7 @@ def _shifted_diagonal_sum(T: np.ndarray, weights, rows: int | None = None) -> np
     return out
 
 
-def normal_order_coeffs(
-    rho: DensityMatrix, L_max: int = DEFAULT_L_MAX, check_roundtrip: bool = True
-) -> np.ndarray:
+def normal_order_coeffs(rho: DensityMatrix, L_max: int = DEFAULT_L_MAX) -> np.ndarray:
     """Coefficients C_lm of rho = sum_lm C_lm adag^l a^m, an (L_max+1)^2 array.
 
     Aggregates |n><m| = sum_k (-1)^k / k! adag^(n+k) a^(m+k) / sqrt(n! m!)
@@ -248,44 +225,4 @@ def normal_order_coeffs(
     log_fact = _log_factorial(np.arange(size))
     inv_sqrt = np.exp(-0.5 * log_fact)
     X = rho.mat[:size, :size] * np.outer(inv_sqrt, inv_sqrt)
-    C = _shifted_diagonal_sum(X, (-1.0) ** np.arange(size) * np.exp(-log_fact))
-    if check_roundtrip:
-        err = reconstruction_residual(C, rho)
-        if err > 1e-8:
-            raise ReconstructionError(
-                f"normal-order roundtrip residual {err:.2e} > 1e-8 "
-                f"(L_max={L_max}, n_max={rho.cutoff.n_max})"
-            )
-    return C
-
-
-def reconstruct_from_normal_order(C: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """Evaluate sum_lm C_lm adag^l a^m on the truncated space, in closed form.
-
-    <r|adag^l a^m|r'> = sqrt(r! r'!) / j! when r - l = r' - m = j >= 0, so
-    shift j adds C times that weight to the window r, r' in [j, j + L_max].
-    The weights come from log-factorials and stay finite at any cutoff.
-    """
-    d = cutoff.dim
-    log_fact = _log_factorial(np.arange(d))
-    out = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        n = min(len(C), d - j)
-        half = np.exp(0.5 * (log_fact[j:j + n] - log_fact[j]))
-        out[j:j + n, j:j + n] += C[:n, :n] * np.outer(half, half)
-    return out
-
-
-def reconstruction_residual(C: np.ndarray, rho: DensityMatrix) -> float:
-    """Max entrywise roundtrip error on the [0..L_max]^2 block, L_max = len(C) - 1.
-
-    Matrix elements <r|adag^l a^m|r'> vanish unless l <= r and m <= r', so on
-    that block the truncated table contains every contributing term and the
-    roundtrip is exact up to floating point.  Rows above L_max are dominated
-    by the missing cancellations of the (infinite) tail and carry no
-    information about the state, which must live at or below L_max anyway.
-    """
-    rec = reconstruct_from_normal_order(C, rho.cutoff)
-    edge = min(len(C), rho.cutoff.dim)
-    block = np.s_[:edge, :edge]
-    return float(np.max(np.abs(rec[block] - rho.mat[block])))
+    return _shifted_diagonal_sum(X, (-1.0) ** np.arange(size) * np.exp(-log_fact))

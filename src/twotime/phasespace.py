@@ -33,8 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MeasureConventionError, ScenarioSemanticError, ZeroDenominatorError
-from .correlators import CorrelationSeries, SystemSpec, _check_tau_grid, normalized_series
+from .errors import (InstabilityError, MeasureConventionError, ScenarioSemanticError,
+                     ZeroDenominatorError)
+from .correlators import (MEAN_N_FLOOR, CorrelationSeries, SystemSpec, _check_tau_grid,
+                          normalized_series)
 from .dynamics import unitary_matrix
 from .hilbert import (DEFAULT_L_MAX, DensityMatrix, _log_factorial, _shifted_diagonal_sum,
                       coherent_vector, ladder_matrices, normal_order_coeffs)
@@ -122,7 +124,7 @@ def _linear_factor(n_vars, k: GaussianKernel, out_var, in_var, conj=False,
     return form
 
 
-_IDENTITY_KERNEL = GaussianKernel(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_IDENTITY_KERNEL = GaussianKernel(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _poly_multiply(*linear_forms):
@@ -172,17 +174,23 @@ def _mean_n_fock(sys: SystemSpec, t: float) -> float:
 def _require_resolved_mean_n(n: float, exact: float, L_max: int):
     """Reject a qfunction_derivative mean photon number that is mostly roundoff.
 
-    The resummed tables cancel terms that grow about twofold per lmax step, so
-    this route computes a vacuum's n as roundoff of either sign (2e-11 at
-    lmax 12, 3e-6 at 30), above ``correlators.MEAN_N_FLOOR``.  Its n is
-    resolved when it lies closer to the Fock-space value than half its size.
+    The resummed tables cancel terms that grow about twofold per lmax step: a
+    vacuum's n is roundoff (2e-11 at lmax 12, 3e-6 at 30; above MEAN_N_FLOOR),
+    and a large lmax loses any n.  Resolved means within half its size of the
+    Fock-space value; unresolved, n is a vacuum's only below the floor.
     """
-    if not abs(n - exact) < 0.5 * n:
-        raise ZeroDenominatorError(
-            f"mean photon number {n:.2e} is not resolved by qfunction_derivative at "
-            f"lmax {L_max} (Fock-space value {exact:.2e}); normalized correlations are "
-            "undefined on (near-)vacuum"
-        )
+    if abs(n - exact) < 0.5 * n:
+        return
+    where = f"qfunction_derivative at lmax {L_max} (Fock-space value {exact:.2e})"
+    if exact < MEAN_N_FLOOR:
+        raise ZeroDenominatorError(f"mean photon number {n:.2e} is not resolved by {where}; "
+                                   "normalized correlations are undefined on (near-)vacuum")
+    if not np.isfinite(n):
+        raise InstabilityError(f"mean photon number is not finite on {where}; the Bogoliubov "
+                               "map or the resummed normal-order tables overflow")
+    raise InstabilityError(f"mean photon number {n:.2e} is not resolved by {where}: roundoff "
+                           "of the resummed normal-order tables grows about twofold per lmax "
+                           f"step; lower lmax (the default is {DEFAULT_L_MAX})")
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +331,7 @@ def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
     They do not depend on tau, so a series expands the prepared state once.
     """
     psi = _prepared_vector(sys, t, shifted)
-    C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff),
-                            L_max, check_roundtrip=False)
+    C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff), L_max)
     tables = _resummed_q_tables(C, orders)
     for R in tables:
         R.flags.writeable = False

@@ -36,7 +36,6 @@ class GaussianKernel:
     D: complex
     E: complex
     F: complex
-    duration: float
 
     def evaluate(self, alpha, beta):
         """K(alpha, t | beta, 0); accepts scalars or broadcastable arrays."""
@@ -58,7 +57,7 @@ class GaussianKernel:
 
 def kernel_harmonic(omega: float, t: float) -> GaussianKernel:
     """Free-oscillator kernel: B = exp(-i omega t), all other coefficients zero."""
-    return GaussianKernel(0.0, np.exp(-1j * omega * t), 0.0, 0.0, 0.0, 0.0, float(t))
+    return GaussianKernel(0.0, np.exp(-1j * omega * t), 0.0, 0.0, 0.0, 0.0)
 
 
 def _generator(H: QuadraticHamiltonian) -> np.ndarray:
@@ -167,7 +166,7 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
             f"1 - 2|C| = {margin:.3g} < {MARGIN_FLOOR:.2g} at t = {t}; squeezing has "
             "left the normalizable-kernel regime in floating point"
         )
-    return GaussianKernel(A, B, C, D, E, F, t)
+    return GaussianKernel(A, B, C, D, E, F)
 
 
 def kernel_numeric(

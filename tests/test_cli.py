@@ -63,6 +63,22 @@ integration.sample_count = 100000
 integration.seed = 1051144968
 """
 
+# The amplifying regime (|C| = 0.48 at tau = 4): tensor Gauss-Hermite misses
+# g1(4) by about 20% yet reports abs_err = 0, and only the closed-form
+# qfunction_derivative route, equal to the exact Bogoliubov value
+# 3.6187+4.2594i, catches it.
+AMPLIFYING = """
+name = amplifying
+system.omega = 0.1
+system.xi = 0.5
+system.initial = coherent 0.5
+system.cutoff = 120
+tau.start = 0.0
+tau.stop = 4.0
+tau.count = 2
+methods = regression, propagator, qfunction_two_variable, qfunction_derivative
+"""
+
 OVERFLOWING = """
 name = overflowing
 system.omega = 1.0
@@ -271,6 +287,17 @@ class TestMainEntry:
         assert "cross-validation failure" in err
         report = (tmp_path / "multi_report.txt").read_text()
         assert "FAIL near tau" in report
+
+    def test_amplifying_gauss_hermite_bias_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(write(tmp_path, AMPLIFYING)), "--out", str(tmp_path)]) == 2
+        assert "cross-validation failure" in capsys.readouterr().err
+        report = (tmp_path / "amplifying_report.txt").read_text()
+        pair = [line for line in report.splitlines() if "propagator vs qfunction_derivative:" in line]
+        assert len(pair) == 1 and pair[0].endswith("[FAIL near tau = 4]")
+        rows = (tmp_path / "amplifying_series.csv").read_text().splitlines()[1:]
+        fields = [row.split(",") for row in rows if row.startswith("4,")]
+        g1 = {f[1]: complex(float(f[2]), float(f[3])) for f in fields}
+        assert abs(g1["qfunction_derivative"] - (3.6187 + 4.2594j)) < 1e-4
 
     @pytest.mark.parametrize("line, message", [
         ("system.t_prepare = -1.0", "error: line 9: system.t_prepare must be >= 0"),

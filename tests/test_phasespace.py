@@ -5,7 +5,8 @@ import pytest
 
 from twotime.correlators import InitialState, SystemSpec, regression_raw
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
-from twotime.errors import MeasureConventionError, ScenarioSemanticError, ZeroDenominatorError
+from twotime.errors import (InstabilityError, MeasureConventionError, ScenarioSemanticError,
+                            ZeroDenominatorError)
 from twotime import phasespace, quadrature
 from twotime.hilbert import FockCutoff, normal_order_coeffs
 from twotime.phasespace import (
@@ -246,6 +247,19 @@ class TestSeries:
         with pytest.raises(ZeroDenominatorError, match="mean photon number"):
             phase_space_series(sys, np.linspace(0.0, 1.0, 3), "qfunction_derivative", QUAD,
                                L_max)
+
+    @pytest.mark.parametrize("omega, match", [
+        (1.0, "mean photon number 9.32e-01 is not resolved .* roundoff .* lower lmax"),
+        (1e300, "mean photon number is not finite"),
+    ])
+    def test_lost_mean_n_is_instability_not_vacuum(self, omega, match):
+        # n = 0.25 at cutoff 40: the default lmax 12 resolves it, lmax 40 loses it
+        # to the tables' roundoff, and omega^2 = inf leaves no finite map
+        sys = SystemSpec(QuadraticHamiltonian(omega=omega), DampingChannel(),
+                         InitialState.coherent(0.5), FockCutoff(40))
+        with pytest.raises(InstabilityError, match=match) as info:
+            phase_space_series(sys, np.linspace(0.0, 1.0, 3), "qfunction_derivative", QUAD, 40)
+        assert "vacuum" not in str(info.value)
 
     def test_quadrature_node_doubling_stable(self):
         sys = scenario("squeezed")
