@@ -7,8 +7,15 @@ picture, Tr[M^dag(tau)(O) Y]: the three observables adag, a and adag a are
 evolved together and traced against the fixed deformed states.  A damped mode
 holds them as one compact array over the generator blocks they occupy (for a
 phase-invariant mode the coherence orders -1, +1 and 0), so only those blocks
-are exponentiated.  Both operator orderings
-are computed and checked for conjugacy; series store the <adag(t+tau) a(t)>
+are exponentiated.  The evolved array depends only on H, the bath, the cutoff
+and the tau grid, not on the initial state or t_prepare, so it is cached on
+those four (``_evolved_observables``, read-only, within EVOLVED_BYTES).  Only
+a request whose dynamics and grid were seen before gains: a sweep of starts
+steps once and then only traces (every perfbench open_sweep request after
+the first), fresh dynamics gain nothing (open_regression).  Closed modes
+step U^dag O U per series, uncached, since an entry would hold 3 d^2 numbers
+per tau (closed_triangle gains nothing).  Both operator orderings are
+computed and checked for conjugacy; series store the <adag(t+tau) a(t)>
 ordering, whose free-oscillator phase is exp(+i omega tau).
 
 ``normalized_series`` turns the numerators of every route, this one and the
@@ -18,7 +25,7 @@ phase-space routes alike, into normalized g1 and g2 with their errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +50,11 @@ from .hilbert import (
 
 MEAN_N_FLOOR = 1e-12
 CONJUGACY_TOL = 1e-9
+
+# A damped mode's evolved observables are kept for the last four dynamics and
+# grids, each only if its stack fits EVOLVED_BYTES (1 MiB); larger grids are
+# stepped anew on every call, that many bytes at a time.
+EVOLVED_BYTES = 1 << 20
 
 METHOD_TAGS = ("regression", "propagator", "qfunction_two_variable", "qfunction_derivative")
 
@@ -161,45 +173,88 @@ def _check_tau_grid(taus: np.ndarray) -> np.ndarray:
     return taus
 
 
-class _GridPropagator:
-    """Traces evolved observables against fixed states along an ascending tau grid.
+def _grid_steps(taus: np.ndarray) -> tuple:
+    """The durations that step an ascending grid: tau_0, then each increment.
 
-    Uses the semigroup property: one cached map per distinct grid increment,
-    applied sequentially, instead of one map per tau.  A grid whose increments
-    agree to 1e-12 relative (np.linspace rounding) steps with its single mean
+    Uses the semigroup property: one map per distinct increment, applied
+    sequentially, instead of one map per tau.  A grid whose increments agree
+    to 1e-12 relative (np.linspace rounding) steps with its single mean
     increment, so it needs one map besides the step from 0 to its first tau.
-    Closed systems use U^dag O U.  Damped systems step the columns vec(O.T) on
-    the rows ``occupied_rows`` gathers once, by ``heisenberg`` of each map from
-    ``propagated_map``, and gather the states on the same rows.
+    A tuple, so that it can key a cache.
     """
+    increments = np.diff(taus)
+    if len(increments):
+        mean = (taus[-1] - taus[0]) / len(increments)
+        if np.all(np.abs(increments - mean) <= 1e-12 * mean):
+            increments = np.full_like(increments, mean)
+    return tuple(np.concatenate(([taus[0]], increments)))
 
-    def __init__(self, sys: SystemSpec, taus: np.ndarray):
-        self.sys = sys
-        increments = np.diff(taus)
-        if len(increments):
-            mean = (taus[-1] - taus[0]) / len(increments)
-            if np.all(np.abs(increments - mean) <= 1e-12 * mean):
-                increments = np.full_like(increments, mean)
-        self.steps = np.concatenate(([taus[0]], increments))
 
-    def traces(self, ops: list[np.ndarray], states: list[np.ndarray]):
-        """Yields [Tr[O(tau_k) Y] for each pair (O, Y) of ops and states] in grid order."""
-        sys = self.sys
-        if sys.closed:
-            states_T = [y.T for y in states]  # Tr[O Y] = sum(O * Y.T)
-            for dt in self.steps:
+def _closed_traces(sys: SystemSpec, steps: tuple, ops, states) -> np.ndarray:
+    """(n_tau, k) array of Tr[O(tau) Y] for each pair of ops and states, O(tau) = U^dag O U."""
+    states_T = [y.T for y in states]  # Tr[O Y] = sum(O * Y.T)
+    out = []
+    for dt in steps:
+        if dt > 0:
+            U = unitary_matrix(sys.hamiltonian, dt, sys.cutoff)
+            ops = [U.conj().T @ op @ U for op in ops]
+        out.append([np.sum(op * y) for op, y in zip(ops, states_T)])
+    return np.array(out)
+
+
+def _stepped_observables(H: QuadraticHamiltonian, channel: DampingChannel, cutoff: FockCutoff,
+                         steps: tuple, chunk: int):
+    """(rows, stacks): M^dag(tau_k) of adag, a and adag a on the rows they occupy.
+
+    The columns vec(O.T) are gathered once on the rows ``occupied_rows`` lays
+    out and stepped by ``heisenberg`` of each map from ``propagated_map``.
+    ``stacks`` yields them in grid order, at most ``chunk`` taus at a time:
+    stack[k] is the (len(rows), 3) array at the k-th tau of its chunk.
+    """
+    a, adag = ladder_matrices(cutoff)
+    C = np.stack([op.T.reshape(-1) for op in (adag, a, adag @ a)], axis=1)
+    rows, spans = occupied_rows(H, channel, cutoff, C)
+    C = C[rows]
+
+    def stacks():
+        for lo in range(0, len(steps), chunk):
+            part = steps[lo:lo + chunk]
+            stack = np.empty((len(part),) + C.shape, dtype=complex)
+            for k, dt in enumerate(part):
                 if dt > 0:
-                    U = unitary_matrix(sys.hamiltonian, dt, sys.cutoff)
-                    ops = [U.conj().T @ op @ U for op in ops]
-                yield [np.sum(op * y) for op, y in zip(ops, states_T)]
-            return
-        C = np.stack([op.T.reshape(-1) for op in ops], axis=1)
-        rows, spans = occupied_rows(sys.hamiltonian, sys.channel, sys.cutoff, C)
-        C, Y = C[rows], np.stack([y.reshape(-1) for y in states], axis=1)[rows]
-        for dt in self.steps:
-            if dt > 0:
-                propagated_map(sys.hamiltonian, sys.channel, dt, sys.cutoff).heisenberg(C, spans)
-            yield (C * Y).sum(axis=0)
+                    propagated_map(H, channel, dt, cutoff).heisenberg(C, spans)
+                stack[k] = C
+            yield stack
+
+    return rows, stacks()
+
+
+@lru_cache(maxsize=4)
+def _evolved_observables(H: QuadraticHamiltonian, channel: DampingChannel,
+                         cutoff: FockCutoff, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, stack) of ``_stepped_observables`` over the whole grid.
+
+    Neither depends on the initial state or t_prepare, so they are cached on
+    the dynamics and the grid steps alone.
+    """
+    rows, stacks = _stepped_observables(H, channel, cutoff, steps, len(steps))
+    stack = next(stacks)
+    rows.flags.writeable = stack.flags.writeable = False
+    return rows, stack
+
+
+def _evolved(sys: SystemSpec, steps: tuple):
+    """(rows, stacks) of the evolved observables, the whole grid's stack cached if it fits.
+
+    A stack holds at most d^2 rows of three complex columns per tau; a grid
+    over EVOLVED_BYTES is stepped anew, in chunks that fit.
+    """
+    args = (sys.hamiltonian, sys.channel, sys.cutoff, steps)
+    fits = EVOLVED_BYTES // (sys.cutoff.dim ** 2 * 3 * 16)
+    if len(steps) <= fits:
+        rows, stack = _evolved_observables(*args)
+        return rows, [stack]
+    return _stepped_observables(*args, max(fits, 1))
 
 
 def regression_raw(sys: SystemSpec, taus):
@@ -221,7 +276,13 @@ def regression_raw(sys: SystemSpec, taus):
 
     rho = rho_t.mat
     deformed = [a @ rho, rho @ adag, a @ rho @ adag]
-    G = np.array(list(_GridPropagator(sys, taus).traces([adag, a, number], deformed))).T
+    steps = _grid_steps(taus)
+    if sys.closed:
+        G = _closed_traces(sys, steps, [adag, a, number], deformed).T
+    else:
+        rows, stacks = _evolved(sys, steps)
+        Y = np.stack([y.reshape(-1) for y in deformed], axis=1)[rows]
+        G = np.concatenate([(stack * Y).sum(axis=1) for stack in stacks]).T
     if not np.all(np.isfinite(G)):
         raise SelfCheckError(
             "regression numerators are not finite; the evolution overflowed "

@@ -7,8 +7,9 @@ a phase-invariant H (xi = eta = 0) keeps the coherence order m - n of |m><n|
 (2d - 1 blocks of at most d rows), squeezing alone its parity (two), and a
 drive couples all.  exp(L tau) has the same blocks.  A map builds a block's
 dense ``expm`` the first time it acts on a vector nonzero there, and keeps it;
-``occupied_rows`` gathers once the blocks a set of Heisenberg observables
-occupies.  Maps are cached per duration, since a tau grid reuses them.
+``occupied_rows`` gathers the blocks a set of Heisenberg observables occupies.
+``propagated_map`` caches the last 32 maps on (H, channel, duration, cutoff):
+a uniform tau grid steps with one duration, and a preparation reuses its own.
 
 Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
 Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
@@ -89,8 +90,9 @@ def lindblad_generator(
     D[c] rho = c rho cdag - (cdag c rho + rho cdag c)/2,
     is K rho + rho Kdag + sum_c rate_c c rho cdag with the effective
     K = -i H - sum_c rate_c cdag c / 2.  In row-major (C order) vec,
-    vec(A rho B) = kron(A, B.T) vec(rho); the COO triplets of each Kronecker
-    term come from the nonzeros of its two d x d factors.
+    vec(A rho B) = kron(A, B.T) vec(rho); the entries of each Kronecker term
+    come from the nonzeros of its two d x d factors.  They are sorted into CSR
+    directly, the two on each diagonal entry summed and exact zeros dropped.
     """
     from scipy import sparse
 
@@ -101,16 +103,23 @@ def lindblad_generator(
     for rate, c in jumps:
         K = K - 0.5 * rate * (c.conj().T @ c)
     d, eye = cutoff.dim, np.eye(cutoff.dim)
-    triplets = []
+    terms = []
     for rate, A, B in [(1, K, eye), (1, eye, K.conj())] + [(r, c, c.conj()) for r, c in jumps]:
         (i, j), (k, m) = np.nonzero(A), np.nonzero(B)  # rate kron(A, B) from the nonzeros
-        triplets.append((rate * (A[i, j][:, None] * B[k, m]),
-                         i[:, None] * d + k, j[:, None] * d + m))
-    vals, rows, cols = (np.concatenate([t[x].ravel() for t in triplets]) for x in range(3))
-    L = sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))  # sums the diagonal
-    L.data += 0.0  # +0.0 for every zero real or imaginary part, whatever the term order
-    L.eliminate_zeros()
-    return L
+        terms.append((rate * (A[i, j][:, None] * B[k, m]),  # entry (i d + k, j d + m)
+                      (i[:, None] * d + k) * d * d + j[:, None] * d + m))
+    vals, keys = (np.concatenate([t[x].ravel() for t in terms]) for x in range(2))
+    order = np.argsort(keys, kind="stable")  # row-major; the terms come in sorted runs
+    keys, vals = keys[order], vals[order]  # only a diagonal key comes twice
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    data = np.add.reduceat(vals, starts)
+    data += 0.0  # +0.0 for every zero real or imaginary part, whatever the term order
+    keep = data != 0
+    rows, cols = np.divmod(keys[starts[keep]], d * d)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d * d))))
+    return sparse.csr_matrix((data[keep], cols, indptr), shape=(d * d, d * d))
 
 
 class Propagated:

@@ -186,8 +186,8 @@ def _require_resolved_mean_n(n: float, exact: float, L_max: int):
         raise ZeroDenominatorError(f"mean photon number {n:.2e} is not resolved by {where}; "
                                    "normalized correlations are undefined on (near-)vacuum")
     if not np.isfinite(n):
-        raise InstabilityError(f"mean photon number is not finite on {where}; the Bogoliubov "
-                               "map or the resummed normal-order tables overflow")
+        raise InstabilityError(f"mean photon number is not finite on {where}; the resummed "
+                               "normal-order tables overflow")
     raise InstabilityError(f"mean photon number {n:.2e} is not resolved by {where}: roundoff "
                            "of the resummed normal-order tables grows about twofold per lmax "
                            f"step; lower lmax (the default is {DEFAULT_L_MAX})")

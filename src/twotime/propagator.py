@@ -115,9 +115,23 @@ def bogoliubov_map(H: QuadraticHamiltonian, t: float):
 
     (a, adag, 1) evolves under d/dt v = M v with
     M = [[-i omega, -i xi, -i eta], [i conj(xi), i omega, i conj(eta)], [0, 0, 0]],
-    so (mu, nu, lam) is the first row of expm(M t) (see ``_map_row``).
+    so (mu, nu, lam) is the first row of expm(M t) (see ``_map_row``).  At
+    t = 0 it is the identity (1, 0, 0) for any H; at t > 0 a map that
+    overflows double precision raises InstabilityError.
     """
-    return _map_row(H, float(t))[:3]
+    t = float(t)
+    if t == 0:
+        return 1 + 0j, 0j, 0j
+    try:
+        row = _map_row(H, t)[:3]
+        finite = all(cmath.isfinite(c) for c in row)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InstabilityError(
+            f"Bogoliubov map not finite at t = {t} for omega = {H.omega}, xi = {H.xi}, "
+            f"eta = {H.eta}; the map overflows double precision")
+    return row
 
 
 def _coefficients(mu, nu, lam):

@@ -415,6 +415,18 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_bogoliubov_map_exit_1(self, tmp_path, capsys):
+        # the map at tau = 0 is the identity whatever omega; the next tau overflows
+        lines = ["system.omega = 1e300", "system.initial = coherent 0.5", "system.cutoff = 10",
+                 "lmax = 8", "methods = qfunction_derivative"]
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [old for old in MINIMAL.split("\n") if old.split(" = ")[0] not in keys]
+        scn = write(tmp_path, "\n".join(kept + lines).replace("tau.count = 4", "tau.count = 3"))
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Bogoliubov map not finite at t = 0.5 for omega = 1e+300")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
         assert main(["run", str(scn), "--seed", "-1", "--out", str(tmp_path)]) == 1

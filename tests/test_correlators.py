@@ -214,6 +214,7 @@ class TestSeriesContract:
             return original(H, ch, tau, cutoff)
 
         monkeypatch.setattr(correlators, "propagated_map", recording_map)
+        correlators._evolved_observables.cache_clear()
         s = regression_series(damped_thermal(t_prepare=0.0), taus)
         assert len(set(durations)) == steps
         assert abs(sum(durations) - taus[-1]) < 1e-12
@@ -234,6 +235,7 @@ class TestSeriesContract:
 
         monkeypatch.setattr(dynamics, "expm", recording_expm)
         dynamics.propagated_map.cache_clear()
+        correlators._evolved_observables.cache_clear()
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.8, n_thermal=0.1),
                          initial, FockCutoff(12), t_prepare=1.0)
         regression_series(sys, np.linspace(0.0, 2.0, 5))
@@ -244,6 +246,69 @@ class TestSeriesContract:
         rho = sys.prepared_state()
         assert sys.prepared_state() is rho
         assert not rho.mat.flags.writeable
+
+
+class TestEvolvedObservablesCache:
+    """A damped mode's evolved observables are cached on its dynamics and grid only."""
+
+    DYNAMICS = {
+        "free": QuadraticHamiltonian(omega=1.0),
+        "squeezed": QuadraticHamiltonian(omega=1.0, xi=0.2),  # two parity blocks
+    }
+    GRIDS = {"linspace": np.linspace(0.0, 3.0, 7),
+             "nonuniform": np.array([0.0, 0.1, 0.4, 1.0, 2.5])}
+
+    @staticmethod
+    def systems(H):
+        # two starts at two preparation times, one dynamics
+        ch = DampingChannel(kappa=0.8, n_thermal=0.1)
+        return [SystemSpec(H, ch, start, FockCutoff(12), t_prepare=t_prepare)
+                for start in (InitialState.fock(2), InitialState.coherent(0.5 + 0.3j))
+                for t_prepare in (0.0, 0.7)]
+
+    @staticmethod
+    def bits(raw):
+        return [np.asarray(x).tobytes() for x in raw]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("name", DYNAMICS)
+    def test_starts_share_one_entry_bit_for_bit(self, name, grid):
+        systems, taus = self.systems(self.DYNAMICS[name]), self.GRIDS[grid]
+        cold = []
+        for sys in systems:
+            correlators._evolved_observables.cache_clear()
+            cold.append(self.bits(regression_raw(sys, taus)))
+        correlators._evolved_observables.cache_clear()
+        warm = [self.bits(regression_raw(sys, taus)) for sys in systems]
+        info = correlators._evolved_observables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert warm == cold
+
+    def test_cached_arrays_are_read_only(self):
+        sys, taus = self.systems(self.DYNAMICS["free"])[0], self.GRIDS["linspace"]
+        correlators._evolved_observables.cache_clear()
+        regression_raw(sys, taus)
+        rows, stack = correlators._evolved_observables(
+            sys.hamiltonian, sys.channel, sys.cutoff, correlators._grid_steps(taus))
+        assert correlators._evolved_observables.cache_info().hits == 1
+        assert stack.shape == (len(taus), len(rows), 3)
+        assert not rows.flags.writeable and not stack.flags.writeable
+
+    def test_grid_over_budget_is_not_retained(self, monkeypatch):
+        sys = self.systems(self.DYNAMICS["free"])[3]
+        fits = correlators.EVOLVED_BYTES // (sys.cutoff.dim ** 2 * 3 * 16)
+        taus = np.linspace(0.0, 5.0, 2 * fits + 3)  # stepped in three chunks
+        correlators._evolved_observables.cache_clear()
+        chunked = self.bits(regression_raw(sys, taus))
+        assert correlators._evolved_observables.cache_info().currsize == 0
+        monkeypatch.setattr(correlators, "EVOLVED_BYTES", 1 << 30)
+        assert self.bits(regression_raw(sys, taus)) == chunked
+        assert correlators._evolved_observables.cache_info().currsize == 1
+
+    def test_closed_mode_is_not_cached(self):
+        correlators._evolved_observables.cache_clear()
+        regression_raw(closed_coherent(), self.GRIDS["linspace"])
+        assert correlators._evolved_observables.cache_info().misses == 0
 
 
 class TestSelfChecks:

@@ -154,6 +154,22 @@ class TestQuadraticKernel:
             kernel_quadratic(H, t)
         assert str(info.value).startswith(message)
 
+    def test_map_is_identity_at_zero_time(self):
+        # omega^2 overflows, so the series at t = 0 would read -inf * 0
+        assert bogoliubov_map(QuadraticHamiltonian(omega=1e300), 0.0) == (1, 0, 0)
+
+    @pytest.mark.parametrize("H,t", [
+        (QuadraticHamiltonian(omega=1e300), 0.5),  # omega^2 = inf, then inf * 0 = nan
+        (QuadraticHamiltonian(omega=1.0, xi=1e300), 0.5),  # |xi| ** 2 raises OverflowError
+        (QuadraticHamiltonian(xi=10.0), 100.0),  # cmath.cos overflows: cosh(1000)
+    ])
+    def test_non_finite_map_raises(self, H, t):
+        with pytest.raises(InstabilityError) as info:
+            bogoliubov_map(H, t)
+        assert str(info.value).startswith(
+            f"Bogoliubov map not finite at t = {t} for omega = {H.omega}, xi = {H.xi}, "
+            f"eta = {H.eta}; the map overflows double precision")
+
     def test_small_accurate_margin_still_builds(self):
         k = kernel_quadratic(QuadraticHamiltonian(omega=0.1, xi=0.5, eta=0.7), 12.0)
         assert 1e-5 < 1 - 2 * abs(k.C) < 2e-5
