@@ -5,14 +5,16 @@ Three routes compute g(tau) = <adag(t+tau) a(t)> and the g2 numerator
 a quadratic Hamiltonian.  Two evaluators serve them, each over one ``kind``
 in {"late", "g2"}: the g1 ordering every series stores and the g2 numerator.
 
-* ``_collapsed_integrand`` builds the three-variable integral of the
+* ``_collapsed_builder`` builds the three-variable integrals of the
   coherent-state-propagator route (``propagator``: the five-fold propagator
   integral with two integrals collapsed by the reproducing property) and of
   the two-variable-Q route (``qfunction_two_variable``: the two-variable
   Q-kernel of the prepared state, from its truncated Fock vector, paired
   with the propagator-composed Q of the evolved projector), which the
-  ``quadrature`` engines integrate.  ``_five_variable_integrand`` keeps the
-  uncollapsed propagator integral.
+  ``quadrature`` engines integrate.  A series builds the kernels and Fock
+  factors its integrands share once, and integrates all its integrands in
+  one engine call.  ``_five_variable_integrand`` keeps the uncollapsed
+  propagator integral.
 * ``_qderiv_integral`` evaluates the normal-order route
   (``qfunction_derivative``) with no engine.  The coefficient table C_lm of
   the prepared state is resummed into Gaussian-carrying Q-derivative
@@ -30,6 +32,7 @@ of scope here and served by the regression module only.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -135,8 +138,8 @@ def _poly_multiply(*linear_forms):
         out: dict = {}
         for (p1, q1), c1 in table.items():
             for (p2, q2), c2 in form.items():
-                p = tuple(a + b for a, b in zip(p1, p2)) if p1 else p2
-                q = tuple(a + b for a, b in zip(q1, q2)) if q1 else q2
+                p = tuple(map(add, p1, p2)) if p1 else p2
+                q = tuple(map(add, q1, q2)) if q1 else q2
                 out[(p, q)] = out.get((p, q), 0.0) + c1 * c2
         return out
 
@@ -197,47 +200,61 @@ def _require_resolved_mean_n(n: float, exact: float, L_max: int):
 # Propagator and two-variable-Q routes: three-variable integrands
 # ---------------------------------------------------------------------------
 
-def _collapsed_integrand(sys: SystemSpec, t: float, tau: float, method: str,
-                         kind: str) -> PolyGaussian:
-    """Three-variable integrand over 0 = alpha, 1 = alpha2, 2 = alpha4.
+def _collapsed_builder(sys: SystemSpec, t: float, method: str):
+    """build(tau, kind): the three-variable integrands of one route at t_prepare t.
 
-    The tau side is K(alpha4, tau|alpha, 0) times the conjugate kernel from
-    alpha2, with the conjugation swapped for "g2".  The prepared state
-    enters on alpha and alpha2 with the same swap: through t-kernels from
-    the initial amplitude (propagator) or through the Fock var-factors of
-    psi_t, of a psi_t for g2 (qfunction_two_variable).  The polynomial is
-    z0 zbar2 for "late"; for "g2" it is the product of the
-    annihilation-shifted linear factors of <alpha4|a U|alpha2> =
-    (B a2 + 2C conj(a4) + E) K.  g2 keeps the swapped orientation: the late
-    one would need a single linear factor, but its Monte Carlo variance is
-    several times larger.
+    Each integrand is over 0 = alpha, 1 = alpha2, 2 = alpha4.  The tau side
+    is K(alpha4, tau|alpha, 0) times the conjugate kernel from alpha2, with
+    the conjugation swapped for "g2".  The prepared state enters on alpha and
+    alpha2 with the same swap: through t-kernels from the initial amplitude
+    (propagator) or through the Fock var-factors of psi_t, of a psi_t for g2
+    (qfunction_two_variable).  The polynomial is z0 zbar2 for "late"; for
+    "g2" it is the product of the annihilation-shifted linear factors of
+    <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K.  g2 keeps the swapped
+    orientation: the late one would need a single linear factor, but its
+    Monte Carlo variance is several times larger.
+
+    The pieces a series shares are built once per builder: the t-kernel,
+    each kind's Fock factor vector psi(t)/sqrt(n!) and its conjugate, and
+    each tau's kernel, which that tau's g1 and g2 integrands share.
     """
-    sides = ((0, kind == "g2"), (1, kind == "late"))
-    ktau = kernel_quadratic(sys.hamiltonian, tau)
-    pg = PolyGaussian(3)
-    for var, conj in sides:
-        _attach_kernel(pg, ktau, 2, var, conj=conj)
+    a0 = complex(sys.initial_state.amplitude)
+    tau_kernel = lru_cache(maxsize=None)(lambda tau: kernel_quadratic(sys.hamiltonian, tau))
     if method == "propagator":
-        a0 = complex(sys.initial_state.amplitude)
         kt = kernel_quadratic(sys.hamiltonian, t)
-        for var, conj in sides:
-            _attach_kernel(pg, kt, var, None, conj=conj, in_val=a0)
-    else:
+
+    @lru_cache(maxsize=None)
+    def fock_factors(kind):
         psi = _prepared_vector(sys, t, shifted=kind == "g2")
         w = psi * np.exp(-0.5 * _log_factorial(np.arange(len(psi))))  # psi_n / sqrt(n!)
+        return w, np.conj(w)
+
+    def build(tau: float, kind: str) -> PolyGaussian:
+        sides = ((0, kind == "g2"), (1, kind == "late"))
+        ktau = tau_kernel(tau)
+        pg = PolyGaussian(3)
         for var, conj in sides:
-            pg.add_abs2(var, -0.5)  # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
-            pg.set_var_factor(var, np.conj(w) if conj else w, conjugated=not conj)
-    if kind == "late":
-        forms = [_mono(3, 1.0, z_at=0, zbar_at=2)]
-    else:
-        forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
+            _attach_kernel(pg, ktau, 2, var, conj=conj)
         if method == "propagator":
-            forms = [_linear_factor(3, kt, var, None, conj=conj, in_val=a0)
-                     for var, conj in sides] + forms
-    pg.poly = _poly_multiply(*forms)
-    pg.add_const(-3 * np.log(np.pi))
-    return pg
+            for var, conj in sides:
+                _attach_kernel(pg, kt, var, None, conj=conj, in_val=a0)
+        else:
+            w, cw = fock_factors(kind)
+            for var, conj in sides:
+                pg.add_abs2(var, -0.5)  # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
+                pg.set_var_factor(var, cw if conj else w, conjugated=not conj)
+        if kind == "late":
+            forms = [_mono(3, 1.0, z_at=0, zbar_at=2)]
+        else:
+            forms = [_linear_factor(3, ktau, 2, 0, conj=True), _linear_factor(3, ktau, 2, 1)]
+            if method == "propagator":
+                forms = [_linear_factor(3, kt, var, None, conj=conj, in_val=a0)
+                         for var, conj in sides] + forms
+        pg.poly = _poly_multiply(*forms)
+        pg.add_const(-3 * np.log(np.pi))
+        return pg
+
+    return build
 
 
 def _five_variable_integrand(sys: SystemSpec, t: float, tau: float) -> PolyGaussian:
@@ -369,33 +386,44 @@ def _qderiv_integral(sys: SystemSpec, t: float, tau: float, L_max: int,
         for (pf, qf), cf in ft.items():
             coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
     diag = np.diagonal(coef)
-    return complex(diag @ np.exp(_log_factorial(np.arange(len(diag)))))
+    # p! overflows from p = 171; the caller reports the non-finite mean photon number
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(diag @ np.exp(_log_factorial(np.arange(len(diag)))))
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _integral(sys, t, tau, method, cfg, L_max, kind):
+def _integrals(sys, t, cases, method, cfg, L_max):
+    """Iterator of (value, err) over the (tau, kind) cases of one route at t_prepare t.
+
+    The collapsed routes integrate every case in one engine call, and the
+    tau = 0 g1 case of the two-variable-Q route is self-tested against the
+    Fock mean photon number under quadrature, which catches a misplaced 1/pi.
+    ``qfunction_derivative`` evaluates each case in closed form as it is read.
+    """
     _require_phase_space_scenario(sys)
     if method == "qfunction_derivative":
-        return _qderiv_integral(sys, float(t), float(tau), L_max, kind), 0.0
+        return ((_qderiv_integral(sys, t, tau, L_max, kind), 0.0) for tau, kind in cases)
     if method not in ("propagator", "qfunction_two_variable"):
         raise ValueError(f"unknown phase-space method {method!r}")
-    return integrate(_collapsed_integrand(sys, float(t), float(tau), method, kind), cfg)
+    build = _collapsed_builder(sys, t, method)
+    results = integrate([build(tau, kind) for tau, kind in cases], cfg)
+    if method == "qfunction_two_variable" and cfg.engine == "gauss_hermite_tensor":
+        for (tau, kind), (value, _) in zip(cases, results):
+            if tau == 0 and kind == "late":
+                _measure_selftest(value, _mean_n_fock(sys, t), "alpha")
+    return iter(results)
+
+
+def _integral(sys, t, tau, method, cfg, L_max, kind):
+    return next(_integrals(sys, float(t), [(float(tau), kind)], method, cfg, L_max))
 
 
 def _g_raw(sys, t, tau, method, cfg, L_max):
-    """(value, err) of <adag(t+tau) a(t)>.
-
-    At tau = 0 the two-variable-Q route is self-tested against the Fock
-    mean photon number under quadrature, which catches a misplaced 1/pi.
-    """
-    value, err = _integral(sys, t, tau, method, cfg, L_max, "late")
-    if (method == "qfunction_two_variable" and tau == 0
-            and cfg.engine == "gauss_hermite_tensor"):
-        _measure_selftest(value, _mean_n_fock(sys, float(t)), "alpha")
-    return value, err
+    """(value, err) of <adag(t+tau) a(t)>."""
+    return _integral(sys, t, tau, method, cfg, L_max, "late")
 
 
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,
@@ -407,19 +435,25 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     method's own tau = 0 integral as the mean photon number n.  A grid that
     starts at tau = 0 reuses the n integral as its first g1 row.
 
-    The Gauss-Hermite coupling of one tau is built once for all integrals
-    at that tau, as two n x n^2 factor tables (0.44 MB at 24 nodes; see
-    ``quadrature._pair_coupling``), and the normal-order tables of the
-    prepared state once per series (``_prepared_q_tables``).
+    The integrands of ``propagator`` and ``qfunction_two_variable`` are built
+    first, sharing their kernels and Fock factors (``_collapsed_builder``),
+    and integrated in one engine call; Gauss-Hermite builds each tau's
+    coupling once for all of them, as two n x n^2 factor tables (0.44 MB at
+    24 nodes; see ``quadrature._pair_coupling``).  ``qfunction_derivative``
+    checks n before it evaluates the other cases and expands the prepared
+    state once per series (``_prepared_q_tables``).
     """
     taus = _check_tau_grid(taus)
-    t = sys.t_prepare
-    n, e_n = _g_raw(sys, t, 0.0, method, cfg, L_max)
+    t = float(sys.t_prepare)
+    cases = [(0.0, "late")] + [(float(tau), kind) for tau in taus
+                               for kind in ("late", "g2") if tau != 0 or kind == "g2"]
+    raw = _integrals(sys, t, cases, method, cfg, L_max)
+    n, e_n = next(raw)
     if method == "qfunction_derivative":
-        _require_resolved_mean_n(n.real, _mean_n_fock(sys, float(t)), L_max)
+        _require_resolved_mean_n(n.real, _mean_n_fock(sys, t), L_max)
     rows = []
     for tau in taus:
-        g1 = (n, e_n) if tau == 0 else _g_raw(sys, t, float(tau), method, cfg, L_max)
-        rows.append(g1 + _integral(sys, t, float(tau), method, cfg, L_max, "g2"))
+        g1 = (n, e_n) if tau == 0 else next(raw)
+        rows.append(g1 + next(raw))
     G1, e1, G2, e2 = map(np.array, zip(*rows))
     return normalized_series(taus, method, n.real, G1, G2, e_n, e1, e2)

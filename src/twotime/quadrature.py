@@ -14,13 +14,23 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
   replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
   contracted as one GEMM with H plus a G-weighted row sum (``_contract``).
-  The node grid and the last factor pair are cached
-  (``functools.lru_cache``, read-only arrays).  A coupling and its conjugate
-  share one entry, so every integral at one tau of a phase-space series
-  reuses one pair; the conjugate side contracts conjugated vectors instead
-  of a copy.  All distinct monomial vectors of one variable go through one
-  contraction, and a one-variable polynomial is summed as one coefficient
-  matrix.
+  The node grid and the factor pairs of the last few couplings are cached
+  (``functools.lru_cache``, read-only arrays), so the routes of one run
+  share the tables of a common grid of up to ``COUPLING_CACHE_SIZE`` taus
+  (at most ``COUPLING_CACHE_NODES`` nodes).  A coupling and its conjugate
+  share one entry; the conjugate side contracts conjugated vectors instead
+  of a copy.  A phase-space series is one ``integrate`` call, and the
+  engine integrates the whole sequence as one batch: one stacked real form
+  and ``eigvalsh`` check integrability; one broadcast pass builds the diagonal
+  node vectors, one per distinct set of a variable's own terms, with each
+  distinct var-factor polynomial evaluated once (a polynomial and its
+  conjugate share the evaluation); each distinct coupling is built once and
+  contracted once against the stacked (diagonal vector, monomial) rows of
+  every integrand that uses it; and each integrand's terms are summed from
+  one gathered product.  Every integral keeps the arithmetic of its own
+  one-at-a-time evaluation, so a batch changes no bit of it (a GEMM row
+  does not depend on the stack around it on the BLAS this was measured
+  with).  A one-variable polynomial is summed as one coefficient matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.  Chunk k of
@@ -31,13 +41,15 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   cached (``_normals``, read-only, at most ``MC_NORMALS_BYTES``).  The errors
   of the integrals of one series are therefore correlated, while the
   ``hypot`` propagation of ``correlators.normalized_series`` treats them as
-  independent.  A chunk is evaluated in tiles of ``MC_TILE`` samples held
-  coordinate-major, X = chol g^T + mu of shape (2n, tile): the phase, the
-  polynomial and the sums of h and |h|^2 are computed per tile, and the real
-  Gaussian prefactor is applied once to the totals.  A tile's temporaries
-  (0.66 MB at n = 3) stay in cache, where whole-chunk ones (6.8 MB) were
-  page-faulted afresh; the tile size changes no sample, only the rounding
-  of the sums.
+  independent.  Monte Carlo samples the integrands of a sequence one by
+  one.  The normals are stored coordinate-major, g of shape (2n, chunk),
+  and a chunk is evaluated in tiles of ``MC_TILE`` samples,
+  X = chol g[:, tile] + mu of shape (2n, tile), whose product reads 2n
+  contiguous runs: the phase, the polynomial and the sums of h and |h|^2
+  are computed per tile, and the real Gaussian prefactor is applied once to
+  the totals.  A tile's temporaries (0.66 MB at n = 3) stay in cache, where
+  whole-chunk ones (6.8 MB) were page-faulted afresh; the tile size changes
+  no sample, only the rounding of the sums.
 
 Complex measures follow d^2 z = dRe(z) dIm(z); any 1/pi factors belong to the
 caller's integrand.
@@ -72,6 +84,15 @@ MC_RELATIVE_ERROR_WARN = 0.10
 # A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
 # its contraction a nodes^3 work table per vector (4.2 MB at 64).
 MAX_NODES = 64
+# The routes of one run integrate over one tau grid, so the factor tables of
+# the last COUPLING_CACHE_SIZE couplings are kept for the next route's series;
+# a grid of more than COUPLING_CACHE_NODES nodes per axis builds its tables
+# afresh, so the cache never holds more than 8 x 1.05 MB.
+COUPLING_CACHE_SIZE = 8
+COUPLING_CACHE_NODES = 32
+# The terms of a batch are summed a chunk at a time, each gathered array of
+# node-grid vectors about TERM_CHUNK_BYTES (113 terms at 24 nodes, 16 at 64).
+TERM_CHUNK_BYTES = 1 << 20
 ENGINES = ("gauss_hermite_tensor", "monte_carlo_gaussian")
 
 
@@ -164,19 +185,8 @@ class PolyGaussian:
         so each quadratic block is a congruence by P or conj(P) and S is the
         symmetric part of their sum.
         """
-        n = self.n_vars
-        P = (np.eye(n)[:, :, None] * [1.0, 1j]).reshape(n, 2 * n)
-        Pc = P.conj()
-        M = P.T @ self.B @ P + Pc.T @ self.C @ Pc + Pc.T @ self.A @ P
-        return (M + M.T) / 2, self.u @ P + self.v @ Pc, self.const
-
-    def assert_integrable(self):
-        S, _, _ = self.real_form()
-        top = float(np.max(np.linalg.eigvalsh(S.real)))
-        if top > NEGDEF_TOL:
-            raise NonIntegrableError(
-                f"Gaussian real part has eigenvalue {top:.3e} >= 0; integral diverges"
-            )
+        S, P, Pc = _quadratic_form(self.A, self.B, self.C)
+        return S, self.u @ P + self.v @ Pc, self.const
 
     # ---- pointwise polynomial part (Monte Carlo) ---------------------------
     def _poly_values(self, X: np.ndarray) -> np.ndarray:
@@ -218,6 +228,19 @@ class PolyGaussian:
         return vals
 
 
+def _quadratic_form(A, B, C):
+    """(S, P, conj(P)) of the exponent blocks A, B, C: one (n, n) each, or stacks of them.
+
+    S is the real-coordinate matrix of ``PolyGaussian.real_form``, stacked
+    like its arguments.
+    """
+    n = A.shape[-1]
+    P = (np.eye(n)[:, :, None] * [1.0, 1j]).reshape(n, 2 * n)
+    Pc = P.conj()
+    M = P.T @ B @ P + Pc.T @ C @ Pc + Pc.T @ A @ P
+    return (M + np.swapaxes(M, -1, -2)) / 2, P, Pc
+
+
 @lru_cache(maxsize=4)
 def _gh_grid(n_nodes: int):
     """Real nodes, complex node grid and total weights for one complex variable.
@@ -233,7 +256,7 @@ def _gh_grid(n_nodes: int):
     return x, z, wz
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=COUPLING_CACHE_SIZE)
 def _coupling_factors(n_nodes: int, aij, aji, bb, cc) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-axis factors (G, H) of exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
 
@@ -270,15 +293,12 @@ def _pair_key(pg: PolyGaussian, i: int, j: int):
     return aij, aji, bb, cc
 
 
-def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
-    """((G, H), conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
+def _coupling_key(pg: PolyGaussian, i: int, j: int):
+    """(key, conjugated) naming the (i, j) cross-coupling's cached factors, or None if absent.
 
-    (G, H) are the two n x n^2 factor tables of the coupling matrix E
-    (``_coupling_factors``); the matrix is conj(E) if ``conjugated``, else E,
-    and ``_contract`` applies it without forming either.  Every integral at
-    one tau couples its variables through the same kernel coefficient, met
-    as (aij, aji) on one pair and as its conjugate (conj aji, conj aij) on
-    another, so the factors are cached under whichever of the two keys has
+    Every integral at one tau couples its variables through the same kernel
+    coefficient, met as (aij, aji) on one pair and as its conjugate
+    (conj aji, conj aij) on another, so the key is whichever of the two has
     the smaller (re, im) tuple:
     E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
     Conjugation only flips signs, so the two agree bit for bit when bb and cc
@@ -290,13 +310,27 @@ def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
         return None
     aij, aji, bb, cc = key
     mirror = (np.conj(aji), np.conj(aij), np.conj(cc), np.conj(bb))
+    for c, m in zip(key, mirror):  # the first coefficient that differs decides
+        if c != m:
+            return (mirror, True) if (m.real, m.imag) < (c.real, c.imag) else (key, False)
+    return key, False
 
-    def floats(k):
-        return tuple(x for c in k for x in (c.real, c.imag))
 
-    if floats(mirror) < floats(key):
-        return _coupling_factors(n_nodes, *mirror), True
-    return _coupling_factors(n_nodes, *key), False
+def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
+    """((G, H), conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
+
+    (G, H) are the two n x n^2 factor tables of the coupling matrix E
+    (``_coupling_factors``, under ``_coupling_key``); the matrix is conj(E)
+    if ``conjugated``, else E, and ``_contract`` applies it without forming
+    either.
+    """
+    coupling = _coupling_key(pg, i, j)
+    if coupling is None:
+        return None
+    key, conjugated = coupling
+    if n_nodes > COUPLING_CACHE_NODES:
+        return _coupling_factors.__wrapped__(n_nodes, *key), conjugated
+    return _coupling_factors(n_nodes, *key), conjugated
 
 
 def _contract(V: np.ndarray, coupling) -> np.ndarray:
@@ -318,19 +352,49 @@ def _contract(V: np.ndarray, coupling) -> np.ndarray:
     return np.conj(out, out=out) if conjugated else out
 
 
-def _diag_vector(pg: PolyGaussian, i: int, z, wz):
+def _diag_vectors(pgs, z, wz) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index): the distinct diagonal vectors of a batch, and the row of each variable.
+
+    A variable's diagonal vector is the node weights times the exponential
+    of its own exponent terms and its var-factor polynomial; index[k, i] is
+    the row of variable i of integrand k.  Variables whose terms agree bit
+    for bit share a row.  The distinct exponents are evaluated in one
+    broadcast pass, and each distinct polynomial once.
+    """
     zc = np.conj(z)
-    expo = pg.A[i, i] * zc * z + pg.B[i, i] * z * z + pg.C[i, i] * zc * zc
-    expo += pg.u[i] * z + pg.v[i] * zc
-    d = wz * np.exp(expo)
-    if pg.var_factors[i] is not None:
-        coeffs, conj = pg.var_factors[i]
-        d = d * np.polynomial.polynomial.polyval(zc if conj else z, coeffs)
-    return d
+    coefs = np.stack([np.diagonal(np.stack([getattr(pg, m) for pg in pgs]), axis1=1, axis2=2)
+                      for m in "ABC"] + [np.stack([pg.u for pg in pgs]),
+                                         np.stack([pg.v for pg in pgs])], axis=-1)
+    rows_of: dict = {}
+    firsts = []  # (integrand, variable) of each row's first use
+    index = np.empty(coefs.shape[:2], dtype=int)
+    for k, pg in enumerate(pgs):
+        for i, fac in enumerate(pg.var_factors):
+            key = (coefs[k, i].tobytes(), None if fac is None else (fac[0].tobytes(), fac[1]))
+            if key not in rows_of:
+                rows_of[key] = len(firsts)
+                firsts.append((k, i))
+            index[k, i] = rows_of[key]
+    A, B, C, u, v = np.array([coefs[k, i] for k, i in firsts]).T[..., None]
+    expo = A * zc * z + B * z * z + C * zc * zc
+    expo += u * z + v * zc
+    rows = wz * np.exp(expo)
+    # sum_k w[k] z^k is conj(sum_k conj(w[k]) zbar^k) bit for bit (conjugation
+    # only flips signs), so a polynomial and its conjugate share one evaluation
+    polys: dict = {}
+    for row, (k, i) in enumerate(firsts):
+        if pgs[k].var_factors[i] is not None:
+            coeffs, conj = pgs[k].var_factors[i]
+            base = coeffs if conj else np.conj(coeffs)
+            key = base.tobytes()
+            if key not in polys:
+                polys[key] = np.polynomial.polynomial.polyval(zc, base)
+            rows[row] *= polys[key] if conj else np.conj(polys[key])
+    return rows, index
 
 
-def _monomial_vectors(pg: PolyGaussian, z):
-    """Per-variable node-grid factors for every polynomial monomial."""
+def _monomial_vectors(z):
+    """z^p conj(z)^q on the node grid, each (p, q) built once."""
     zc = np.conj(z)
     pows: dict = {}
 
@@ -354,52 +418,100 @@ def _one_variable_sum(poly: dict, d: np.ndarray, z: np.ndarray) -> complex:
     return d @ np.sum((Zp @ C) * Zq, axis=1)
 
 
-def _quadrature(pg: PolyGaussian, cfg: IntegrationConfig) -> complex:
-    n = pg.n_vars
-    if n not in (1, 3) or (n == 3 and _pair_key(pg, 0, 1) is not None):
-        got = f"{n} variables" + (" coupled on (0, 1)" if n == 3 else "")
-        raise QuadratureDimensionError(
-            "tensor quadrature integrates one complex variable, or three with no "
-            f"(0, 1) coupling; got {got}; use the monte_carlo_gaussian engine"
-        )
+def _check(pgs, gauss_hermite: bool):
+    """Raise the error of the first integrand the engine cannot integrate, as alone it would.
+
+    One stacked real form and one stacked ``eigvalsh`` serve every
+    integrability check.
+    """
+    S, _, _ = _quadratic_form(*(np.stack([getattr(pg, m) for pg in pgs]) for m in "ABC"))
+    tops = np.max(np.linalg.eigvalsh(S.real), axis=-1)
+    for pg, top in zip(pgs, tops):
+        if top > NEGDEF_TOL:
+            raise NonIntegrableError(
+                f"Gaussian real part has eigenvalue {float(top):.3e} >= 0; integral diverges"
+            )
+        n = pg.n_vars
+        if gauss_hermite and (n not in (1, 3) or (n == 3 and _pair_key(pg, 0, 1) is not None)):
+            got = f"{n} variables" + (" coupled on (0, 1)" if n == 3 else "")
+            raise QuadratureDimensionError(
+                "tensor quadrature integrates one complex variable, or three with no "
+                f"(0, 1) coupling; got {got}; use the monte_carlo_gaussian engine"
+            )
+
+
+def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
     nodes = cfg.nodes_per_axis
     _, z, wz = _gh_grid(nodes)
-    diag = [_diag_vector(pg, i, z, wz) for i in range(n)]
-    poly = pg.poly if pg.poly else {((0,) * n, (0,) * n): 1.0}
-    scale = np.exp(pg.const)
-    if n == 1:
-        return scale * _one_variable_sum(poly, diag[0], z)
+    diag, index = _diag_vectors(pgs, z, wz)
+    polys = [pg.poly or {((0,) * pg.n_vars, (0,) * pg.n_vars): 1.0} for pg in pgs]
+    scales = [np.exp(pg.const) for pg in pgs]
+    if pgs[0].n_vars == 1:
+        return [scale * _one_variable_sum(poly, diag[row], z)
+                for scale, poly, row in zip(scales, polys, index[:, 0])]
 
     # without a (0, 1) coupling the k2 sum factorizes: contract every distinct
-    # monomial vector of variables 0 and 1 with its coupling to variable 2
-    powv = _monomial_vectors(pg, z)
+    # monomial vector of variables 0 and 1 with its coupling to variable 2,
+    # each (diagonal row, monomial) once per coupling and all of a coupling's
+    # rows in one stack.  An integral is then sum coef * sum(d2 * v0 * v1)
+    # over its terms, taken in the order of its terms grouped by their
+    # variable-2 monomial.
+    powv = _monomial_vectors(z)
+    stacks: dict = {}  # coupling key -> (integrand, variable, {(row, p, q): stack row})
+    d2_rows: dict = {}  # (row, p, q) of a variable-2 vector -> its row
+    terms = []  # per integrand: (coef, d2 row, (coupling, stack row) of v0 and of v1)
+    for k, (pg, poly) in enumerate(zip(pgs, polys)):
+        sides = []
+        for i in (0, 1):
+            key = _coupling_key(pg, i, 2)
+            sides.append((key, stacks.setdefault(key, (pg, i, {}))[2]))
+        groups: dict = {}
+        for (p, q), coef in poly.items():
+            groups.setdefault((p[2], q[2]), []).append((p, q, coef))
+        member = []
+        for p, q, coef in (term for group in groups.values() for term in group):
+            v0, v1 = ((key, rows.setdefault((index[k, i], p[i], q[i]), len(rows)))
+                      for i, (key, rows) in enumerate(sides))
+            d2_row = d2_rows.setdefault((index[k, 2], p[2], q[2]), len(d2_rows))
+            member.append((coef, d2_row, v0, v1))
+        terms.append(member)
 
-    def contracted(i):
-        keys = list(dict.fromkeys((p[i], q[i]) for p, q in poly))
-        V = np.stack([diag[i] * powv(*k) for k in keys])
-        return dict(zip(keys, _contract(V, _pair_coupling(pg, i, 2, nodes))))
-
-    v0, v1 = contracted(0), contracted(1)
-    groups: dict = {}
-    for (p, q), coef in poly.items():
-        groups.setdefault((p[2], q[2]), []).append((p, q, coef))
-    total = 0.0 + 0.0j
-    for (p2, q2), members in groups.items():
-        d2 = diag[2] * powv(p2, q2)
-        for p, q, coef in members:
-            total += coef * np.sum(d2 * v0[p[0], q[0]] * v1[p[1], q[1]])
-    return scale * total
+    offsets, contracted = {}, []
+    for key, (pg, i, rows) in stacks.items():
+        out = _contract(np.stack([diag[row] * powv(p, q) for row, p, q in rows]),
+                        _pair_coupling(pg, i, 2, nodes))
+        offsets[key] = sum(map(len, contracted))
+        contracted.append(np.broadcast_to(out, (len(rows), len(z))))
+    V = np.concatenate(contracted)
+    d2 = np.stack([diag[row] * powv(p, q) for row, p, q in d2_rows])
+    flat = [(r2, offsets[k0] + r0, offsets[k1] + r1)
+            for member in terms for _, r2, (k0, r0), (k1, r1) in member]
+    i2, i0, i1 = np.array(flat).T
+    step = max(1, TERM_CHUNK_BYTES // d2[0].nbytes)
+    sums = np.concatenate([np.sum(d2[i2[lo:lo + step]] * V[i0[lo:lo + step]]
+                                  * V[i1[lo:lo + step]], axis=1)
+                           for lo in range(0, len(flat), step)])
+    values, start = [], 0
+    for member, scale in zip(terms, scales):
+        total = 0.0 + 0.0j
+        for (coef, *_), term_sum in zip(member, sums[start:start + len(member)]):
+            total += coef * term_sum
+        start += len(member)
+        values.append(scale * total)
+    return values
 
 
 @lru_cache(maxsize=MC_CACHED_CHUNKS)
 def _normals(seed: int, chunk: int, m: int, d: int) -> np.ndarray:
-    """Read-only (m, d) standard normals of chunk ``chunk`` of the stream of ``seed``.
+    """Read-only standard normals of chunk ``chunk`` of the stream of ``seed``, stored (d, m).
 
-    Every integral draws chunk k from SeedSequence(seed, spawn_key=(k,)), so
-    integrals with the same seed and variable count share these numbers.
+    Every integral draws chunk k from SeedSequence(seed, spawn_key=(k,)) as m
+    samples of d coordinates, so integrals with the same seed and variable
+    count share these numbers.  They are kept coordinate-major and
+    contiguous, so a tile's columns are d contiguous runs.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
-    g = np.random.Generator(np.random.PCG64(ss)).standard_normal((m, d))
+    g = np.random.Generator(np.random.PCG64(ss)).standard_normal((m, d)).T.copy()
     g.flags.writeable = False
     return g
 
@@ -429,10 +541,10 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
     total_sq = 0.0
     for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
         m = min(MC_CHUNK, cfg.sample_count - start)
-        gT = _chunk_normals(cfg.seed, chunk, m, d).T
+        g = _chunk_normals(cfg.seed, chunk, m, d)
         for lo in range(0, m, MC_TILE):
             # rows of X are the real coordinates (Re z_0, Im z_0, ...) of the tile
-            X = chol @ gT[:, lo:lo + MC_TILE]
+            X = chol @ g[:, lo:lo + MC_TILE]
             X += mu
             h = pg._poly_values(X)
             # the phase x^T SI x + bI.x + cI, built in one (2n, tile) buffer
@@ -456,13 +568,23 @@ def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float
     return complex(mean), stderr
 
 
-def integrate(pg: PolyGaussian, cfg: IntegrationConfig):
-    """Integrate a PolyGaussian over C^n with d^2z = dx dy.
+def integrate(integrands, cfg: IntegrationConfig):
+    """Integrate a PolyGaussian, or a sequence of them, over C^n with d^2z = dx dy.
 
-    Returns (value, error_estimate); the estimate is 0 for the deterministic
-    quadrature engine and the combined standard error for Monte Carlo.
+    Returns (value, error_estimate) for one integrand, and a list of them in
+    order for a sequence, whose integrands share one variable count.  The
+    estimate is 0 for the deterministic quadrature engine and the combined
+    standard error for Monte Carlo.  Gauss-Hermite integrates the whole
+    sequence in one batch; Monte Carlo samples each integrand in turn.
     """
-    pg.assert_integrable()
-    if cfg.engine == "gauss_hermite_tensor":
-        return _quadrature(pg, cfg), 0.0
-    return _mc_sample(pg, cfg)
+    single = isinstance(integrands, PolyGaussian)
+    pgs = [integrands] if single else list(integrands)
+    gauss_hermite = cfg.engine == "gauss_hermite_tensor"
+    _check(pgs, gauss_hermite)
+    if gauss_hermite:
+        results = [(value, 0.0) for value in _quadrature(pgs, cfg)]
+    else:
+        results = []
+        for pg in pgs:  # a loop, not a comprehension: VarianceWarning's stacklevel
+            results.append(_mc_sample(pg, cfg))
+    return results[0] if single else results

@@ -427,6 +427,19 @@ class TestMainEntry:
         assert err.startswith("error: Bogoliubov map not finite at t = 0.5 for omega = 1e+300")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_normal_order_weights_exit_1(self, tmp_path, capsys):
+        # p! overflows from p = 171: the non-finite mean photon number is the
+        # error, with no numpy warning printed before it
+        lines = ["system.initial = coherent 0.5", "system.cutoff = 180", "lmax = 180",
+                 "methods = qfunction_derivative"]
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [old for old in MINIMAL.split("\n") if old.split(" = ")[0] not in keys]
+        scn = write(tmp_path, "\n".join(kept + lines) + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: mean photon number is not finite")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "coherent_mc.cfg"
         assert main(["run", str(scn), "--seed", "-1", "--out", str(tmp_path)]) == 1

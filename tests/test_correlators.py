@@ -331,7 +331,7 @@ class TestSelfChecks:
     @staticmethod
     def tilted_integrals(monkeypatch, err):
         monkeypatch.setattr(phasespace, "integrate",
-                            lambda *args, **kwargs: (1.0 + 1e-3j, err))
+                            lambda pgs, cfg: [(1.0 + 1e-3j, err) for _ in pgs])
 
     def test_phase_space_g2_imaginary_part_raises(self, monkeypatch):
         self.tilted_integrals(monkeypatch, 0.0)

@@ -332,13 +332,44 @@ class TestCaches:
     def test_series_builds_one_coupling_per_tau(self, monkeypatch):
         calls = []
         monkeypatch.setattr(phasespace, "integrate",
-                            lambda pg, cfg: calls.append(pg) or integrate(pg, cfg))
+                            lambda pgs, cfg: calls.append(pgs) or integrate(pgs, cfg))
         taus = np.linspace(0.0, 1.5, 4)
         self.clear_caches()
         phase_space_series(scenario("driven", n_max=30), taus, "propagator",
                            IntegrationConfig(nodes_per_axis=16))
         assert quadrature._coupling_factors.cache_info().misses == len(taus)
-        assert len(calls) == 2 * len(taus)
+        # one engine call integrates the n integral and every g1 and g2 of the grid
+        assert [len(pgs) for pgs in calls] == [2 * len(taus)]
+
+    def test_routes_share_coupling_tables(self):
+        # the second route on one grid builds no coupling; a grid above
+        # COUPLING_CACHE_NODES keeps none
+        sys, taus = scenario("driven", n_max=30), np.linspace(0.0, 1.5, 4)
+        self.clear_caches()
+        for method in ("propagator", "qfunction_two_variable"):
+            phase_space_series(sys, taus, method, IntegrationConfig(nodes_per_axis=16))
+        assert quadrature._coupling_factors.cache_info().misses == len(taus)
+        self.clear_caches()
+        phase_space_series(sys, taus, "propagator", IntegrationConfig(nodes_per_axis=48))
+        assert quadrature._coupling_factors.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("method, builds", [("propagator", 5),
+                                                ("qfunction_two_variable", 4)])
+    def test_series_builds_each_kernel_once(self, method, builds, monkeypatch):
+        # one kernel per tau, shared by its g1 and g2 integrands and, at tau = 0,
+        # by the n integral; the propagator route adds the t-kernel
+        durations = []
+        original = phasespace.kernel_quadratic
+
+        def recording_kernel(H, t):
+            durations.append(t)
+            return original(H, t)
+
+        monkeypatch.setattr(phasespace, "kernel_quadratic", recording_kernel)
+        taus = np.linspace(0.0, 1.5, 4)
+        phase_space_series(scenario("driven", n_max=30), taus, method, QUAD)
+        assert len(durations) <= builds
+        assert set(taus) <= set(durations)
 
     def test_series_expands_prepared_state_twice(self, monkeypatch):
         calls = []

@@ -228,6 +228,115 @@ class TestGuards:
         assert abs(value - c) < 4 * err
 
 
+class TestBatch:
+    """A sequence is integrated in one Gauss-Hermite batch, bit for bit as one at a time."""
+
+    @staticmethod
+    def integrands(seed, count=16):
+        """Three-variable integrands that share couplings, diagonal terms and var factors.
+
+        Variable 0 couples to 2 through b on (2, 0) and variable 1 through
+        its conjugate on (1, 2), the mirrored pair a route builds, or not at
+        all; diagonal z^2 and zbar^2 terms, linear terms and var factors of
+        either conjugation come from small pools, so rows repeat.
+        """
+        rng = np.random.default_rng(seed)
+
+        def cplx(scale):
+            return complex(*(scale * rng.standard_normal(2)))
+
+        bs = [cplx(0.25) for _ in range(3)]
+        diagonals = [(cplx(0.1), cplx(0.1), cplx(0.3), cplx(0.3)) for _ in range(3)]
+        factors = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)]
+        pgs = []
+        for _ in range(count):
+            pg = unit_gaussian(3)
+            b = bs[rng.integers(len(bs))]
+            pg.add_mixed(2, 0, b)
+            if rng.uniform() < 0.7:
+                pg.add_mixed(1, 2, np.conj(b))
+            for i in range(3):
+                holo, anti, lin, lin_conj = diagonals[rng.integers(len(diagonals))]
+                pg.add_holo(i, i, holo)
+                pg.add_anti(i, i, anti)
+                pg.add_linear(i, lin)
+                pg.add_linear_conj(i, lin_conj)
+                if rng.uniform() < 0.5:
+                    w = factors[rng.integers(len(factors))]
+                    conj = bool(rng.integers(2))
+                    pg.set_var_factor(i, np.conj(w) if conj else w, conjugated=conj)
+            for _ in range(rng.integers(0, 5)):
+                pg.poly_add(rng.integers(0, 3, 3), rng.integers(0, 3, 3), cplx(1.0))
+            pg.add_const(cplx(0.1))
+            pgs.append(pg)
+        return pgs
+
+    @staticmethod
+    def series_integrands():
+        """Every (tau, kind) integrand of both collapsed routes of a squeezed mode, shuffled."""
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0, xi=0.2), DampingChannel(),
+                         InitialState.coherent(0.3 + 0.2j), FockCutoff(20), t_prepare=0.4)
+        pgs = [phasespace._collapsed_builder(sys, 0.4, method)(tau, kind)
+               for method in ("propagator", "qfunction_two_variable")
+               for tau in (0.0, 0.5, 1.1) for kind in ("late", "g2")]
+        order = np.random.default_rng(3).permutation(len(pgs))
+        return [pgs[k] for k in order]
+
+    @pytest.mark.parametrize("nodes", [8, 16, 24])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_equals_one_at_a_time(self, nodes, seed):
+        cfg = IntegrationConfig(nodes_per_axis=nodes)
+        pgs = self.integrands(seed)
+        alone = [integrate(pg, cfg) for pg in pgs]
+        assert repr(integrate(pgs, cfg)) == repr(alone)
+        assert repr(integrate(pgs[::-1], cfg)) == repr(alone[::-1])
+
+    def test_batch_mixing_taus_equals_one_at_a_time(self):
+        pgs = self.series_integrands()
+        alone = [integrate(pg, QUAD16) for pg in pgs]
+        assert repr(integrate(pgs, QUAD16)) == repr(alone)
+
+    def test_one_variable_batch(self):
+        pgs = []
+        for k in range(3):
+            pg = unit_gaussian()
+            pg.add_linear(0, 0.2 * k)
+            pg.set_var_factor(0, np.array([1.0, 0.3j, 0.1 * k]), conjugated=k == 1)
+            pg.poly_add((k,), (1,), 1.0)
+            pgs.append(pg)
+        assert repr(integrate(pgs, QUAD16)) == repr([integrate(pg, QUAD16) for pg in pgs])
+
+    def test_monte_carlo_sequence_equals_one_at_a_time(self):
+        pgs = [TestNormalsCache.integrand() for _ in range(3)]
+        for k, pg in enumerate(pgs):
+            pg.add_linear(2, 0.2 * k)
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=20_000, seed=6)
+        assert repr(integrate(pgs, cfg)) == repr([integrate(pg, cfg) for pg in pgs])
+
+    @staticmethod
+    def non_integrable():
+        pg = unit_gaussian(3)
+        pg.add_abs2(1, 1.5)
+        return pg
+
+    @staticmethod
+    def coupled_01():
+        pg = unit_gaussian(3)
+        pg.add_mixed(0, 1, 0.3)
+        return pg
+
+    @pytest.mark.parametrize("bad, error", [("non_integrable", NonIntegrableError),
+                                            ("coupled_01", QuadratureDimensionError)])
+    def test_bad_member_raises_as_alone(self, bad, error):
+        pg = getattr(self, bad)()
+        with pytest.raises(error) as alone:
+            integrate(pg, QUAD16)
+        pgs = self.integrands(5, count=6)
+        with pytest.raises(error) as batch:
+            integrate(pgs[:3] + [pg] + pgs[3:], QUAD16)
+        assert str(batch.value) == str(alone.value)
+
+
 @given(
     b=st.floats(-0.2, 0.2),
     c=st.floats(-0.2, 0.2),
@@ -345,7 +454,7 @@ class TestCouplingCache:
         # matrix alone took 5.3 MB
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0, eta=0.4), DampingChannel(),
                          InitialState.coherent(0.6 + 0.2j), FockCutoff(30), t_prepare=0.5)
-        pg = phasespace._collapsed_integrand(sys, 0.5, 0.8, "propagator", "g2")
+        pg = phasespace._collapsed_builder(sys, 0.5, "propagator")(0.8, "g2")
         quadrature._gh_grid.cache_clear()
         quadrature._coupling_factors.cache_clear()
         gc.collect()
@@ -370,7 +479,7 @@ class TestVectorisedSums:
         for p, q in [(0, 0), (1, 0), (0, 3), (2, 2), (5, 1), (7, 6), (3, 9)]:
             pg.poly_add((p,), (q,), complex(*rng.standard_normal(2)))
         _, z, wz = quadrature._gh_grid(24)
-        d = quadrature._diag_vector(pg, 0, z, wz)
+        d = quadrature._diag_vectors([pg], z, wz)[0][0]
         loop = sum(coef * np.sum(d * z ** p[0] * np.conj(z) ** q[0])
                    for (p, q), coef in pg.poly.items())
         value, _ = integrate(pg, QUAD24)
@@ -475,6 +584,13 @@ class TestNormalsCache:
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0, 0] = 0.0
+
+    def test_normals_stored_coordinate_major(self):
+        # the samples of the stream, transposed into contiguous coordinate rows
+        g = quadrature._normals(42, 1, 1000, 6)
+        ss = np.random.SeedSequence(entropy=42, spawn_key=(1,))
+        draw = np.random.Generator(np.random.PCG64(ss)).standard_normal((1000, 6))
+        assert g.flags.c_contiguous and np.array_equal(g, draw.T)
 
     def test_series_draws_each_chunk_once(self):
         # the coherent_mc propagator series: one n integral, four g1 and five
