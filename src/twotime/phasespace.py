@@ -32,7 +32,6 @@ of scope here and served by the regression module only.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
@@ -138,8 +137,8 @@ def _poly_multiply(*linear_forms):
         out: dict = {}
         for (p1, q1), c1 in table.items():
             for (p2, q2), c2 in form.items():
-                p = tuple(map(add, p1, p2)) if p1 else p2
-                q = tuple(map(add, q1, q2)) if q1 else q2
+                p = tuple(a + b for a, b in zip(p1, p2)) if p1 else p2
+                q = tuple(a + b for a, b in zip(q1, q2)) if q1 else q2
                 out[(p, q)] = out.get((p, q), 0.0) + c1 * c2
         return out
 

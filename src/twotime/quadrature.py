@@ -14,23 +14,26 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
   replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
   contracted as one GEMM with H plus a G-weighted row sum (``_contract``).
-  The node grid and the factor pairs of the last few couplings are cached
-  (``functools.lru_cache``, read-only arrays), so the routes of one run
-  share the tables of a common grid of up to ``COUPLING_CACHE_SIZE`` taus
-  (at most ``COUPLING_CACHE_NODES`` nodes).  A coupling and its conjugate
-  share one entry; the conjugate side contracts conjugated vectors instead
-  of a copy.  A phase-space series is one ``integrate`` call, and the
-  engine integrates the whole sequence as one batch: one stacked real form
-  and ``eigvalsh`` check integrability; one broadcast pass builds the diagonal
+  The node grid and the last factor pair are cached
+  (``functools.lru_cache``, read-only arrays).  A coupling and its
+  conjugate share one entry, so every integral at one tau of a phase-space
+  series reuses one pair; the conjugate side contracts conjugated vectors
+  instead of a copy.  A phase-space series is one ``integrate`` call, and the
+  engine integrates the whole sequence as one batch, or as a few if it is
+  longer than ``GH_CHUNK_BYTES`` allows: one stacked real form and
+  ``eigvalsh`` check integrability; one broadcast pass builds the diagonal
   node vectors, one per distinct set of a variable's own terms, with each
   distinct var-factor polynomial evaluated once (a polynomial and its
-  conjugate share the evaluation); each distinct coupling is built once and
-  contracted once against the stacked (diagonal vector, monomial) rows of
-  every integrand that uses it; and each integrand's terms are summed from
-  one gathered product.  Every integral keeps the arithmetic of its own
-  one-at-a-time evaluation, so a batch changes no bit of it (a GEMM row
-  does not depend on the stack around it on the BLAS this was measured
-  with).  A one-variable polynomial is summed as one coefficient matrix.
+  conjugate share the evaluation); each distinct coupling is built once and,
+  in each of its two orientations, contracted once against the stacked
+  (diagonal vector, monomial) rows of every integrand that uses it; and
+  each integrand's terms are summed from gathered products.  Every
+  integral keeps the arithmetic of its own one-at-a-time evaluation, so a
+  batch changes no bit of it, provided a GEMM row does not depend on how
+  many rows are stacked with it.  That is a property of the BLAS, not of
+  this code: it held on the OpenBLAS build this was measured with, and
+  ``TestBatch`` checks it on the BLAS the tests run with.  A one-variable
+  polynomial is summed as one coefficient matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.  Chunk k of
@@ -84,15 +87,11 @@ MC_RELATIVE_ERROR_WARN = 0.10
 # A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
 # its contraction a nodes^3 work table per vector (4.2 MB at 64).
 MAX_NODES = 64
-# The routes of one run integrate over one tau grid, so the factor tables of
-# the last COUPLING_CACHE_SIZE couplings are kept for the next route's series;
-# a grid of more than COUPLING_CACHE_NODES nodes per axis builds its tables
-# afresh, so the cache never holds more than 8 x 1.05 MB.
-COUPLING_CACHE_SIZE = 8
-COUPLING_CACHE_NODES = 32
-# The terms of a batch are summed a chunk at a time, each gathered array of
-# node-grid vectors about TERM_CHUNK_BYTES (113 terms at 24 nodes, 16 at 64).
-TERM_CHUNK_BYTES = 1 << 20
+# A Gauss-Hermite batch holds about ten node-grid vectors per integrand, and
+# sums its terms from gathered arrays of one node-grid vector per term, so it
+# takes integrands, and sums terms, GH_CHUNK_BYTES / (16 nodes^2) at a time
+# (113 at 24 nodes, 16 at 64): the peak does not grow with the tau grid.
+GH_CHUNK_BYTES = 1 << 20
 ENGINES = ("gauss_hermite_tensor", "monte_carlo_gaussian")
 
 
@@ -256,7 +255,7 @@ def _gh_grid(n_nodes: int):
     return x, z, wz
 
 
-@lru_cache(maxsize=COUPLING_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _coupling_factors(n_nodes: int, aij, aji, bb, cc) -> tuple[np.ndarray, np.ndarray]:
     """Read-only one-axis factors (G, H) of exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
 
@@ -310,10 +309,11 @@ def _coupling_key(pg: PolyGaussian, i: int, j: int):
         return None
     aij, aji, bb, cc = key
     mirror = (np.conj(aji), np.conj(aij), np.conj(cc), np.conj(bb))
-    for c, m in zip(key, mirror):  # the first coefficient that differs decides
-        if c != m:
-            return (mirror, True) if (m.real, m.imag) < (c.real, c.imag) else (key, False)
-    return key, False
+
+    def floats(k):
+        return tuple(x for c in k for x in (c.real, c.imag))
+
+    return (mirror, True) if floats(mirror) < floats(key) else (key, False)
 
 
 def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
@@ -328,8 +328,6 @@ def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
     if coupling is None:
         return None
     key, conjugated = coupling
-    if n_nodes > COUPLING_CACHE_NODES:
-        return _coupling_factors.__wrapped__(n_nodes, *key), conjugated
     return _coupling_factors(n_nodes, *key), conjugated
 
 
@@ -457,14 +455,17 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
     # over its terms, taken in the order of its terms grouped by their
     # variable-2 monomial.
     powv = _monomial_vectors(z)
-    stacks: dict = {}  # coupling key -> (integrand, variable, {(row, p, q): stack row})
+    # coupling key -> {conjugated: (integrand, variable, {(row, p, q): stack row})};
+    # grouping both orientations under one key builds its tables once
+    stacks: dict = {}
     d2_rows: dict = {}  # (row, p, q) of a variable-2 vector -> its row
     terms = []  # per integrand: (coef, d2 row, (coupling, stack row) of v0 and of v1)
     for k, (pg, poly) in enumerate(zip(pgs, polys)):
         sides = []
         for i in (0, 1):
-            key = _coupling_key(pg, i, 2)
-            sides.append((key, stacks.setdefault(key, (pg, i, {}))[2]))
+            key, conjugated = _coupling_key(pg, i, 2) or (None, False)
+            by_side = stacks.setdefault(key, {})
+            sides.append(((key, conjugated), by_side.setdefault(conjugated, (pg, i, {}))[2]))
         groups: dict = {}
         for (p, q), coef in poly.items():
             groups.setdefault((p[2], q[2]), []).append((p, q, coef))
@@ -477,17 +478,18 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
         terms.append(member)
 
     offsets, contracted = {}, []
-    for key, (pg, i, rows) in stacks.items():
-        out = _contract(np.stack([diag[row] * powv(p, q) for row, p, q in rows]),
-                        _pair_coupling(pg, i, 2, nodes))
-        offsets[key] = sum(map(len, contracted))
-        contracted.append(np.broadcast_to(out, (len(rows), len(z))))
+    for key, by_side in stacks.items():
+        for conjugated, (pg, i, rows) in by_side.items():
+            out = _contract(np.stack([diag[row] * powv(p, q) for row, p, q in rows]),
+                            _pair_coupling(pg, i, 2, nodes))
+            offsets[key, conjugated] = sum(map(len, contracted))
+            contracted.append(np.broadcast_to(out, (len(rows), len(z))))
     V = np.concatenate(contracted)
     d2 = np.stack([diag[row] * powv(p, q) for row, p, q in d2_rows])
     flat = [(r2, offsets[k0] + r0, offsets[k1] + r1)
             for member in terms for _, r2, (k0, r0), (k1, r1) in member]
     i2, i0, i1 = np.array(flat).T
-    step = max(1, TERM_CHUNK_BYTES // d2[0].nbytes)
+    step = max(1, GH_CHUNK_BYTES // d2[0].nbytes)
     sums = np.concatenate([np.sum(d2[i2[lo:lo + step]] * V[i0[lo:lo + step]]
                                   * V[i1[lo:lo + step]], axis=1)
                            for lo in range(0, len(flat), step)])
@@ -574,15 +576,19 @@ def integrate(integrands, cfg: IntegrationConfig):
     Returns (value, error_estimate) for one integrand, and a list of them in
     order for a sequence, whose integrands share one variable count.  The
     estimate is 0 for the deterministic quadrature engine and the combined
-    standard error for Monte Carlo.  Gauss-Hermite integrates the whole
-    sequence in one batch; Monte Carlo samples each integrand in turn.
+    standard error for Monte Carlo.  Gauss-Hermite integrates the sequence
+    in batches of up to ``GH_CHUNK_BYTES`` / (16 nodes^2) integrands, a
+    whole series of the default grid in one; Monte Carlo samples each
+    integrand in turn.
     """
     single = isinstance(integrands, PolyGaussian)
     pgs = [integrands] if single else list(integrands)
     gauss_hermite = cfg.engine == "gauss_hermite_tensor"
     _check(pgs, gauss_hermite)
     if gauss_hermite:
-        results = [(value, 0.0) for value in _quadrature(pgs, cfg)]
+        step = max(1, GH_CHUNK_BYTES // (16 * cfg.nodes_per_axis**2))
+        results = [(value, 0.0) for lo in range(0, len(pgs), step)
+                   for value in _quadrature(pgs[lo:lo + step], cfg)]
     else:
         results = []
         for pg in pgs:  # a loop, not a comprehension: VarianceWarning's stacklevel

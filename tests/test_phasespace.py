@@ -341,18 +341,6 @@ class TestCaches:
         # one engine call integrates the n integral and every g1 and g2 of the grid
         assert [len(pgs) for pgs in calls] == [2 * len(taus)]
 
-    def test_routes_share_coupling_tables(self):
-        # the second route on one grid builds no coupling; a grid above
-        # COUPLING_CACHE_NODES keeps none
-        sys, taus = scenario("driven", n_max=30), np.linspace(0.0, 1.5, 4)
-        self.clear_caches()
-        for method in ("propagator", "qfunction_two_variable"):
-            phase_space_series(sys, taus, method, IntegrationConfig(nodes_per_axis=16))
-        assert quadrature._coupling_factors.cache_info().misses == len(taus)
-        self.clear_caches()
-        phase_space_series(sys, taus, "propagator", IntegrationConfig(nodes_per_axis=48))
-        assert quadrature._coupling_factors.cache_info().currsize == 0
-
     @pytest.mark.parametrize("method, builds", [("propagator", 5),
                                                 ("qfunction_two_variable", 4)])
     def test_series_builds_each_kernel_once(self, method, builds, monkeypatch):

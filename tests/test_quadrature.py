@@ -229,7 +229,7 @@ class TestGuards:
 
 
 class TestBatch:
-    """A sequence is integrated in one Gauss-Hermite batch, bit for bit as one at a time."""
+    """A sequence is integrated in Gauss-Hermite batches, bit for bit as one at a time."""
 
     @staticmethod
     def integrands(seed, count=16):
@@ -290,6 +290,18 @@ class TestBatch:
         alone = [integrate(pg, cfg) for pg in pgs]
         assert repr(integrate(pgs, cfg)) == repr(alone)
         assert repr(integrate(pgs[::-1], cfg)) == repr(alone[::-1])
+
+    def test_split_sequence_equals_one_at_a_time(self, monkeypatch):
+        # five integrands (and terms) of a 16-node grid at a time: 16 integrands take four batches
+        pgs = self.integrands(4)
+        alone = [integrate(pg, QUAD16) for pg in pgs]
+        batches = []
+        run = quadrature._quadrature
+        monkeypatch.setattr(quadrature, "_quadrature",
+                            lambda part, cfg: batches.append(len(part)) or run(part, cfg))
+        monkeypatch.setattr(quadrature, "GH_CHUNK_BYTES", 5 * 16 * 16**2)
+        assert repr(integrate(pgs, QUAD16)) == repr(alone)
+        assert batches == [5, 5, 5, 1]
 
     def test_batch_mixing_taus_equals_one_at_a_time(self):
         pgs = self.series_integrands()
