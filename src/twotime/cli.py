@@ -194,7 +194,7 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
         except ValueError as exc:
             raise ScenarioSchemaError(f"--seed: {exc}")
         _echo_override(scn, "integration.seed", args.seed)
-    if getattr(args, "cutoff", None) is not None:
+    if args.cutoff is not None:
         try:
             cutoff = FockCutoff(args.cutoff)
         except ValueError as exc:
@@ -227,7 +227,6 @@ def _parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle",
                            help="regression-only run, for bootstrapping expected values")
     p_orc.add_argument("scenario", type=Path)
-    p_orc.add_argument("--seed", type=int)
     p_orc.add_argument("--out", type=Path)
     return parser
 
@@ -246,8 +245,8 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             scn = dataclasses.replace(scn, methods=("regression",))
             scn.settings["methods"] = "regression  [oracle mode]"
-            args.method = None
-        scn = _apply_overrides(scn, args)
+        else:
+            scn = _apply_overrides(scn, args)
         return run(scn, out_dir=args.out)
     except TwotimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

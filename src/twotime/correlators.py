@@ -203,18 +203,20 @@ def _closed_traces(sys: SystemSpec, steps: tuple, ops, states) -> np.ndarray:
 
 
 def _stepped_observables(H: QuadraticHamiltonian, channel: DampingChannel, cutoff: FockCutoff,
-                         steps: tuple, chunk: int):
+                         steps: tuple):
     """(rows, stacks): M^dag(tau_k) of adag, a and adag a on the rows they occupy.
 
     The columns vec(O.T) are gathered once on the rows ``occupied_rows`` lays
     out and stepped by ``heisenberg`` of each map from ``propagated_map``.
-    ``stacks`` yields them in grid order, at most ``chunk`` taus at a time:
-    stack[k] is the (len(rows), 3) array at the k-th tau of its chunk.
+    ``stacks`` yields them in grid order, as many taus at a time as fit
+    EVOLVED_BYTES (at least one): stack[k] is the (len(rows), 3) array at the
+    k-th tau of its chunk.  It steps only as it is read.
     """
     a, adag = ladder_matrices(cutoff)
     C = np.stack([op.T.reshape(-1) for op in (adag, a, adag @ a)], axis=1)
     rows, spans = occupied_rows(H, channel, cutoff, C)
     C = C[rows]
+    chunk = max(1, EVOLVED_BYTES // C.nbytes)
 
     def stacks():
         for lo in range(0, len(steps), chunk):
@@ -232,12 +234,12 @@ def _stepped_observables(H: QuadraticHamiltonian, channel: DampingChannel, cutof
 @lru_cache(maxsize=4)
 def _evolved_observables(H: QuadraticHamiltonian, channel: DampingChannel,
                          cutoff: FockCutoff, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, stack) of ``_stepped_observables`` over the whole grid.
+    """Read-only (rows, stack) of ``_stepped_observables`` over a grid that fits EVOLVED_BYTES.
 
     Neither depends on the initial state or t_prepare, so they are cached on
     the dynamics and the grid steps alone.
     """
-    rows, stacks = _stepped_observables(H, channel, cutoff, steps, len(steps))
+    rows, stacks = _stepped_observables(H, channel, cutoff, steps)
     stack = next(stacks)
     rows.flags.writeable = stack.flags.writeable = False
     return rows, stack
@@ -246,15 +248,18 @@ def _evolved_observables(H: QuadraticHamiltonian, channel: DampingChannel,
 def _evolved(sys: SystemSpec, steps: tuple):
     """(rows, stacks) of the evolved observables, the whole grid's stack cached if it fits.
 
-    A stack holds at most d^2 rows of three complex columns per tau; a grid
-    over EVOLVED_BYTES is stepped anew, in chunks that fit.
+    A stack holds three complex numbers per tau and occupied row.  The d^2
+    rows of the space bound the occupied ones, so a grid that fits with d^2
+    rows goes straight to the cache; a longer one is laid out first, and is
+    cached if its occupied rows fit, else stepped anew in chunks that fit.
     """
     args = (sys.hamiltonian, sys.channel, sys.cutoff, steps)
-    fits = EVOLVED_BYTES // (sys.cutoff.dim ** 2 * 3 * 16)
-    if len(steps) <= fits:
-        rows, stack = _evolved_observables(*args)
-        return rows, [stack]
-    return _stepped_observables(*args, max(fits, 1))
+    if len(steps) * sys.cutoff.dim ** 2 * 3 * 16 > EVOLVED_BYTES:
+        rows, stacks = _stepped_observables(*args)
+        if len(steps) * len(rows) * 3 * 16 > EVOLVED_BYTES:
+            return rows, stacks
+    rows, stack = _evolved_observables(*args)
+    return rows, [stack]
 
 
 def regression_raw(sys: SystemSpec, taus):

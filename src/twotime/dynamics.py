@@ -31,6 +31,11 @@ from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
 if TYPE_CHECKING:
     from scipy import sparse
 
+# (|omega| + |xi|) t bounds the phase a quadratic H accumulates in time t, and
+# the phase carries a rounding error of about eps times itself; above this
+# limit (about 4.5e10) that error exceeds the 1e-5 cross-validation tolerance
+PHASE_LIMIT = 1e-5 / np.finfo(float).eps
+
 
 def expm(m: np.ndarray) -> np.ndarray:
     """Dense matrix exponential, ``scipy.linalg.expm`` imported on first call."""
@@ -62,6 +67,16 @@ class DampingChannel:
     def __post_init__(self):
         if not (0 <= self.kappa < np.inf and 0 <= self.n_thermal < np.inf):
             raise ValueError("kappa and n_thermal must be finite and >= 0")
+
+
+def _require_resolved_phase(H: QuadraticHamiltonian, t: float, what: str):
+    """Raise InstabilityError if the phase (|omega| + |xi|) |t| of ``what`` exceeds PHASE_LIMIT."""
+    phase = (abs(H.omega) + abs(H.xi)) * abs(t)
+    if phase > PHASE_LIMIT:
+        raise InstabilityError(
+            f"{what} at t = {t}: the phase (|omega| + |xi|) t = {phase:.3g} exceeds "
+            f"{PHASE_LIMIT:.3g}, so its rounding error exceeds the 1e-5 "
+            "cross-validation tolerance")
 
 
 def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarray:
@@ -168,9 +183,11 @@ def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.
 
     A free H is diagonal, so U is the exponential of its diagonal (what
     ``expm`` itself does with a diagonal matrix); any other H is hermitian,
-    H = V diag(E) V^dag, and U = V diag(exp(-i E t)) V^dag.
+    H = V diag(E) V^dag, and U = V diag(exp(-i E t)) V^dag.  A phase above
+    PHASE_LIMIT raises InstabilityError.
     """
     Hm = hamiltonian_matrix(H, cutoff)
+    _require_resolved_phase(H, t, "unitary exp(-iHt)")
     if H.is_free:
         U = np.diag(np.exp(np.diag(-1j * t * Hm)))
     else:

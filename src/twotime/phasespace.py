@@ -5,23 +5,24 @@ Three routes compute g(tau) = <adag(t+tau) a(t)> and the g2 numerator
 a quadratic Hamiltonian.  Two evaluators serve them, each over one ``kind``
 in {"late", "g2"}: the g1 ordering every series stores and the g2 numerator.
 
-* ``_collapsed_builder`` builds the three-variable integrals of the
+* ``_collapsed_integrands`` builds the three-variable integrals of the
   coherent-state-propagator route (``propagator``: the five-fold propagator
   integral with two integrals collapsed by the reproducing property) and of
   the two-variable-Q route (``qfunction_two_variable``: the two-variable
   Q-kernel of the prepared state, from its truncated Fock vector, paired
   with the propagator-composed Q of the evolved projector), which the
-  ``quadrature`` engines integrate.  A series builds the kernels and Fock
-  factors its integrands share once, and integrates all its integrands in
+  ``quadrature`` engines integrate.  It builds the kernels and Fock factors
+  a series' integrands share once, and the series integrates all of them in
   one engine call.  ``_five_variable_integrand`` keeps the uncollapsed
   propagator integral.
-* ``_qderiv_integral`` evaluates the normal-order route
+* ``_qderiv_integrals`` evaluates the normal-order route
   (``qfunction_derivative``) with no engine.  The coefficient table C_lm of
   the prepared state is resummed into Gaussian-carrying Q-derivative
   polynomials (a term-by-term truncated integral diverges; the resummation
   is the convergent equivalent of substituting (alpha + d/d alpha*) into the
-  coefficient polynomial); the shift/derivative applications on the
-  Heisenberg-linear inner factor and the Gaussian moments are exact.
+  coefficient polynomial), once per kind and series; the shift/derivative
+  applications on the Heisenberg-linear inner factor and the Gaussian
+  moments are exact.
 
 ``phase_space_series`` is the entry point: it collects the raw integrals of
 one route and hands them to ``correlators.normalized_series``; ``_g_raw``
@@ -30,8 +31,6 @@ of scope here and served by the regression module only.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -199,8 +198,8 @@ def _require_resolved_mean_n(n: float, exact: float, L_max: int):
 # Propagator and two-variable-Q routes: three-variable integrands
 # ---------------------------------------------------------------------------
 
-def _collapsed_builder(sys: SystemSpec, t: float, method: str):
-    """build(tau, kind): the three-variable integrands of one route at t_prepare t.
+def _collapsed_integrands(sys: SystemSpec, t: float, cases, method: str) -> list[PolyGaussian]:
+    """The three-variable integrands of one route at t_prepare t, one per (tau, kind) case.
 
     Each integrand is over 0 = alpha, 1 = alpha2, 2 = alpha4.  The tau side
     is K(alpha4, tau|alpha, 0) times the conjugate kernel from alpha2, with
@@ -213,24 +212,26 @@ def _collapsed_builder(sys: SystemSpec, t: float, method: str):
     orientation: the late one would need a single linear factor, but its
     Monte Carlo variance is several times larger.
 
-    The pieces a series shares are built once per builder: the t-kernel,
-    each kind's Fock factor vector psi(t)/sqrt(n!) and its conjugate, and
-    each tau's kernel, which that tau's g1 and g2 integrands share.
+    The pieces the integrands share are built once, the prepared state's
+    first: the t-kernel, or each kind's Fock factor vector psi(t)/sqrt(n!)
+    and its conjugate, then each distinct tau's kernel, which that tau's g1
+    and g2 integrands share.
     """
     a0 = complex(sys.initial_state.amplitude)
-    tau_kernel = lru_cache(maxsize=None)(lambda tau: kernel_quadratic(sys.hamiltonian, tau))
     if method == "propagator":
         kt = kernel_quadratic(sys.hamiltonian, t)
-
-    @lru_cache(maxsize=None)
-    def fock_factors(kind):
-        psi = _prepared_vector(sys, t, shifted=kind == "g2")
-        w = psi * np.exp(-0.5 * _log_factorial(np.arange(len(psi))))  # psi_n / sqrt(n!)
-        return w, np.conj(w)
-
-    def build(tau: float, kind: str) -> PolyGaussian:
+    else:
+        factors = {}
+        for kind in dict.fromkeys(kind for _, kind in cases):
+            psi = _prepared_vector(sys, t, shifted=kind == "g2")
+            w = psi * np.exp(-0.5 * _log_factorial(np.arange(len(psi))))  # psi_n / sqrt(n!)
+            factors[kind] = w, np.conj(w)
+    kernels = {tau: kernel_quadratic(sys.hamiltonian, tau)
+               for tau in dict.fromkeys(tau for tau, _ in cases)}
+    pgs = []
+    for tau, kind in cases:
         sides = ((0, kind == "g2"), (1, kind == "late"))
-        ktau = tau_kernel(tau)
+        ktau = kernels[tau]
         pg = PolyGaussian(3)
         for var, conj in sides:
             _attach_kernel(pg, ktau, 2, var, conj=conj)
@@ -238,7 +239,7 @@ def _collapsed_builder(sys: SystemSpec, t: float, method: str):
             for var, conj in sides:
                 _attach_kernel(pg, kt, var, None, conj=conj, in_val=a0)
         else:
-            w, cw = fock_factors(kind)
+            w, cw = factors[kind]
             for var, conj in sides:
                 pg.add_abs2(var, -0.5)  # <alpha|rho(t)|alpha2> = <alpha|psi><psi|alpha2>
                 pg.set_var_factor(var, cw if conj else w, conjugated=not conj)
@@ -251,9 +252,8 @@ def _collapsed_builder(sys: SystemSpec, t: float, method: str):
                          for var, conj in sides] + forms
         pg.poly = _poly_multiply(*forms)
         pg.add_const(-3 * np.log(np.pi))
-        return pg
-
-    return build
+        pgs.append(pg)
+    return pgs
 
 
 def _five_variable_integrand(sys: SystemSpec, t: float, tau: float) -> PolyGaussian:
@@ -311,7 +311,7 @@ def _resummed_q_tables(C: np.ndarray, orders: int) -> list[np.ndarray]:
 
     R_0[a, b] = sum_k C[a-k, b-k] / k! recovers the entire-function part of
     the normal-order symbol (its Gaussian exp(-uv) is reattached by
-    ``_qderiv_integral``), with ``orders`` zero rows below it; R_{j+1} =
+    ``_qderiv_integrals``), with ``orders`` zero rows below it; R_{j+1} =
     (d/dv - u) R_j realizes d/dv of the symbol.  Row index a tracks powers
     of u (the conjugate variable), column b of v.
     """
@@ -339,55 +339,57 @@ def _conj_deriv_tables(table: dict) -> list[dict]:
     return out[:-1]
 
 
-@lru_cache(maxsize=4)
 def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
-                       orders: int) -> tuple[np.ndarray, ...]:
-    """Read-only ``_resummed_q_tables`` of rho(t), or of a rho(t) adag if shifted.
-
-    They do not depend on tau, so a series expands the prepared state once.
-    """
+                       orders: int) -> list[np.ndarray]:
+    """``_resummed_q_tables`` of rho(t), or of a rho(t) adag if shifted."""
     psi = _prepared_vector(sys, t, shifted)
     C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff), L_max)
-    tables = _resummed_q_tables(C, orders)
-    for R in tables:
-        R.flags.writeable = False
-    return tuple(tables)
+    return _resummed_q_tables(C, orders)
 
 
-def _qderiv_integral(sys: SystemSpec, t: float, tau: float, L_max: int,
-                     kind: str) -> complex:
-    """Normal-order integral of rho(t), or of a rho(t) adag for g2, in closed form.
+def _qderiv_integrals(sys: SystemSpec, t: float, cases, L_max: int):
+    """Iterator of (value, 0.0) over the (tau, kind) cases of ``qfunction_derivative``.
 
-    The inner factor <alpha|...|alpha> is a polynomial table {(p, q): coef} in
-    (alpha, conj(alpha)) with Bogoliubov-map coefficients, and f_j its d^j/d zbar^j.
-    sum_j R_j(u = zbar, v = z) f_j / j! accumulates in one dense (z power, zbar
-    power) array, and (1/pi) int z^p zbar^q exp(-|z|^2) d^2z = p! delta_pq sums
-    its diagonal.
+    Each value is the normal-order integral of rho(t), or of a rho(t) adag
+    for g2, in closed form.  The inner factor <alpha|...|alpha> is a
+    polynomial table {(p, q): coef} in (alpha, conj(alpha)) with
+    Bogoliubov-map coefficients, and f_j its d^j/d zbar^j.
+    sum_j R_j(u = zbar, v = z) f_j / j! accumulates in one dense (z power,
+    zbar power) array, and (1/pi) int z^p zbar^q exp(-|z|^2) d^2z = p!
+    delta_pq sums its diagonal.  The R tables do not depend on tau: a
+    kind's are built at its first case, so a series expands the prepared
+    state once per kind, and a caller that checks the first value does so
+    before any later case is evaluated.
     """
-    mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
-    cmu, cnu, clam = np.conj(mu), np.conj(nu), np.conj(lam)
-    if kind == "late":
-        # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
-        f_table = {(1, 1): cmu, (2, 0): cnu, (1, 0): clam}
-    else:
-        # <alpha| adag(tau) a(tau) |alpha> = conj(F) F + |nu|^2 with F = mu a + nu abar + lam
-        f_table = {(1, 1): cmu * mu + cnu * nu, (0, 2): cmu * nu,
-                   (0, 1): cmu * lam + clam * nu, (2, 0): cnu * mu,
-                   (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
-    f_tables = _conj_deriv_tables(f_table)
-    R_tables = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
-    n_zbar, n_z = R_tables[0].shape
-    coef = np.zeros((n_z + max(p for p, _ in f_table), n_zbar + max(q for _, q in f_table)),
-                    dtype=complex)
-    for j, ft in enumerate(f_tables):
-        RT = R_tables[j].T
-        w = 1.0 / float(np.exp(_log_factorial(j)))
-        for (pf, qf), cf in ft.items():
-            coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
-    diag = np.diagonal(coef)
-    # p! overflows from p = 171; the caller reports the non-finite mean photon number
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(diag @ np.exp(_log_factorial(np.arange(len(diag)))))
+    R_by_kind: dict = {}
+    for tau, kind in cases:
+        mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
+        cmu, cnu, clam = np.conj(mu), np.conj(nu), np.conj(lam)
+        if kind == "late":
+            # <alpha| adag(tau) a |alpha> = alpha (mubar abar + nubar a + lambar)
+            f_table = {(1, 1): cmu, (2, 0): cnu, (1, 0): clam}
+        else:
+            # <alpha| adag(tau) a(tau) |alpha> = conj(F) F + |nu|^2 with F = mu a + nu abar + lam
+            f_table = {(1, 1): cmu * mu + cnu * nu, (0, 2): cmu * nu,
+                       (0, 1): cmu * lam + clam * nu, (2, 0): cnu * mu,
+                       (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
+        f_tables = _conj_deriv_tables(f_table)
+        if kind not in R_by_kind:
+            R_by_kind[kind] = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
+        R_tables = R_by_kind[kind]
+        n_zbar, n_z = R_tables[0].shape
+        coef = np.zeros((n_z + max(p for p, _ in f_table), n_zbar + max(q for _, q in f_table)),
+                        dtype=complex)
+        for j, ft in enumerate(f_tables):
+            RT = R_tables[j].T
+            w = 1.0 / float(np.exp(_log_factorial(j)))
+            for (pf, qf), cf in ft.items():
+                coef[pf:pf + n_z, qf:qf + n_zbar] += (w * cf) * RT
+        diag = np.diagonal(coef)
+        # p! overflows from p = 171; the caller reports the non-finite mean photon number
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(diag @ np.exp(_log_factorial(np.arange(len(diag)))))
+        yield value, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +406,10 @@ def _integrals(sys, t, cases, method, cfg, L_max):
     """
     _require_phase_space_scenario(sys)
     if method == "qfunction_derivative":
-        return ((_qderiv_integral(sys, t, tau, L_max, kind), 0.0) for tau, kind in cases)
+        return _qderiv_integrals(sys, t, cases, L_max)
     if method not in ("propagator", "qfunction_two_variable"):
         raise ValueError(f"unknown phase-space method {method!r}")
-    build = _collapsed_builder(sys, t, method)
-    results = integrate([build(tau, kind) for tau, kind in cases], cfg)
+    results = integrate(_collapsed_integrands(sys, t, cases, method), cfg)
     if method == "qfunction_two_variable" and cfg.engine == "gauss_hermite_tensor":
         for (tau, kind), (value, _) in zip(cases, results):
             if tau == 0 and kind == "late":
@@ -435,12 +436,12 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     starts at tau = 0 reuses the n integral as its first g1 row.
 
     The integrands of ``propagator`` and ``qfunction_two_variable`` are built
-    first, sharing their kernels and Fock factors (``_collapsed_builder``),
+    first, sharing their kernels and Fock factors (``_collapsed_integrands``),
     and integrated in one engine call; Gauss-Hermite builds each tau's
     coupling once for all of them, as two n x n^2 factor tables (0.44 MB at
-    24 nodes; see ``quadrature._pair_coupling``).  ``qfunction_derivative``
+    24 nodes; see ``quadrature._coupling_factors``).  ``qfunction_derivative``
     checks n before it evaluates the other cases and expands the prepared
-    state once per series (``_prepared_q_tables``).
+    state once per kind (``_qderiv_integrals``).
     """
     taus = _check_tau_grid(taus)
     t = float(sys.t_prepare)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, InstabilityError
-from .dynamics import QuadraticHamiltonian, unitary_matrix
+from .dynamics import QuadraticHamiltonian, _require_resolved_phase, unitary_matrix
 from .hilbert import FockCutoff, coherent_vector
 
 # 1 - 2|C| = 1/(|mu|(|mu| + |nu|)) exactly, but it is computed with an absolute
@@ -117,7 +117,8 @@ def bogoliubov_map(H: QuadraticHamiltonian, t: float):
     M = [[-i omega, -i xi, -i eta], [i conj(xi), i omega, i conj(eta)], [0, 0, 0]],
     so (mu, nu, lam) is the first row of expm(M t) (see ``_map_row``).  At
     t = 0 it is the identity (1, 0, 0) for any H; at t > 0 a map that
-    overflows double precision raises InstabilityError.
+    overflows double precision, or whose phase exceeds
+    ``dynamics.PHASE_LIMIT``, raises InstabilityError.
     """
     t = float(t)
     if t == 0:
@@ -131,6 +132,7 @@ def bogoliubov_map(H: QuadraticHamiltonian, t: float):
         raise InstabilityError(
             f"Bogoliubov map not finite at t = {t} for omega = {H.omega}, xi = {H.xi}, "
             f"eta = {H.eta}; the map overflows double precision")
+    _require_resolved_phase(H, t, "Bogoliubov map")
     return row
 
 
@@ -154,9 +156,11 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
     - conj(lam) E/2 - i Re(conj(eta) Lam), the log continued along [0, t] and
     (mu, nu, lam, Lam) from ``_map_row``.  Raises
     InstabilityError when 1 - 2|C| falls below MARGIN_FLOOR (extreme
-    squeezing) or a coefficient overflows.
+    squeezing) or a coefficient overflows, and, for a free H too, when the
+    phase exceeds ``dynamics.PHASE_LIMIT``.
     """
     if H.is_free:
+        _require_resolved_phase(H, t, "coherent-state kernel")
         return kernel_harmonic(H.omega, t)
     t = float(t)
     mu, nu, lam, Lam = _map_row(H, t)
@@ -180,6 +184,7 @@ def kernel_quadratic(H: QuadraticHamiltonian, t: float) -> GaussianKernel:
             f"1 - 2|C| = {margin:.3g} < {MARGIN_FLOOR:.2g} at t = {t}; squeezing has "
             "left the normalizable-kernel regime in floating point"
         )
+    _require_resolved_phase(H, t, "coherent-state kernel")
     return GaussianKernel(A, B, C, D, E, F)
 
 

@@ -14,11 +14,11 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
   replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
   contracted as one GEMM with H plus a G-weighted row sum (``_contract``).
-  The node grid and the last factor pair are cached
-  (``functools.lru_cache``, read-only arrays).  A coupling and its
-  conjugate share one entry, so every integral at one tau of a phase-space
-  series reuses one pair; the conjugate side contracts conjugated vectors
-  instead of a copy.  A phase-space series is one ``integrate`` call, and the
+  The node grid is cached (``functools.lru_cache``, read-only arrays).  A
+  coupling and its conjugate share one key (``_coupling_key``), so every
+  integral at one tau of a phase-space series uses one pair of tables; the
+  conjugate side contracts conjugated vectors instead of a copy.  A
+  phase-space series is one ``integrate`` call, and the
   engine integrates the whole sequence as one batch, or as a few if it is
   longer than ``GH_CHUNK_BYTES`` allows: one stacked real form and
   ``eigvalsh`` check integrability; one broadcast pass builds the diagonal
@@ -255,9 +255,8 @@ def _gh_grid(n_nodes: int):
     return x, z, wz
 
 
-@lru_cache(maxsize=1)
 def _coupling_factors(n_nodes: int, aij, aji, bb, cc) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only one-axis factors (G, H) of exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
+    """One-axis factors (G, H) of exp(aij zbar_k z_l + aji z_k zbar_l + bb z_k z_l + cc zbar_k zbar_l).
 
     With z = x + i y the exponent is bilinear in the real coordinates,
     gxx x_k x_l + gxy x_k y_l + gyx y_k x_l + gyy y_k y_l.  Node k of the
@@ -277,8 +276,6 @@ def _coupling_factors(n_nodes: int, aij, aji, bb, cc) -> tuple[np.ndarray, np.nd
     Axx, Axy, Ayx, Ayy = (np.exp(g * xx) for g in (gxx, gxy, gyx, gyy))
     G = (Axx[:, :, None] * Axy[:, None, :]).reshape(n_nodes, n_nodes * n_nodes)
     H = (Ayx[:, :, None] * Ayy[:, None, :]).reshape(n_nodes, n_nodes * n_nodes)
-    G.flags.writeable = False
-    H.flags.writeable = False
     return G, H
 
 
@@ -293,12 +290,13 @@ def _pair_key(pg: PolyGaussian, i: int, j: int):
 
 
 def _coupling_key(pg: PolyGaussian, i: int, j: int):
-    """(key, conjugated) naming the (i, j) cross-coupling's cached factors, or None if absent.
+    """(key, conjugated) naming the (i, j) cross-coupling's factor tables, or None if absent.
 
-    Every integral at one tau couples its variables through the same kernel
-    coefficient, met as (aij, aji) on one pair and as its conjugate
-    (conj aji, conj aij) on another, so the key is whichever of the two has
-    the smaller (re, im) tuple:
+    The coupling matrix is that of ``_coupling_factors(n_nodes, *key)``, or
+    its conjugate if ``conjugated``.  Every integral at one tau couples its
+    variables through the same kernel coefficient, met as (aij, aji) on one
+    pair and as its conjugate (conj aji, conj aij) on another, so the key is
+    whichever of the two has the smaller (re, im) tuple:
     E(aij, aji, bb, cc) = conj(E(conj aji, conj aij, conj cc, conj bb)).
     Conjugation only flips signs, so the two agree bit for bit when bb and cc
     vanish, as in every integrand the routes build; otherwise the sums of the
@@ -316,31 +314,16 @@ def _coupling_key(pg: PolyGaussian, i: int, j: int):
     return (mirror, True) if floats(mirror) < floats(key) else (key, False)
 
 
-def _pair_coupling(pg: PolyGaussian, i: int, j: int, n_nodes: int):
-    """((G, H), conjugated) for the (i, j) cross-coupling on the node grid, or None if absent.
-
-    (G, H) are the two n x n^2 factor tables of the coupling matrix E
-    (``_coupling_factors``, under ``_coupling_key``); the matrix is conj(E)
-    if ``conjugated``, else E, and ``_contract`` applies it without forming
-    either.
-    """
-    coupling = _coupling_key(pg, i, j)
-    if coupling is None:
-        return None
-    key, conjugated = coupling
-    return _coupling_factors(n_nodes, *key), conjugated
-
-
-def _contract(V: np.ndarray, coupling) -> np.ndarray:
-    """The rows of V times the coupling matrix; None couples by ones.
+def _contract(V: np.ndarray, tables, conjugated: bool) -> np.ndarray:
+    """The rows of V times the coupling matrix E of ``tables`` = (G, H), or conj(E) if ``conjugated``.
 
     (v E)[l] = sum_ik G[ik, l] sum_jk v[ik, jk] H[jk, l], so the whole stack
     is one GEMM with H followed by a G-weighted sum over ik, and
-    v conj(E) = conj(conj(v) E).
+    v conj(E) = conj(conj(v) E).  tables = None couples by ones.
     """
-    if coupling is None:
+    if tables is None:
         return np.sum(V, axis=1, keepdims=True)
-    (G, H), conjugated = coupling
+    G, H = tables
     n = G.shape[0]
     if conjugated:
         V = np.conj(V)
@@ -455,8 +438,8 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
     # over its terms, taken in the order of its terms grouped by their
     # variable-2 monomial.
     powv = _monomial_vectors(z)
-    # coupling key -> {conjugated: (integrand, variable, {(row, p, q): stack row})};
-    # grouping both orientations under one key builds its tables once
+    # coupling key -> {conjugated: {(row, p, q): stack row}}; both orientations
+    # of a key contract against the one pair of tables built for it
     stacks: dict = {}
     d2_rows: dict = {}  # (row, p, q) of a variable-2 vector -> its row
     terms = []  # per integrand: (coef, d2 row, (coupling, stack row) of v0 and of v1)
@@ -465,7 +448,7 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
         for i in (0, 1):
             key, conjugated = _coupling_key(pg, i, 2) or (None, False)
             by_side = stacks.setdefault(key, {})
-            sides.append(((key, conjugated), by_side.setdefault(conjugated, (pg, i, {}))[2]))
+            sides.append(((key, conjugated), by_side.setdefault(conjugated, {})))
         groups: dict = {}
         for (p, q), coef in poly.items():
             groups.setdefault((p[2], q[2]), []).append((p, q, coef))
@@ -479,9 +462,10 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
 
     offsets, contracted = {}, []
     for key, by_side in stacks.items():
-        for conjugated, (pg, i, rows) in by_side.items():
+        tables = None if key is None else _coupling_factors(nodes, *key)
+        for conjugated, rows in by_side.items():
             out = _contract(np.stack([diag[row] * powv(p, q) for row, p, q in rows]),
-                            _pair_coupling(pg, i, 2, nodes))
+                            tables, conjugated)
             offsets[key, conjugated] = sum(map(len, contracted))
             contracted.append(np.broadcast_to(out, (len(rows), len(z))))
     V = np.concatenate(contracted)

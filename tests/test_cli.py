@@ -200,6 +200,13 @@ class TestMainEntry:
         assert "propagator" not in csv
         assert "regression" in csv
 
+    def test_oracle_takes_no_seed(self, tmp_path, capsys):
+        # the oracle runs regression only, which draws no random numbers
+        scn = write(tmp_path, MULTI)
+        assert main(["oracle", str(scn), "--seed", "3", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "multi_series.csv").exists()
+
     def test_method_restriction(self, tmp_path):
         scn = write(tmp_path, MULTI)
         assert main(["run", str(scn), "--method", "regression", "--out", str(tmp_path)]) == 0
@@ -426,6 +433,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: Bogoliubov map not finite at t = 0.5 for omega = 1e+300")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("omega, code", [(1e10, 0), (1e12, 1)])
+    def test_unresolved_phase_exit_1(self, tmp_path, capsys, omega, code):
+        # a phase (|omega| + |xi|) t above PHASE_LIMIT (4.5e10) has no correct
+        # digit at the 1e-5 tolerance; unchecked, omega 1e12 exits 2 as the routes disagree
+        lines = [f"system.omega = {omega}", "system.initial = coherent 0.5",
+                 "system.cutoff = 20", "tau.count = 3",
+                 "methods = regression, propagator, qfunction_two_variable, qfunction_derivative"]
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [old for old in MINIMAL.split("\n") if old.split(" = ")[0] not in keys]
+        scn = write(tmp_path, "\n".join(kept + lines) + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "the phase (|omega| + |xi|) t" in err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert err == ""
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_normal_order_weights_exit_1(self, tmp_path, capsys):

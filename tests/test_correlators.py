@@ -296,7 +296,8 @@ class TestEvolvedObservablesCache:
 
     def test_grid_over_budget_is_not_retained(self, monkeypatch):
         sys = self.systems(self.DYNAMICS["free"])[3]
-        fits = correlators.EVOLVED_BYTES // (sys.cutoff.dim ** 2 * 3 * 16)
+        rows, _ = correlators._stepped_observables(sys.hamiltonian, sys.channel, sys.cutoff, ())
+        fits = correlators.EVOLVED_BYTES // (len(rows) * 3 * 16)
         taus = np.linspace(0.0, 5.0, 2 * fits + 3)  # stepped in three chunks
         correlators._evolved_observables.cache_clear()
         chunked = self.bits(regression_raw(sys, taus))
@@ -304,6 +305,20 @@ class TestEvolvedObservablesCache:
         monkeypatch.setattr(correlators, "EVOLVED_BYTES", 1 << 30)
         assert self.bits(regression_raw(sys, taus)) == chunked
         assert correlators._evolved_observables.cache_info().currsize == 1
+
+    def test_grid_sized_by_occupied_rows(self):
+        # at cutoff 40 a free mode occupies 121 of 1681 rows: 20 taus of d^2
+        # rows would exceed the budget, of the occupied rows they fit
+        ch = DampingChannel(kappa=1.0, n_thermal=0.2)
+        systems = [SystemSpec(QuadraticHamiltonian(omega=1.0), ch, InitialState.fock(n),
+                              FockCutoff(40), t_prepare=0.5) for n in (1, 2)]
+        taus = np.linspace(0.0, 5.0, 20)
+        assert len(taus) * FockCutoff(40).dim ** 2 * 3 * 16 > correlators.EVOLVED_BYTES
+        correlators._evolved_observables.cache_clear()
+        for sys in systems:
+            regression_raw(sys, taus)
+        info = correlators._evolved_observables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_closed_mode_is_not_cached(self):
         correlators._evolved_observables.cache_clear()
@@ -341,7 +356,8 @@ class TestSelfChecks:
 
     def test_q_derivative_g2_self_check_names_method(self, monkeypatch):
         # this route integrates in closed form, without phasespace.integrate
-        monkeypatch.setattr(phasespace, "_qderiv_integral", lambda *args: 1.0 + 1e-3j)
+        monkeypatch.setattr(phasespace, "_qderiv_integrals",
+                            lambda sys, t, cases, L_max: ((1.0 + 1e-3j, 0.0) for _ in cases))
         with pytest.raises(SelfCheckError, match="qfunction_derivative: g2 imaginary"):
             phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
                                           "qfunction_derivative", IntegrationConfig(), L_max=20)

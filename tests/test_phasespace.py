@@ -271,7 +271,7 @@ class TestSeries:
 
 
 class TestCaches:
-    """The quadrature and normal-order caches change no bit of any integral."""
+    """The node-grid cache and the pieces a series shares change no bit of any integral."""
 
     SYSTEMS = {
         "free": (QuadraticHamiltonian(omega=1.0), InitialState.coherent(0.8 + 0.3j)),
@@ -283,8 +283,6 @@ class TestCaches:
     @staticmethod
     def clear_caches():
         quadrature._gh_grid.cache_clear()
-        quadrature._coupling_factors.cache_clear()
-        phasespace._prepared_q_tables.cache_clear()
 
     @staticmethod
     def integral(sys, tau, method, cfg, kind):
@@ -330,14 +328,16 @@ class TestCaches:
         assert repr(self.integral(sys, 0.7, "propagator", fine, "late")) == repr(cold)
 
     def test_series_builds_one_coupling_per_tau(self, monkeypatch):
-        calls = []
+        calls, builds = [], []
         monkeypatch.setattr(phasespace, "integrate",
                             lambda pgs, cfg: calls.append(pgs) or integrate(pgs, cfg))
+        build = quadrature._coupling_factors
+        monkeypatch.setattr(quadrature, "_coupling_factors",
+                            lambda *args: builds.append(args) or build(*args))
         taus = np.linspace(0.0, 1.5, 4)
-        self.clear_caches()
         phase_space_series(scenario("driven", n_max=30), taus, "propagator",
                            IntegrationConfig(nodes_per_axis=16))
-        assert quadrature._coupling_factors.cache_info().misses == len(taus)
+        assert len(builds) == len(taus)
         # one engine call integrates the n integral and every g1 and g2 of the grid
         assert [len(pgs) for pgs in calls] == [2 * len(taus)]
 
@@ -378,12 +378,6 @@ class TestCaches:
         size = 13
         fact = np.array([math.factorial(k) for k in range(size)], dtype=float)
         rho = np.outer(psi[:size], np.conj(psi[:size])) / np.sqrt(np.outer(fact, fact))
-        phasespace._prepared_q_tables.cache_clear()
         R = phasespace._prepared_q_tables(sys, 1.0, 12, shifted, 2)[0]
         assert np.max(np.abs(R[:size] - rho)) < 1e-12
         assert not np.any(R[size:])
-
-    def test_normal_order_tables_read_only(self):
-        tables = phasespace._prepared_q_tables(scenario("driven", n_max=30), 1.0, 12, True, 2)
-        assert len(tables) == 3
-        assert not any(R.flags.writeable for R in tables)

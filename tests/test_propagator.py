@@ -170,6 +170,19 @@ class TestQuadraticKernel:
             f"Bogoliubov map not finite at t = {t} for omega = {H.omega}, xi = {H.xi}, "
             f"eta = {H.eta}; the map overflows double precision")
 
+    @pytest.mark.parametrize("H", [QuadraticHamiltonian(omega=1e11),
+                                   QuadraticHamiltonian(omega=1e11, xi=1e9)])
+    @pytest.mark.parametrize("build", [
+        kernel_quadratic, bogoliubov_map,
+        lambda H, t: dynamics.unitary_matrix(H, t, FockCutoff(4)),
+    ], ids=["kernel", "map", "unitary"])
+    def test_unresolved_phase_raises(self, H, build):
+        # (|omega| + |xi|) |t| of 4.04e10 is within PHASE_LIMIT (4.5e10), 5.05e10 is not
+        build(H, 0.4)
+        for t in (0.5, -0.5):
+            with pytest.raises(InstabilityError, match=r"the phase \(\|omega\| \+ \|xi\|\) t"):
+                build(H, t)
+
     def test_small_accurate_margin_still_builds(self):
         k = kernel_quadratic(QuadraticHamiltonian(omega=0.1, xi=0.5, eta=0.7), 12.0)
         assert 1e-5 < 1 - 2 * abs(k.C) < 2e-5

@@ -276,9 +276,9 @@ class TestBatch:
         """Every (tau, kind) integrand of both collapsed routes of a squeezed mode, shuffled."""
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0, xi=0.2), DampingChannel(),
                          InitialState.coherent(0.3 + 0.2j), FockCutoff(20), t_prepare=0.4)
-        pgs = [phasespace._collapsed_builder(sys, 0.4, method)(tau, kind)
-               for method in ("propagator", "qfunction_two_variable")
-               for tau in (0.0, 0.5, 1.1) for kind in ("late", "g2")]
+        cases = [(tau, kind) for tau in (0.0, 0.5, 1.1) for kind in ("late", "g2")]
+        pgs = [pg for method in ("propagator", "qfunction_two_variable")
+               for pg in phasespace._collapsed_integrands(sys, 0.4, cases, method)]
         order = np.random.default_rng(3).permutation(len(pgs))
         return [pgs[k] for k in order]
 
@@ -371,6 +371,8 @@ def test_node_refinement_converges(b, c, ur, ui):
 
 
 class TestCouplingCache:
+    """Coupling factor tables, and the one key a coupling shares with its conjugate."""
+
     @staticmethod
     def coefficients(pg, i, j):
         return pg.A[i, j], pg.A[j, i], pg.B[i, j] + pg.B[j, i], pg.C[i, j] + pg.C[j, i]
@@ -394,31 +396,30 @@ class TestCouplingCache:
         rng = np.random.default_rng(5)
         return rng.standard_normal((count, n_nodes**2)) + 1j * rng.standard_normal((count, n_nodes**2))
 
-    @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])  # cached as (0, b) or (conj b, 0)
+    @pytest.mark.parametrize("b", [0.6 - 0.3j, -0.6 - 0.3j])  # keyed as (0, b) or (conj b, 0)
     def test_conjugate_pair_shares_one_bit_exact_build(self, b):
         # b attached on (2, 0) and its conjugate on (1, 2), as a g1 integrand does
         pg = unit_gaussian(3)
         pg.add_mixed(2, 0, b)
         pg.add_mixed(1, 2, np.conj(b))
-        quadrature._coupling_factors.cache_clear()
-        c02 = quadrature._pair_coupling(pg, 0, 2, 16)
-        c12 = quadrature._pair_coupling(pg, 1, 2, 16)
-        assert quadrature._coupling_factors.cache_info().misses == 1
-        assert c02[0] is c12[0] and {c02[1], c12[1]} == {False, True}
-        # the mirror key's own factors are the conjugates of the key's
-        key = self.coefficients(pg, 0, 2)
-        build = quadrature._coupling_factors.__wrapped__
-        for own, mirrored in zip(build(16, *key), build(16, *self.mirror(*key))):
+        (key, conj02), (key12, conj12) = (quadrature._coupling_key(pg, i, 2) for i in (0, 1))
+        assert key12 == key and {conj02, conj12} == {False, True}
+        # the mirror key's own factors are the conjugates of the key's, so
+        # both sides contract against one build as against their own, bit for bit
+        shared = quadrature._coupling_factors(16, *key)
+        for own, mirrored in zip(shared, quadrature._coupling_factors(16, *self.mirror(*key))):
             assert np.array_equal(mirrored, np.conj(own))
+        V = self.vectors(4, 16)
+        for i, conjugated in ((0, conj02), (1, conj12)):
+            own = quadrature._coupling_factors(16, *self.coefficients(pg, i, 2))
+            assert np.array_equal(quadrature._contract(V, shared, conjugated),
+                                  quadrature._contract(V, own, False))
 
     def test_cached_arrays_read_only(self):
-        zero = np.complex128(0)
-        G, H = quadrature._coupling_factors(16, np.complex128(0.5), zero, zero, zero)
-        assert G.shape == H.shape == (16, 256)
-        for arr in (*quadrature._gh_grid(16), G, H):
+        for arr in quadrature._gh_grid(16):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            G[0, 0] = 0.0
+            quadrature._gh_grid(16)[1][0] = 0.0
 
     @pytest.mark.parametrize("n_nodes", [16, 24, 48])
     @pytest.mark.parametrize("squeeze", [0.0, 0.15 - 0.1j])
@@ -435,11 +436,12 @@ class TestCouplingCache:
             pg.add_mixed(1, 0, aji)
             pg.add_holo(0, 1, bb)
             pg.add_anti(0, 1, cc)
-            coupling = quadrature._pair_coupling(pg, 0, 1, n_nodes)
-            sides.add(coupling[1])
+            key, conjugated = quadrature._coupling_key(pg, 0, 1)
+            tables = quadrature._coupling_factors(n_nodes, *key)
+            sides.add(conjugated)
             E = self.dense(pg, 0, 1, n_nodes)
             for rows in (V[:1], V):
-                got = quadrature._contract(rows, coupling)
+                got = quadrature._contract(rows, tables, conjugated)
                 assert np.all(np.abs(got - rows @ E) <= 1e-13 * (np.abs(rows) @ np.abs(E)))
         assert sides == {False, True}
 
@@ -452,13 +454,13 @@ class TestCouplingCache:
         V = self.vectors(4, 16)
         sides = set()
         for i, j in ((0, 2), (1, 2)):
-            coupling = quadrature._pair_coupling(pg, i, j, 16)
-            (G, H), conjugated = coupling
+            key, conjugated = quadrature._coupling_key(pg, i, j)
+            G, H = quadrature._coupling_factors(16, *key)
             sides.add(conjugated)
-            copy = ((np.conj(G), np.conj(H)) if conjugated else (G, H), False)
+            copy = (np.conj(G), np.conj(H)) if conjugated else (G, H)
             for rows in (V[:1], V):
-                assert np.array_equal(quadrature._contract(rows, coupling),
-                                      quadrature._contract(rows, copy))
+                assert np.array_equal(quadrature._contract(rows, (G, H), conjugated),
+                                      quadrature._contract(rows, copy, False))
         assert sides == {False, True}
 
     def test_three_variable_integral_peak_memory(self):
@@ -466,9 +468,8 @@ class TestCouplingCache:
         # matrix alone took 5.3 MB
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0, eta=0.4), DampingChannel(),
                          InitialState.coherent(0.6 + 0.2j), FockCutoff(30), t_prepare=0.5)
-        pg = phasespace._collapsed_builder(sys, 0.5, "propagator")(0.8, "g2")
+        [pg] = phasespace._collapsed_integrands(sys, 0.5, [(0.8, "g2")], "propagator")
         quadrature._gh_grid.cache_clear()
-        quadrature._coupling_factors.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -528,7 +529,7 @@ class TestVectorisedSums:
                          InitialState.coherent(0.6 - 0.2j), FockCutoff(30), t_prepare=0.5)
         for kind in ("late", "g2"):
             recorded.clear()
-            value = phasespace._qderiv_integral(sys, 0.5, 0.7, 20, kind)
+            [(value, _)] = phasespace._qderiv_integrals(sys, 0.5, [(0.7, kind)], 20)
             f_tables, R_tables = recorded["_conj_deriv_tables"], recorded["_prepared_q_tables"]
             pg = unit_gaussian()
             for j, ft in enumerate(f_tables):
