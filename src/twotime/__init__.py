@@ -27,7 +27,6 @@ from .dynamics import (
     hamiltonian_matrix,
     lindblad_generator,
     propagated_map,
-    steady_state,
 )
 from .propagator import GaussianKernel, kernel_harmonic, kernel_numeric, kernel_quadratic
 from .correlators import (
@@ -61,7 +60,6 @@ __all__ = [
     "hamiltonian_matrix",
     "lindblad_generator",
     "propagated_map",
-    "steady_state",
     "GaussianKernel",
     "kernel_harmonic",
     "kernel_numeric",

@@ -13,8 +13,8 @@ a uniform tau grid steps with one duration, and a preparation reuses its own.
 
 Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
 Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
-generator, the block ``expm`` and ``steady_state``) imports SciPy, on first
-use, so ``import twotime`` and every closed run load none.
+generator and the block ``expm``) imports SciPy, on first use, so
+``import twotime`` and every closed run load none.
 """
 
 from __future__ import annotations
@@ -270,22 +270,3 @@ def evolve_lindblad(
     M = propagated_map(H, ch, t, rho0.cutoff)
     out = DensityMatrix(M.apply(rho0.mat), rho0.cutoff)
     return out.validate()
-
-
-def steady_state(
-    H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
-) -> DensityMatrix:
-    """Null space of L's block holding the diagonal (kappa > 0 makes it unique)."""
-    if ch.kappa <= 0:
-        raise ValueError("steady state requires kappa > 0")
-    from scipy.linalg import null_space
-
-    blocks, members, labels = _generator_blocks(H, ch, cutoff)
-    ns = null_space(blocks[labels[0]], rcond=1e-10)
-    if ns.shape[1] == 0:
-        raise RuntimeError("generator null space is empty at this tolerance")
-    rho = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    rho.flat[members[labels[0]]] = ns[:, 0]
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho, cutoff).validate()

@@ -44,15 +44,25 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   cached (``_normals``, read-only, at most ``MC_NORMALS_BYTES``).  The errors
   of the integrals of one series are therefore correlated, while the
   ``hypot`` propagation of ``correlators.normalized_series`` treats them as
-  independent.  Monte Carlo samples the integrands of a sequence one by
-  one.  The normals are stored coordinate-major, g of shape (2n, chunk),
-  and a chunk is evaluated in tiles of ``MC_TILE`` samples,
-  X = chol g[:, tile] + mu of shape (2n, tile), whose product reads 2n
-  contiguous runs: the phase, the polynomial and the sums of h and |h|^2
-  are computed per tile, and the real Gaussian prefactor is applied once to
-  the totals.  A tile's temporaries (0.66 MB at n = 3) stay in cache, where
-  whole-chunk ones (6.8 MB) were page-faulted afresh; the tile size changes
-  no sample, only the rounding of the sums.
+  independent.  A sequence is sampled chunk by chunk: each integrand's mean,
+  Cholesky factor and prefactor are computed first, in the calling thread,
+  each chunk's normals are fetched once for all of them, and the chunk is
+  evaluated as one task per integrand on a thread per usable CPU (none with
+  one), since numpy releases the GIL inside its loops and GEMM.  Totals,
+  warnings and exceptions come back in integrand order, in the calling
+  thread.  The normals are stored coordinate-major, g of shape (2n, chunk),
+  and a task evaluates its chunk in blocks of ``MC_BLOCK_TILES`` tiles,
+  X = chol g[:, block] + mu of shape (2n, block), whose product reads 2n
+  contiguous runs: one GEMM, one phase and one complex ``exp`` per block,
+  written into buffers each worker allocates once (``_MCScratch``, 1.8 MB at
+  n = 3, and 2.4 MB at its peak with the polynomial's rows), then the sums
+  of h and |h|^2 per tile of ``MC_TILE`` samples, and the real Gaussian
+  prefactor is applied once to the totals.  A column of the block's GEMM
+  does not depend on how many columns the block has (a property of the BLAS,
+  like the row-side one above, checked by ``TestTiles``), so neither the
+  block, nor the worker count, nor the order the tasks run in changes a bit
+  of any integral; the tile size changes no sample, only the rounding of
+  the sums.
 
 Complex measures follow d^2 z = dRe(z) dIm(z); any 1/pi factors belong to the
 caller's integrand.
@@ -60,6 +70,8 @@ caller's integrand.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,12 +89,14 @@ MC_CHUNK = 1 << 16
 MC_CACHED_CHUNKS = 4
 MC_CACHED_BLOCK = MC_CHUNK * 10
 MC_NORMALS_BYTES = MC_CACHED_CHUNKS * MC_CACHED_BLOCK * 8
-# Each chunk is evaluated in tiles of MC_TILE samples.  A 10^5-sample
-# integral over six real coordinates took a median 9.8-10.0 / 9.1 /
-# 8.9-9.1 ms at 2048 / 4096 / 8192 (two runs of 30 interleaved repeats,
-# 1 BLAS thread, 2-vCPU host) and peaked at 0.33 / 0.66 / 1.3 MB of
-# scratch; 4096 is as fast as the larger tile at half its memory.
+# The sums of h and |h|^2 are taken per tile of MC_TILE samples, and the
+# samples are computed in blocks of MC_BLOCK_TILES tiles.  Every numpy call
+# hands the GIL to the other worker and back; with two workers on a 2-vCPU
+# Xeon, the coherent_mc request took 18-27 ms at one tile per block (the
+# GIL changed hands about a dozen times per tile), about 21 ms at two and
+# 14.0-14.6 ms at four, where the single-threaded engine took 27.5 ms.
 MC_TILE = 4096
+MC_BLOCK_TILES = 4
 MC_RELATIVE_ERROR_WARN = 0.10
 # A coupling's factor tables hold 2 nodes^3 complex entries (8.4 MB at 64), and
 # its contraction a nodes^3 work table per vector (4.2 MB at 64).
@@ -188,12 +202,14 @@ class PolyGaussian:
         return S, self.u @ P + self.v @ Pc, self.const
 
     # ---- pointwise polynomial part (Monte Carlo) ---------------------------
-    def _poly_values(self, X: np.ndarray) -> np.ndarray:
+    def _poly_values(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """poly(z, conj z) times the var_factors at the columns of X, shape (2 n_vars, samples).
 
-        Rows 2i and 2i + 1 of X hold Re z_i and Im z_i.  Only the complex
-        (variable, power, conjugated) rows that a monomial or vector factor
-        uses are built, each once, and shared by all of them.
+        Rows 2i and 2i + 1 of X hold Re z_i and Im z_i, and the values are
+        written to ``out``.  Only the complex (variable, power, conjugated)
+        rows that a monomial or vector factor uses are built, each once, and
+        shared by all of them; besides them, the evaluation holds one
+        temporary row, and only for a second monomial or a vector factor.
         """
         cols: dict = {}
 
@@ -202,29 +218,44 @@ class PolyGaussian:
         def col(i, p, conj):
             if (i, 1, conj) not in cols:
                 z = np.empty(X.shape[1], dtype=complex)
-                z.real, z.imag = X[2 * i], -X[2 * i + 1] if conj else X[2 * i + 1]
+                z.real, z.imag = X[2 * i], X[2 * i + 1]
+                if conj:
+                    np.negative(z.imag, out=z.imag)
                 cols[i, 1, conj] = z
             if (i, p, conj) not in cols:
                 cols[i, p, conj] = cols[i, 1, conj] ** p
             return cols[i, p, conj]
 
         poly = self.poly or {((0,) * self.n_vars, (0,) * self.n_vars): 1.0}
-        vals = None
-        for (p, q), coef in poly.items():
+        work = None
+        for index, ((p, q), coef) in enumerate(poly.items()):
             factors = [col(i, k, conj) for i in range(self.n_vars)
                        for k, conj in ((p[i], False), (q[i], True)) if k]
-            term = coef * factors[0] if factors else np.full(X.shape[1], coef, dtype=complex)
+            if index == 0:
+                term = out
+            else:
+                term = work = np.empty_like(out) if work is None else work
+            if factors:
+                np.multiply(coef, factors[0], out=term)
+            else:
+                term[...] = coef
             for f in factors[1:]:
                 term *= f
-            if vals is None:
-                vals = term
-            else:
-                vals += term
+            if index:
+                out += term
         for i, fac in enumerate(self.var_factors):
             if fac is not None:
                 coeffs, conj = fac
-                vals *= np.polynomial.polynomial.polyval(col(i, 1, conj), coeffs)
-        return vals
+                z = col(i, 1, conj)
+                # numpy's polyval, c[-1] + z * 0 then c[k] + acc * z, in one row
+                work = np.empty_like(out) if work is None else work
+                np.multiply(z, 0, out=work)
+                work += coeffs[-1]
+                for c in coeffs[-2::-1]:
+                    work *= z
+                    work += c
+                out *= work
+        return out
 
 
 def _quadratic_form(A, B, C):
@@ -509,49 +540,126 @@ def _chunk_normals(seed: int, chunk: int, m: int, d: int) -> np.ndarray:
     return _normals.__wrapped__(seed, chunk, m, d)
 
 
-def _mc_sample(pg: PolyGaussian, cfg: IntegrationConfig) -> tuple[complex, float]:
-    S, b, c = pg.real_form()
-    SR, bR = S.real, b.real
-    d = S.shape[0]
-    cov = np.linalg.inv(-2.0 * SR)
-    mu = np.linalg.solve(-2.0 * SR, bR)
-    chol = np.linalg.cholesky(cov)
-    sign, logdet = np.linalg.slogdet(cov)
-    req_mu = mu @ SR @ mu + bR @ mu + c.real
-    log_norm = 0.5 * d * np.log(2 * np.pi) + 0.5 * logdet
-    prefactor = np.exp(req_mu + log_norm)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    SI, bI, cI = S.imag, b.imag[:, None], c.imag
-    mu = mu[:, None]
-    total = 0.0 + 0.0j
-    total_sq = 0.0
-    for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
-        m = min(MC_CHUNK, cfg.sample_count - start)
-        g = _chunk_normals(cfg.seed, chunk, m, d)
-        for lo in range(0, m, MC_TILE):
-            # rows of X are the real coordinates (Re z_0, Im z_0, ...) of the tile
-            X = chol @ g[:, lo:lo + MC_TILE]
-            X += mu
-            h = pg._poly_values(X)
-            # the phase x^T SI x + bI.x + cI, built in one (2n, tile) buffer
-            Y = SI @ X
-            Y += bI
+
+class _MCScratch:
+    """One worker's block buffers, reused across integrands and chunks.
+
+    X holds a block's real coordinates, Y its phase terms; once Y is built
+    from X, the phase is summed into X's memory and its exponential written
+    into Y's, so a block needs these two (2n, block) arrays and its values h.
+    """
+
+    def __init__(self, d: int):
+        block = MC_BLOCK_TILES * MC_TILE
+        self.X = np.empty(d * block)
+        self.Y = np.empty(d * block)
+        self.h = np.empty(block, dtype=complex)
+
+
+class _MCIntegrand:
+    """One integrand's sampler: its Gaussian's mean, Cholesky factor and prefactor, and its sums."""
+
+    def __init__(self, pg: PolyGaussian):
+        S, b, c = pg.real_form()
+        SR, bR = S.real, b.real
+        self.pg = pg
+        self.d = S.shape[0]
+        cov = np.linalg.inv(-2.0 * SR)
+        mu = np.linalg.solve(-2.0 * SR, bR)
+        self.chol = np.linalg.cholesky(cov)
+        sign, logdet = np.linalg.slogdet(cov)
+        req_mu = mu @ SR @ mu + bR @ mu + c.real
+        log_norm = 0.5 * self.d * np.log(2 * np.pi) + 0.5 * logdet
+        self.prefactor = np.exp(req_mu + log_norm)
+        self.SI, self.bI, self.cI = S.imag, b.imag[:, None], c.imag
+        self.mu = mu[:, None]
+        self.total = 0.0 + 0.0j
+        self.total_sq = 0.0
+
+    def add_chunk(self, g: np.ndarray, scratch: _MCScratch):
+        """Add the samples of one chunk's normals g, shape (2n, m), to the sums.
+
+        The chunk is evaluated in blocks of MC_BLOCK_TILES tiles, and the sums
+        of h and |h|^2 are taken per tile, in tile order.
+        """
+        d, m = g.shape
+        tile = MC_TILE
+        for start in range(0, m, MC_BLOCK_TILES * tile):
+            n = min(MC_BLOCK_TILES * tile, m - start)
+            # rows of X are the real coordinates (Re z_0, Im z_0, ...) of the block
+            X = np.matmul(self.chol, g[:, start:start + n], out=scratch.X[:d * n].reshape(d, n))
+            X += self.mu
+            h = self.pg._poly_values(X, scratch.h[:n])
+            # the phase x^T SI x + bI.x + cI, built in one (2n, block) buffer
+            Y = np.matmul(self.SI, X, out=scratch.Y[:d * n].reshape(d, n))
+            Y += self.bI
             Y *= X
-            h *= np.exp(1j * (Y.sum(0) + cI))
-            total += h.sum()
-            total_sq += np.vdot(h, h).real
+            phase = np.sum(Y, axis=0, out=scratch.X[:n])
+            phase += self.cI
+            rotation = np.multiply(1j, phase, out=scratch.Y[:2 * n].view(complex))
+            h *= np.exp(rotation, out=rotation)
+            for lo in range(0, n, tile):
+                part = h[lo:lo + tile]
+                self.total += part.sum()
+                self.total_sq += np.vdot(part, part).real
+
+
+def _monte_carlo(pgs, cfg: IntegrationConfig) -> list[tuple[complex, float]]:
+    """(mean, standard error) of each integrand, chunk by chunk, one worker per usable CPU.
+
+    Each chunk's normals are fetched once and shared by every integrand; its
+    integrands are evaluated concurrently, one task per integrand, and the
+    next chunk starts when all of them are done.  The results, warnings and
+    exceptions come back in integrand order, in the calling thread.
+    """
+    samplers = [_MCIntegrand(pg) for pg in pgs]
+    d = samplers[0].d
+    workers = min(len(samplers), _usable_cpus())
+    local = threading.local()
+
+    def task(sampler, g):
+        if not hasattr(local, "scratch"):
+            local.scratch = _MCScratch(d)
+        sampler.add_chunk(g, local.scratch)
+
+    def chunks():
+        for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
+            yield _chunk_normals(cfg.seed, chunk, min(MC_CHUNK, cfg.sample_count - start), d)
+
+    if workers == 1:
+        for g in chunks():
+            for sampler in samplers:
+                task(sampler, g)
+    else:
+        # imported here: it costs about 3 ms, and a Gauss-Hermite run never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            for g in chunks():
+                for _ in pool.map(task, samplers, [g] * len(samplers)):
+                    pass  # reading each result re-raises its task's exception here
+
     count = cfg.sample_count
-    mean = prefactor * total / count
-    var = max(prefactor**2 * total_sq / count - abs(mean) ** 2, 0.0)
-    stderr = float(np.sqrt(var / count))
-    if abs(mean) > 0 and stderr / abs(mean) > MC_RELATIVE_ERROR_WARN:
-        warnings.warn(
-            f"MC relative standard error {stderr / abs(mean):.1%} exceeds "
-            f"{MC_RELATIVE_ERROR_WARN:.0%}; increase sample_count",
-            VarianceWarning,
-            stacklevel=3,
-        )
-    return complex(mean), stderr
+    results = []
+    for sampler in samplers:
+        mean = sampler.prefactor * sampler.total / count
+        var = max(sampler.prefactor**2 * sampler.total_sq / count - abs(mean) ** 2, 0.0)
+        stderr = float(np.sqrt(var / count))
+        if abs(mean) > 0 and stderr / abs(mean) > MC_RELATIVE_ERROR_WARN:
+            warnings.warn(
+                f"MC relative standard error {stderr / abs(mean):.1%} exceeds "
+                f"{MC_RELATIVE_ERROR_WARN:.0%}; increase sample_count",
+                VarianceWarning,
+                stacklevel=3,
+            )
+        results.append((complex(mean), stderr))
+    return results
 
 
 def integrate(integrands, cfg: IntegrationConfig):
@@ -562,8 +670,9 @@ def integrate(integrands, cfg: IntegrationConfig):
     estimate is 0 for the deterministic quadrature engine and the combined
     standard error for Monte Carlo.  Gauss-Hermite integrates the sequence
     in batches of up to ``GH_CHUNK_BYTES`` / (16 nodes^2) integrands, a
-    whole series of the default grid in one; Monte Carlo samples each
-    integrand in turn.
+    whole series of the default grid in one; Monte Carlo samples the
+    sequence chunk by chunk, its integrands concurrently on a thread per
+    usable CPU.
     """
     single = isinstance(integrands, PolyGaussian)
     pgs = [integrands] if single else list(integrands)
@@ -574,7 +683,5 @@ def integrate(integrands, cfg: IntegrationConfig):
         results = [(value, 0.0) for lo in range(0, len(pgs), step)
                    for value in _quadrature(pgs[lo:lo + step], cfg)]
     else:
-        results = []
-        for pg in pgs:  # a loop, not a comprehension: VarianceWarning's stacklevel
-            results.append(_mc_sample(pg, cfg))
+        results = _monte_carlo(pgs, cfg)
     return results[0] if single else results

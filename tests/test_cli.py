@@ -526,15 +526,19 @@ from twotime import cli
 def scipy_modules():
     return sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
-print("scipy:", "import", scipy_modules())
+def futures():
+    return "concurrent.futures" in sys.modules
+
+print("scipy:", "import", scipy_modules(), futures())
 for cfg in sys.argv[2:]:
     code = cli.main(["run", cfg, "--out", sys.argv[1]])
-    print("scipy:", cfg.rsplit("/", 1)[-1], code, scipy_modules())
+    print("scipy:", cfg.rsplit("/", 1)[-1], code, scipy_modules(), futures())
 """
 
 
 def test_closed_runs_import_no_scipy(tmp_path):
-    # SciPy serves only the damped path, and is imported by its first use
+    # SciPy serves only the damped path, and is imported by its first use;
+    # concurrent.futures only the Monte Carlo pool, which a Gauss-Hermite run never starts
     root = Path(__file__).resolve().parent.parent
     closed = ["coherent_closed", "coherent_mc", "driven_vacuum", "squeezed_vacuum"]
     cfgs = [str(root / "scenarios" / f"{name}.cfg") for name in closed + ["thermal_steady"]]
@@ -542,8 +546,9 @@ def test_closed_runs_import_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, check=True)
     lines = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("scipy:")]
-    assert lines[0] == ["import", "0"]
-    assert lines[1:5] == [[f"{name}.cfg", "0", "0"] for name in closed]
+    assert lines[0] == ["import", "0", "False"]
+    assert lines[1] == ["coherent_closed.cfg", "0", "0", "False"]
+    assert [line[:3] for line in lines[1:5]] == [[f"{name}.cfg", "0", "0"] for name in closed]
     assert lines[5][:2] == ["thermal_steady.cfg", "0"] and int(lines[5][2]) > 0
 
 

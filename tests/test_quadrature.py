@@ -565,7 +565,7 @@ def test_mc_phase_matches_three_operand_form():
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,))))
         x = mu + rng.standard_normal((m, 6)) @ chol.T
         phase = np.exp(1j * (np.einsum("ni,ij,nj->n", x, S.imag, x) + x @ b.imag + c.imag))
-        total += np.sum(pg._poly_values(x.T) * phase * pref)
+        total += np.sum(pg._poly_values(x.T, np.empty(m, complex)) * phase * pref)
     assert abs(value - total / cfg.sample_count) < 1e-13 * abs(value)
 
 
@@ -607,14 +607,39 @@ class TestNormalsCache:
 
     def test_series_draws_each_chunk_once(self):
         # the coherent_mc propagator series: one n integral, four g1 and five
-        # g2 integrals, each of 100 000 samples (two chunks) over d = 6
+        # g2 integrals, each of 100 000 samples (two chunks) over d = 6; the
+        # series fetches each chunk once for all of them
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.coherent(1.0), FockCutoff(40))
         quadrature._normals.cache_clear()
         phasespace.phase_space_series(sys, np.linspace(0.0, 3.0, 5), "propagator", self.MC)
         info = quadrature._normals.cache_info()
         assert info.misses == 2
-        assert info.hits == 9 * 2
+        assert info.hits == 0
+
+    def test_million_sample_series_draws_each_chunk_once(self, monkeypatch):
+        # sixteen chunks, four of them cacheable; ten integrals one at a time
+        # drew 4 + 10 * 12 blocks
+        draws = []
+        normals = quadrature._normals
+
+        def cached(*args):
+            draws.append(args[1])
+            return normals(*args)
+
+        def fresh(*args):
+            draws.append(args[1])
+            return normals.__wrapped__(*args)
+
+        cached.__wrapped__ = fresh
+        monkeypatch.setattr(quadrature, "_normals", cached)
+        pgs = [self.integrand() for _ in range(10)]
+        for k, pg in enumerate(pgs):
+            pg.add_linear(2, 0.1 * k)
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=1_000_000, seed=11)
+        normals.cache_clear()
+        integrate(pgs, cfg)
+        assert sorted(draws) == list(range(16))
 
     @pytest.mark.parametrize("n_vars, cached", [(3, 4), (5, 4), (6, 0)])
     def test_retained_bytes_bounded_at_a_million_samples(self, n_vars, cached):
@@ -658,6 +683,18 @@ class TestTiles:
         assert abs(tiled - value) <= 1e-14 * abs(value)
         assert abs(tiled_err - err) <= 1e-14 * err
 
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        # blocks of four tiles sum the same tiles as one tile at a time, bit
+        # for bit, while a column of the block's GEMM does not depend on how
+        # many columns the block has
+        pg = TestNormalsCache.integrand()
+        pg.set_var_factor(1, np.array([0.5, 1j, -0.25]), conjugated=True)
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian",
+                                sample_count=2 * quadrature.MC_CHUNK + 20_000, seed=8)
+        blocked = integrate(pg, cfg)
+        monkeypatch.setattr(quadrature, "MC_BLOCK_TILES", 1)
+        assert repr(integrate(pg, cfg)) == repr(blocked)
+
     def test_series_matches_stored_stream(self):
         # the coherent_mc propagator series, as computed before the tiles: a
         # reordering of the normals would keep the run-to-run determinism of
@@ -678,8 +715,9 @@ class TestTiles:
         assert np.max(np.abs(series.error_estimate - err)) < 1e-12
 
     def test_scratch_memory_bounded_by_tile(self):
-        # with the normals cached, one integral allocates only tile-sized
-        # temporaries: under 1 MiB, where whole-chunk temporaries took 6.8 MB
+        # with the normals cached, one integral allocates only block-sized
+        # temporaries: 256 bytes per sample of a block (4 MiB), where
+        # whole-chunk temporaries took 6.8 MB
         pg = TestNormalsCache.integrand()
         integrate(pg, self.MC)
         gc.collect()
@@ -689,7 +727,45 @@ class TestTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 256 * quadrature.MC_BLOCK_TILES * quadrature.MC_TILE
+
+
+class TestWorkers:
+    """A sequence is sampled chunk by chunk, one task per integrand on a worker per usable CPU."""
+
+    MC = TestNormalsCache.MC
+
+    def test_two_workers_equal_one(self, monkeypatch):
+        # the coherent_mc propagator series, repr for repr
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                         InitialState.coherent(1.0), FockCutoff(40))
+        taus = np.linspace(0.0, 3.0, 5)
+        series = []
+        for workers in (1, 2):
+            monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+            got = phasespace.phase_space_series(sys, taus, "propagator", self.MC)
+            series.append(repr((got.g1, got.g2, got.error_estimate)))
+        assert series[0] == series[1]
+
+    def test_variance_warnings_in_calling_thread_in_order(self, monkeypatch):
+        # two noisy integrands around a quiet one: each warning names its own
+        # relative error, and points at this file, as raised in this thread
+        noisy = []
+        for scale in (1e-6, 1e-3):
+            pg = unit_gaussian()
+            pg.poly_add((3,), (0,), 1.0)
+            pg.poly_add((0,), (0,), scale)
+            noisy.append(pg)
+        quiet = unit_gaussian()
+        quiet.poly_add((0,), (0,), 1.0)
+        pgs = [noisy[0], quiet, noisy[1]]
+        cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=10_000, seed=4)
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        with pytest.warns(VarianceWarning) as record:
+            results = integrate(pgs, cfg)
+        errors = [f"{err / abs(value):.1%}" for value, err in (results[0], results[2])]
+        assert [str(w.message).split()[4] for w in record] == errors
+        assert all(w.filename == __file__ for w in record)
 
 
 class TestPolyValues:
@@ -713,7 +789,7 @@ class TestPolyValues:
 
     @staticmethod
     def samples():
-        """(z, X): complex samples of shape (500, 3) and their real rows, as _mc_sample passes them."""
+        """(z, X): complex samples of shape (500, 3) and their real rows, as the engine passes them."""
         z = np.random.default_rng(12).standard_normal((500, 6)).view(complex)
         return z, np.ascontiguousarray(z.view(float).T)
 
@@ -727,7 +803,8 @@ class TestPolyValues:
         pg.set_var_factor(2, rng.standard_normal(4) + 1j * rng.standard_normal(4), conjugated=False)
         z, X = self.samples()
         ref = self.reference(pg, z)
-        assert np.max(np.abs(pg._poly_values(X) - ref)) < 1e-13 * np.max(np.abs(ref))
+        values = pg._poly_values(X, np.empty(len(z), complex))
+        assert np.max(np.abs(values - ref)) < 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("with_factor", [False, True])
     def test_empty_polynomial(self, with_factor):
@@ -736,7 +813,8 @@ class TestPolyValues:
             pg.set_var_factor(1, np.array([0.5, 1j, -0.25]), conjugated=True)
         z, X = self.samples()
         ref = self.reference(pg, z)
-        assert np.max(np.abs(pg._poly_values(X) - ref)) < 1e-13 * np.max(np.abs(ref))
+        values = pg._poly_values(X, np.empty(len(z), complex))
+        assert np.max(np.abs(values - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_two_variable_q_series_on_driven_mode(self):
         # the Fock-vector var_factors of qfunction_two_variable, under MC
