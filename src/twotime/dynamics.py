@@ -1,19 +1,24 @@
 """Time evolution: quadratic Hamiltonians, unitary and Markovian-damped dynamics.
 
 The open-system channel is a single thermal damping bath (rate kappa, mean
-occupation n_thermal) in Lindblad form.  Its generator L is CSR, built from
-index arithmetic on d x d operators, and block diagonal by its phase grading:
-a phase-invariant H (xi = eta = 0) keeps the coherence order m - n of |m><n|
-(2d - 1 blocks of at most d rows), squeezing alone its parity (two), and a
-drive couples all.  exp(L tau) has the same blocks.  A map builds a block's
-dense ``expm`` the first time it acts on a vector nonzero there, and keeps it;
+occupation n_thermal) in Lindblad form.  Its generator L is block diagonal by
+its phase grading: a phase-invariant H (xi = eta = 0) keeps the coherence
+order m - n of |m><n| (2d - 1 blocks of at most d rows), squeezing alone its
+parity (two), and a drive couples all.  Where each entry of L lands in which
+dense block depends only on the cutoff and that grading class, so a
+``GeneratorLayout`` of positions is built once per (cutoff, class) and
+cached, and each mode's ``lindblad_generator`` writes its values straight
+into its blocks.  exp(L tau) has the same blocks.  A map builds a block's
+dense ``expm`` the first time it acts on a vector nonzero there, and keeps
+it.  L keeps hermiticity, so the block of order +k is the conjugate of the
+block of order -k, and a map conjugates the exponential of the one it has.
 ``occupied_rows`` gathers the blocks a set of Heisenberg observables occupies.
 ``propagated_map`` caches the last 32 maps on (H, channel, duration, cutoff):
 a uniform tau grid steps with one duration, and a preparation reuses its own.
 
 Closed evolution needs no SciPy: ``unitary_matrix`` exponentiates the
-Hamiltonian through ``numpy.linalg.eigh``.  Only the damped path (the
-generator and the block ``expm``) imports SciPy, on first use, so
+Hamiltonian through ``numpy.linalg.eigh``.  Only the block ``expm`` of the
+damped path imports SciPy (``scipy.linalg``), on first use, so
 ``import twotime`` and every closed run load none.
 """
 
@@ -21,15 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InstabilityError, SelfCheckError
 from .hilbert import DensityMatrix, FockCutoff, ladder_matrices
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 # (|omega| + |xi|) t bounds the phase a quadratic H accumulates in time t, and
 # the phase carries a rounding error of about eps times itself; above this
@@ -96,45 +97,118 @@ def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: FockCutoff) -> np.ndarra
     return m
 
 
+# each grading class of L: the diagonals (offsets j - i) on which K can be nonzero, and
+# the modulus of the coherence order m - n of |m><n| that every term keeps (0: the order)
+_GRADINGS = {"free": ((0,), 0), "parity": ((-2, 0, 2), 2), "single": ((-2, -1, 0, 1, 2), 1)}
+
+
+def _grading_class(H: QuadraticHamiltonian) -> str:
+    """A phase-invariant H keeps the coherence order, squeezing alone its parity, a drive none."""
+    return "free" if H.is_free else "parity" if H.eta == 0 else "single"
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorLayout:
+    """Where each entry of L lands in its dense blocks, for one cutoff and grading class.
+
+    Block b holds the vec indices ``members[b]`` of one grade in ascending
+    order, blocks are numbered by lowest vec index, and ``labels`` is the
+    block of each index.  ``pairs[b]`` is the block of the transposes |n><m|
+    of b's |m><n|, in the same order: L keeps hermiticity, so its entries are
+    the conjugates of b's.  ``k_pos`` and ``kc_pos`` are the positions, in
+    the raveled blocks, of kron(K, 1) and kron(1, conj K) over K's diagonals
+    ``band``; ``jumps`` holds, for c = a and adag, the rate-free values
+    c[i, j] conj(c)[k, m] of kron(c, conj c) and their positions.  Block b is
+    raveled at ``spans[b]`` = (start, stop, rows).
+    """
+
+    dim: int
+    labels: np.ndarray
+    members: tuple[np.ndarray, ...]
+    pairs: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]
+    band: tuple[np.ndarray, np.ndarray]
+    k_pos: np.ndarray
+    kc_pos: np.ndarray
+    jumps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=32)  # one per cutoff and class, shared by every damped mode with them
+def _layout(cutoff: FockCutoff, kind: str) -> GeneratorLayout:
+    """The ``GeneratorLayout`` of a cutoff and grading class.
+
+    Raises SelfCheckError if a term of L would couple two of its blocks.
+    """
+    diagonals, modulus = _GRADINGS[kind]
+    d = cutoff.dim
+    r = np.arange(d)
+    m, n = np.divmod(np.arange(d * d), d)
+    grade = m - n if modulus == 0 else (m - n) % modulus
+    _, first, labels = np.unique(grade, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(labels, kind="stable")  # vec indices, block by block
+    local = np.empty_like(members)  # position of each index within its block
+    local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
+    offsets = np.cumsum(sizes**2) - sizes**2  # where each raveled block starts
+
+    def positions(rows, cols):  # of the entries (rows, cols) of L in the raveled blocks
+        k = labels[rows]
+        if np.any(k != labels[cols]):
+            raise SelfCheckError("the Lindblad generator couples two of its phase-grading blocks")
+        return offsets[k] + local[rows] * sizes[k] + local[cols]
+
+    i, j = np.nonzero(np.isin(r - r[:, None], diagonals))
+    jumps = []
+    for c in ladder_matrices(cutoff):
+        (ci, cj), (ck, cm) = np.nonzero(c), np.nonzero(c.conj())
+        jumps.append((c[ci, cj][:, None] * c.conj()[ck, cm],  # entry (i d + k, j d + m)
+                      positions(ci[:, None] * d + ck, cj[:, None] * d + cm)))
+    heads = members[starts]
+    return GeneratorLayout(
+        d, labels, tuple(np.split(members, starts[1:])), labels[heads % d * d + heads // d],
+        tuple((int(o), int(o + n * n), int(n)) for o, n in zip(offsets, sizes)), (i, j),
+        positions(i[:, None] * d + r, j[:, None] * d + r),
+        positions(r[:, None] * d + i, r[:, None] * d + j), tuple(jumps))
+
+
 def lindblad_generator(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
-) -> sparse.csr_matrix:
-    """Sparse generator L with d rho/dt = L vec(rho), as canonical CSR.
+) -> tuple[np.ndarray, ...]:
+    """The dense diagonal blocks of the generator L with d rho/dt = L vec(rho).
 
     L = -i[H, .] + kappa (n+1) D[a] + kappa n D[adag],
     D[c] rho = c rho cdag - (cdag c rho + rho cdag c)/2,
     is K rho + rho Kdag + sum_c rate_c c rho cdag with the effective
     K = -i H - sum_c rate_c cdag c / 2.  In row-major (C order) vec,
-    vec(A rho B) = kron(A, B.T) vec(rho); the entries of each Kronecker term
-    come from the nonzeros of its two d x d factors.  They are sorted into CSR
-    directly, the two on each diagonal entry summed and exact zeros dropped.
+    vec(A rho B) = kron(A, B.T) vec(rho).  L is block diagonal by its phase
+    grading: the coherence order m - n of |m><n| for a free H, its parity
+    under squeezing alone, one block under a drive.  Block b holds the vec
+    indices of one grade in ascending order, and blocks are numbered by
+    lowest vec index.  K, conj K and each rate times its jump's products are
+    written at the positions of the ``GeneratorLayout`` of the cutoff and
+    grading class, the two on each diagonal entry summed.  Raises
+    SelfCheckError if K has an entry off the diagonals of its class.
     """
-    from scipy import sparse
-
+    layout = _layout(cutoff, _grading_class(H))
     a, adag = ladder_matrices(cutoff)
-    jumps = [(ch.kappa * (ch.n_thermal + 1.0), a), (ch.kappa * ch.n_thermal, adag)]
-    jumps = [(rate, c) for rate, c in jumps if rate > 0]
+    rates = (ch.kappa * (ch.n_thermal + 1.0), ch.kappa * ch.n_thermal)
     K = -1j * hamiltonian_matrix(H, cutoff)
-    for rate, c in jumps:
-        K = K - 0.5 * rate * (c.conj().T @ c)
-    d, eye = cutoff.dim, np.eye(cutoff.dim)
-    terms = []
-    for rate, A, B in [(1, K, eye), (1, eye, K.conj())] + [(r, c, c.conj()) for r, c in jumps]:
-        (i, j), (k, m) = np.nonzero(A), np.nonzero(B)  # rate kron(A, B) from the nonzeros
-        terms.append((rate * (A[i, j][:, None] * B[k, m]),  # entry (i d + k, j d + m)
-                      (i[:, None] * d + k) * d * d + j[:, None] * d + m))
-    vals, keys = (np.concatenate([t[x].ravel() for t in terms]) for x in range(2))
-    order = np.argsort(keys, kind="stable")  # row-major; the terms come in sorted runs
-    keys, vals = keys[order], vals[order]  # only a diagonal key comes twice
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    data = np.add.reduceat(vals, starts)
-    data += 0.0  # +0.0 for every zero real or imaginary part, whatever the term order
-    keep = data != 0
-    rows, cols = np.divmod(keys[starts[keep]], d * d)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=d * d))))
-    return sparse.csr_matrix((data[keep], cols, indptr), shape=(d * d, d * d))
+    for rate, c in zip(rates, (a, adag)):
+        if rate > 0:
+            K = K - 0.5 * rate * (c.conj().T @ c)
+    band = K[layout.band]
+    if np.count_nonzero(band) != np.count_nonzero(K):
+        raise SelfCheckError("K has an entry off the diagonals of its grading class")
+    flat = np.zeros(layout.spans[-1][1], dtype=complex)
+    flat[layout.k_pos] = band[:, None]
+    flat[layout.kc_pos] += np.conj(band)
+    for rate, (products, pos) in zip(rates, layout.jumps):
+        if rate > 0:
+            flat[pos] += rate * products
+    flat += 0.0  # +0.0 for every zero real or imaginary part, whatever the term order
+    return tuple(flat[start:stop].reshape(n, n) for start, stop, n in layout.spans)
 
 
 class Propagated:
@@ -144,21 +218,25 @@ class Propagated:
     columns C = vec(O.T)[rows], laid out by ``occupied_rows``, in place to
     vec(O(tau).T) = M.T vec(O.T), since Tr[O M(Y)] = vec(O.T) . M vec(Y).  Both
     exponentiate only the blocks their argument occupies; each block's
-    exponential is read-only and kept for later calls.
+    exponential is read-only and kept for later calls.  Of a conjugate pair of
+    blocks only the lower-numbered one is exponentiated, and the other's
+    exponential is its conjugate; every zero part of either is +0.0, so both
+    equal ``expm`` of their own block with its zero parts made +0.0.
     """
 
-    def __init__(self, blocks, members, labels, duration: float, dim: int):
+    def __init__(self, blocks, layout: GeneratorLayout, duration: float):
         self.blocks = blocks  # dense diagonal blocks of L
-        self.members = members  # vec indices of each block
-        self.labels = labels  # block of each vec index
+        self.layout = layout
         self.duration = duration
-        self.dim = dim
+        self.dim = layout.dim
         self._exps: dict[int, np.ndarray] = {}
 
     def _block_exp(self, b: int) -> np.ndarray:
         E = self._exps.get(b)
         if E is None:
-            E = expm(self.blocks[b] * self.duration)
+            pair = self.layout.pairs[b]
+            E = np.conj(self._block_exp(pair)) if pair < b else expm(self.blocks[b] * self.duration)
+            E += 0.0  # +0.0 for every zero part; conj makes the imaginary ones -0.0
             E.flags.writeable = False
             self._exps[b] = E
         return E
@@ -166,8 +244,8 @@ class Propagated:
     def apply(self, rho_mat: np.ndarray) -> np.ndarray:
         v = rho_mat.reshape(-1)
         out = np.zeros(v.shape, dtype=complex)
-        for b in np.unique(self.labels[np.flatnonzero(v)]):
-            idx = self.members[b]
+        for b in np.unique(self.layout.labels[np.flatnonzero(v)]):
+            idx = self.layout.members[b]
             out[idx] = self._block_exp(b) @ v[idx]
         return out.reshape(self.dim, self.dim)
 
@@ -200,32 +278,9 @@ def unitary_matrix(H: QuadraticHamiltonian, t: float, cutoff: FockCutoff) -> np.
 @lru_cache(maxsize=8)  # a scenario uses one generator for all its durations
 def _generator_blocks(
     H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
-    """Dense diagonal blocks of L, the vec indices of each, and each index's block.
-
-    The blocks are L's phase grading (the coherence order m - n of |m><n| for a
-    free H, its parity under squeezing alone, one block under a drive), numbered by
-    lowest vec index.  No entry of L couples two (checked), so exp(L tau) has them too.
-    """
-    L = lindblad_generator(H, ch, cutoff)
-    m, n = np.divmod(np.arange(L.shape[0]), cutoff.dim)
-    grade = m - n if H.is_free else (m - n) % 2 if H.eta == 0 else 0 * m
-    _, first, labels = np.unique(grade, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[labels]
-    r = np.repeat(np.arange(len(labels)), np.diff(L.indptr))  # row of each entry
-    k = labels[r]
-    if np.any(k != labels[L.indices]):
-        raise SelfCheckError("the Lindblad generator couples two of its phase-grading blocks")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    members = np.argsort(labels, kind="stable")  # indices of L, block by block
-    local = np.empty_like(members)  # position of each index within its block
-    local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
-    offsets = np.cumsum(sizes**2) - sizes**2  # where each raveled block starts
-    flat = np.zeros(np.sum(sizes**2), dtype=complex)
-    flat[offsets[k] + local[r] * sizes[k] + local[L.indices]] = L.data
-    blocks = tuple(flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes))
-    return blocks, tuple(np.split(members, starts[1:])), labels
+) -> tuple[tuple[np.ndarray, ...], GeneratorLayout]:
+    """The dense diagonal blocks of L (``lindblad_generator``) and their layout."""
+    return lindblad_generator(H, ch, cutoff), _layout(cutoff, _grading_class(H))
 
 
 @lru_cache(maxsize=32)
@@ -238,15 +293,16 @@ def propagated_map(
     """Map M(tau) = expm(L tau), cached per duration; blocks are exponentiated on first use."""
     if tau < 0:
         raise ValueError("tau must be >= 0 for the damped map")
-    return Propagated(*_generator_blocks(H, ch, cutoff), float(tau), cutoff.dim)
+    return Propagated(*_generator_blocks(H, ch, cutoff), float(tau))
 
 
 def occupied_rows(H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff,
                   columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
     """Vec indices of the blocks of L in which any column (d^2, k) is nonzero, block by
     block, and each block's label and slice of them: the rows ``heisenberg`` steps."""
-    _, members, labels = _generator_blocks(H, ch, cutoff)
-    occupied = np.unique(labels[np.any(columns != 0, axis=1)])
+    layout = _generator_blocks(H, ch, cutoff)[1]
+    members = layout.members
+    occupied = np.unique(layout.labels[np.any(columns != 0, axis=1)])
     ends = np.cumsum([len(members[b]) for b in occupied])
     spans = [(b, slice(end - len(members[b]), end)) for b, end in zip(occupied, ends)]
     return np.concatenate([members[b] for b in occupied]), spans

@@ -13,7 +13,8 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   E[(ik, jk), (il, jl)] = G[ik, (il, jl)] H[jk, (il, jl)], and is never
   formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
   replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
-  contracted as one GEMM with H plus a G-weighted row sum (``_contract``).
+  contracted as one batched matmul with H, one n x n by n x n^2 GEMM per
+  vector, plus a G-weighted row sum (``_contract``).
   The node grid is cached (``functools.lru_cache``, read-only arrays).  A
   coupling and its conjugate share one key (``_coupling_key``), so every
   integral at one tau of a phase-space series uses one pair of tables; the
@@ -29,11 +30,12 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   (diagonal vector, monomial) rows of every integrand that uses it; and
   each integrand's terms are summed from gathered products.  Every
   integral keeps the arithmetic of its own one-at-a-time evaluation, so a
-  batch changes no bit of it, provided a GEMM row does not depend on how
-  many rows are stacked with it.  That is a property of the BLAS, not of
-  this code: it held on the OpenBLAS build this was measured with, and
-  ``TestBatch`` checks it on the BLAS the tests run with.  A one-variable
-  polynomial is summed as one coefficient matrix.
+  batch changes no bit of it: each vector is its own GEMM of one fixed
+  shape, whatever the batch holds, so its bits do not depend on how a BLAS
+  kernel blocks the rows stacked with it.  ``TestBatch`` checks this, and CI
+  also runs it on OpenBLAS's AVX2 (Haswell) kernel, on which one GEMM over
+  the stacked rows gave some rows other bits.  A one-variable polynomial is
+  summed as one coefficient matrix.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.  Chunk k of
@@ -348,9 +350,11 @@ def _coupling_key(pg: PolyGaussian, i: int, j: int):
 def _contract(V: np.ndarray, tables, conjugated: bool) -> np.ndarray:
     """The rows of V times the coupling matrix E of ``tables`` = (G, H), or conj(E) if ``conjugated``.
 
-    (v E)[l] = sum_ik G[ik, l] sum_jk v[ik, jk] H[jk, l], so the whole stack
-    is one GEMM with H followed by a G-weighted sum over ik, and
-    v conj(E) = conj(conj(v) E).  tables = None couples by ones.
+    (v E)[l] = sum_ik G[ik, l] sum_jk v[ik, jk] H[jk, l], so each row is one
+    n x n by n x n^2 GEMM with H, the stack one batched ``matmul``, followed
+    by a G-weighted sum over ik, and v conj(E) = conj(conj(v) E).  A row's
+    GEMM has the same shape whatever the stack holds, so its bits do not
+    depend on the other rows.  tables = None couples by ones.
     """
     if tables is None:
         return np.sum(V, axis=1, keepdims=True)
@@ -358,7 +362,7 @@ def _contract(V: np.ndarray, tables, conjugated: bool) -> np.ndarray:
     n = G.shape[0]
     if conjugated:
         V = np.conj(V)
-    W = (V.reshape(-1, n) @ H).reshape(len(V), n, -1)
+    W = np.matmul(V.reshape(len(V), n, n), H)
     W *= G
     out = np.sum(W, axis=1)
     return np.conj(out, out=out) if conjugated else out

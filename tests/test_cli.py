@@ -552,6 +552,23 @@ def test_closed_runs_import_no_scipy(tmp_path):
     assert lines[5][:2] == ["thermal_steady.cfg", "0"] and int(lines[5][2]) > 0
 
 
+def test_damped_run_imports_no_scipy_sparse(tmp_path):
+    # the damped path imports scipy.linalg for the block expm and fills L's
+    # blocks with numpy alone
+    root = Path(__file__).resolve().parent.parent
+    probe = ("import sys\n"
+             "from twotime import cli\n"
+             "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+             "sparse = any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules)\n"
+             "print('scipy:', code, 'scipy.linalg' in sys.modules, sparse)\n")
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           str(root / "scenarios" / "thermal_steady.cfg"), str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, check=True)
+    line = [line for line in proc.stdout.splitlines() if line.startswith("scipy:")][-1]
+    assert line.split()[1:] == ["0", "True", "False"]
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "twotime.cli", "--help"],
                           capture_output=True, text=True)

@@ -134,8 +134,11 @@ class TestDenseSchrodingerReference:
         cut = FockCutoff(9)
         ch = DampingChannel(kappa=0.8, n_thermal=0.2)
         sys = SystemSpec(H, ch, initial, cut, t_prepare=0.5)
-        L = dynamics.lindblad_generator(H, ch, cut).toarray()
         d = cut.dim
+        blocks, layout = dynamics._generator_blocks(H, ch, cut)
+        L = np.zeros((d * d, d * d), dtype=complex)  # assembled from the generator's blocks
+        for block, idx in zip(blocks, layout.members):
+            L[np.ix_(idx, idx)] = block
         rho = (expm(0.5 * L) @ initial.build(cut).mat.reshape(-1)).reshape(d, d)
         a, adag = ladder_matrices(cut)
         expected = []
@@ -220,13 +223,14 @@ class TestSeriesContract:
         assert abs(sum(durations) - taus[-1]) < 1e-12
         assert np.max(np.abs(s.g2 - (1 + np.exp(-taus)))) < 1e-4
 
-    @pytest.mark.parametrize("initial, prepare_blocks", [
+    @pytest.mark.parametrize("initial, prepare_exps", [
         (InitialState.fock(2), 1),
-        (InitialState.coherent(0.5), 2 * FockCutoff(12).dim - 1),
+        (InitialState.coherent(0.5), FockCutoff(12).dim),
     ], ids=["fock", "coherent"])
-    def test_heisenberg_step_builds_three_blocks(self, initial, prepare_blocks, monkeypatch):
-        # preparing touches the blocks rho0 occupies; each tau step only the
-        # coherence orders -1, +1 and 0 of a, adag and adag a
+    def test_heisenberg_step_builds_three_blocks(self, initial, prepare_exps, monkeypatch):
+        # preparing touches the blocks rho0 occupies, one exponential per order
+        # |m - n| since orders +k and -k are conjugate; each tau step only the
+        # coherence orders -1, +1 and 0 of a, adag and adag a: two exponentials
         built = []
 
         def recording_expm(m):
@@ -239,7 +243,7 @@ class TestSeriesContract:
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.8, n_thermal=0.1),
                          initial, FockCutoff(12), t_prepare=1.0)
         regression_series(sys, np.linspace(0.0, 2.0, 5))
-        assert len(built) == prepare_blocks + 3
+        assert len(built) == prepare_exps + 2
 
     def test_prepared_state_built_once(self):
         sys = damped_thermal()

@@ -52,6 +52,15 @@ def dense_generator(H, ch, cut):
     return L
 
 
+def block_generator(H, ch, cut):
+    """L as a dense d^2 x d^2 array, assembled from ``lindblad_generator``'s blocks."""
+    L = np.zeros((cut.dim**2, cut.dim**2), dtype=complex)
+    members = dynamics._layout(cut, dynamics._grading_class(H)).members
+    for block, idx in zip(lindblad_generator(H, ch, cut), members):
+        L[np.ix_(idx, idx)] = block
+    return L
+
+
 def dense_map(P):
     """The map as a dense d^2 x d^2 array: column k is ``P.apply`` of the k-th unit matrix."""
     units = np.eye(P.dim**2, dtype=complex).reshape(-1, P.dim, P.dim)
@@ -218,13 +227,14 @@ class TestPropagatedMap:
         assert eigs.min() >= -1e-8
 
     # a phase-invariant H keeps the coherence order m - n (2d - 1 blocks of at
-    # most d rows), squeezing keeps the parity of m + n, a drive couples all
-    @pytest.mark.parametrize("H, n_blocks", [
-        (QuadraticHamiltonian(omega=1.0), 2 * FockCutoff(8).dim - 1),
-        (QuadraticHamiltonian(omega=1.0, xi=0.2), 2),
-        (QuadraticHamiltonian(omega=1.0, eta=0.3), 1),
+    # most d rows, one exponential per order |m - n| since orders +k and -k are
+    # conjugate), squeezing keeps the parity of m + n, a drive couples all
+    @pytest.mark.parametrize("H, exp_rows", [
+        (QuadraticHamiltonian(omega=1.0), list(range(1, FockCutoff(8).dim + 1))),
+        (QuadraticHamiltonian(omega=1.0, xi=0.2), [40, 41]),
+        (QuadraticHamiltonian(omega=1.0, eta=0.3), [81]),
     ], ids=["free", "squeezed", "driven"])
-    def test_block_map_matches_dense_expm(self, H, n_blocks, monkeypatch):
+    def test_block_map_matches_dense_expm(self, H, exp_rows, monkeypatch):
         cut = FockCutoff(8)
         ch = DampingChannel(kappa=0.9, n_thermal=0.3)
         block_rows = []
@@ -239,10 +249,7 @@ class TestPropagatedMap:
         P = propagated_map(H, ch, t, cut)
         dense = expm(dense_generator(H, ch, cut) * t)
         assert np.max(np.abs(dense_map(P) - dense)) < 1e-12
-        assert len(block_rows) == n_blocks
-        assert sum(block_rows) == cut.dim**2
-        if H.is_free:
-            assert max(block_rows) <= cut.dim
+        assert sorted(block_rows) == exp_rows
 
     @pytest.mark.parametrize("H", [
         QuadraticHamiltonian(omega=1.0),
@@ -319,22 +326,25 @@ class TestPropagatedMap:
 def test_generator_annihilates_thermal():
     cut = FockCutoff(15)
     ch = DampingChannel(kappa=1.0, n_thermal=0.5)
-    L = lindblad_generator(QuadraticHamiltonian(omega=1.0), ch, cut)
+    L = block_generator(QuadraticHamiltonian(omega=1.0), ch, cut)
     resid = L @ thermal_dm(0.5, cut).mat.reshape(-1)
     assert np.max(np.abs(resid)) < 1e-12
 
 
 class TestGenerator:
-    @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
+    @pytest.mark.parametrize("H", HAMILTONIANS + [
+        QuadraticHamiltonian(), QuadraticHamiltonian(xi=0.3), QuadraticHamiltonian(eta=0.2 - 0.1j),
+    ], ids=H_IDS + ["free_omega_0", "squeezed_omega_0", "driven_omega_0"])
     @pytest.mark.parametrize("n_thermal", [0.0, 0.3])
     @pytest.mark.parametrize("kappa", [0.0, 0.9])
     @pytest.mark.parametrize("n_max", [1, 2, 8])
     def test_matches_dense_kron_reference(self, H, n_thermal, kappa, n_max):
+        # the blocks, placed on their members, are the dense generator exactly
         cut = FockCutoff(n_max)
         ch = DampingChannel(kappa=kappa, n_thermal=n_thermal)
-        L = lindblad_generator(H, ch, cut)
-        assert np.array_equal(L.toarray(), dense_generator(H, ch, cut))
-        assert L.has_canonical_format and np.all(L.data != 0)
+        assert np.array_equal(block_generator(H, ch, cut), dense_generator(H, ch, cut))
+        parts = np.concatenate([b.ravel() for b in lindblad_generator(H, ch, cut)]).view(float)
+        assert not np.any(np.signbit(parts[parts == 0]))  # every zero part is +0.0
 
     @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
     @pytest.mark.parametrize("n_thermal", [0.0, 0.3])
@@ -344,8 +354,8 @@ class TestGenerator:
 
         cut = FockCutoff(n_max)
         ch = DampingChannel(kappa=0.9, n_thermal=n_thermal)
-        _, labels = connected_components(abs(lindblad_generator(H, ch, cut)), directed=False)
-        assert np.array_equal(dynamics._generator_blocks(H, ch, cut)[2], labels)
+        _, labels = connected_components(abs(dense_generator(H, ch, cut)), directed=False)
+        assert np.array_equal(dynamics._generator_blocks(H, ch, cut)[1].labels, labels)
 
     @pytest.mark.parametrize("H, kappa, n_max", [
         (SQUEEZED, 0.9, 1), (FREE, 0.0, 4), (SQUEEZED, 0.0, 4), (DRIVEN, 0.0, 4),
@@ -359,26 +369,58 @@ class TestGenerator:
 
         cut = FockCutoff(n_max)
         ch = DampingChannel(kappa=kappa, n_thermal=0.3)
-        labels = dynamics._generator_blocks(H, ch, cut)[2]
-        n_parts, parts = connected_components(abs(lindblad_generator(H, ch, cut)),
-                                              directed=False)
+        labels = dynamics._generator_blocks(H, ch, cut)[1].labels
+        n_parts, parts = connected_components(abs(dense_generator(H, ch, cut)), directed=False)
         assert all(len(set(labels[parts == p])) == 1 for p in range(n_parts))
         M = dense_map(propagated_map(H, ch, 0.7, cut))
         assert np.max(np.abs(M - expm(dense_generator(H, ch, cut) * 0.7))) < 1e-12
 
     def test_coupling_between_blocks_raises(self, monkeypatch):
-        # |0><0| (coherence order 0) and |0><1| (order -1) lie in different blocks
-        generator = dynamics.lindblad_generator
-
-        def doctored(H, ch, cut):
-            L = generator(H, ch, cut).tolil()
-            L[0, 1] = 1e-3
-            return L.tocsr()
-
-        monkeypatch.setattr(dynamics, "lindblad_generator", doctored)
+        # a layout that places K's first superdiagonal would join |0><0|
+        # (coherence order 0) and |1><0| (order +1), which lie in different blocks
+        monkeypatch.setitem(dynamics._GRADINGS, "free", ((0, 1), 0))
+        dynamics._layout.cache_clear()
         dynamics._generator_blocks.cache_clear()
         with pytest.raises(SelfCheckError, match="couples two"):
             dynamics._generator_blocks(FREE, DampingChannel(kappa=0.9), FockCutoff(4))
+
+    def test_entry_off_the_class_diagonals_raises(self, monkeypatch):
+        # a drive read as the free class would drop K's first off-diagonals
+        monkeypatch.setattr(dynamics, "_grading_class", lambda H: "free")
+        with pytest.raises(SelfCheckError, match="off the diagonals"):
+            lindblad_generator(DRIVEN, DampingChannel(kappa=0.9), FockCutoff(4))
+
+    @pytest.mark.parametrize("n_thermal", [0.0, 0.3])
+    @pytest.mark.parametrize("n_max", [1, 8, 22])
+    def test_mirrored_exponentials_are_conjugates(self, n_thermal, n_max):
+        # L keeps hermiticity: the block of order +k is the conjugate of order -k's,
+        # and so is its exponential, bit for bit once every zero part is +0.0
+        # (at n_thermal = 0 the blocks are triangular, and conj gives their
+        # zeros a -0.0 imaginary part), so a map conjugates the one it has
+        cut = FockCutoff(n_max)
+        H, ch = QuadraticHamiltonian(omega=0.8), DampingChannel(kappa=0.9, n_thermal=n_thermal)
+        blocks, layout = dynamics._generator_blocks(H, ch, cut)
+        mirrored = [b for b, pair in enumerate(layout.pairs) if pair < b]
+        assert len(mirrored) == cut.dim - 1
+        for t in (0.05, 0.7, 4.0):
+            P = propagated_map(H, ch, t, cut)
+            for b in mirrored:
+                E, E_pair = expm(blocks[b] * t) + 0.0, np.conj(expm(blocks[layout.pairs[b]] * t))
+                assert np.array_equal(E.view(np.uint64), (E_pair + 0.0).view(np.uint64))
+                assert np.array_equal(E.view(np.uint64), P._block_exp(b).view(np.uint64))
+        for H in (SQUEEZED, DRIVEN):  # each block is its own pair
+            pairs = dynamics._generator_blocks(H, ch, cut)[1].pairs
+            assert np.array_equal(pairs, np.arange(len(pairs)))
+
+    def test_modes_at_one_cutoff_share_only_the_layout(self):
+        dynamics._layout.cache_clear()
+        cut = FockCutoff(12)
+        one = lindblad_generator(FREE, DampingChannel(kappa=0.9, n_thermal=0.3), cut)
+        two = lindblad_generator(QuadraticHamiltonian(omega=0.6), DampingChannel(kappa=0.4), cut)
+        info = dynamics._layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert not any(np.shares_memory(x, y) for x in one for y in two)
+        assert not any(np.array_equal(x, y) for x, y in zip(one, two))
 
     @pytest.mark.parametrize("H", HAMILTONIANS, ids=H_IDS)
     def test_steady_state_matches_full_null_space(self, H):
