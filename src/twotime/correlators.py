@@ -52,8 +52,9 @@ MEAN_N_FLOOR = 1e-12
 CONJUGACY_TOL = 1e-9
 
 # A damped mode's evolved observables are kept for the last four dynamics and
-# grids, each only if its stack fits EVOLVED_BYTES (1 MiB); larger grids are
-# stepped anew on every call, that many bytes at a time.
+# grids, each stack only if it fits EVOLVED_BYTES (1 MiB); a larger grid's
+# entry keeps its occupied rows alone, and the grid is stepped anew on every
+# call, that many bytes at a time.
 EVOLVED_BYTES = 1 << 20
 
 METHOD_TAGS = ("regression", "propagator", "qfunction_two_variable", "qfunction_derivative")
@@ -233,32 +234,29 @@ def _stepped_observables(H: QuadraticHamiltonian, channel: DampingChannel, cutof
 
 @lru_cache(maxsize=4)
 def _evolved_observables(H: QuadraticHamiltonian, channel: DampingChannel,
-                         cutoff: FockCutoff, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, stack) of ``_stepped_observables`` over a grid that fits EVOLVED_BYTES.
+                         cutoff: FockCutoff, steps: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only (rows, stack) of ``_stepped_observables``, or (rows, None) over EVOLVED_BYTES.
 
+    A stack holds three complex numbers per tau and occupied row; one that
+    does not fit is never stepped here, so the entry keeps only the rows.
     Neither depends on the initial state or t_prepare, so they are cached on
     the dynamics and the grid steps alone.
     """
     rows, stacks = _stepped_observables(H, channel, cutoff, steps)
+    rows.flags.writeable = False
+    if len(steps) * len(rows) * 3 * 16 > EVOLVED_BYTES:
+        return rows, None
     stack = next(stacks)
-    rows.flags.writeable = stack.flags.writeable = False
+    stack.flags.writeable = False
     return rows, stack
 
 
 def _evolved(sys: SystemSpec, steps: tuple):
-    """(rows, stacks) of the evolved observables, the whole grid's stack cached if it fits.
-
-    A stack holds three complex numbers per tau and occupied row.  The d^2
-    rows of the space bound the occupied ones, so a grid that fits with d^2
-    rows goes straight to the cache; a longer one is laid out first, and is
-    cached if its occupied rows fit, else stepped anew in chunks that fit.
-    """
+    """(rows, stacks) of the evolved observables: the cached stack, else chunks stepped anew."""
     args = (sys.hamiltonian, sys.channel, sys.cutoff, steps)
-    if len(steps) * sys.cutoff.dim ** 2 * 3 * 16 > EVOLVED_BYTES:
-        rows, stacks = _stepped_observables(*args)
-        if len(steps) * len(rows) * 3 * 16 > EVOLVED_BYTES:
-            return rows, stacks
     rows, stack = _evolved_observables(*args)
+    if stack is None:
+        return _stepped_observables(*args)
     return rows, [stack]
 
 

@@ -433,7 +433,10 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     Collects the raw (value, err) of g1 and of the g2 numerator at each tau
     and normalizes them with ``correlators.normalized_series``, using the
     method's own tau = 0 integral as the mean photon number n.  A grid that
-    starts at tau = 0 reuses the n integral as its first g1 row.
+    starts at tau = 0 reuses the n integral as its first g1 row.  The
+    prepared state is audited first (``SystemSpec.prepared_state``, shared
+    with the regression route), so a state the cutoff does not hold fails on
+    its trace leakage before any integral.
 
     The integrands of ``propagator`` and ``qfunction_two_variable`` are built
     first, sharing their kernels and Fock factors (``_collapsed_integrands``),
@@ -444,6 +447,7 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     state once per kind (``_qderiv_integrals``).
     """
     taus = _check_tau_grid(taus)
+    sys.prepared_state()
     t = float(sys.t_prepare)
     cases = [(0.0, "late")] + [(float(tau), kind) for tau in taus
                                for kind in ("late", "g2") if tau != 0 or kind == "g2"]

@@ -5,11 +5,11 @@ their conjugates plus a polynomial prefactor (and optional per-variable vector
 factors such as truncated Fock polynomials).  Both engines consume it:
 
 * ``gauss_hermite_tensor`` tensorizes Gauss-Hermite nodes over the real axes.
-  It integrates three variables whose (0, 1) pair is uncoupled, the shape
-  the routes build, or one, a reference for the tests; the sum over the
-  last variable then factorizes into one contraction per pair coupling.  A
-  coupling exponent is bilinear in the real coordinates, so its node-grid
-  matrix E factors over the real and imaginary node indices,
+  It integrates only the shape the routes build, three variables whose
+  (0, 1) pair is uncoupled; the sum over the last variable then factorizes
+  into one contraction per pair coupling.  A coupling exponent is bilinear
+  in the real coordinates, so its node-grid matrix E factors over the real
+  and imaginary node indices,
   E[(ik, jk), (il, jl)] = G[ik, (il, jl)] H[jk, (il, jl)], and is never
   formed: two n x n^2 tables (``_coupling_factors``, 0.44 MB at 24 nodes)
   replace the n^2 x n^2 matrix (5.3 MB), and a stack of vectors is
@@ -34,8 +34,7 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   shape, whatever the batch holds, so its bits do not depend on how a BLAS
   kernel blocks the rows stacked with it.  ``TestBatch`` checks this, and CI
   also runs it on OpenBLAS's AVX2 (Haswell) kernel, on which one GEMM over
-  the stacked rows gave some rows other bits.  A one-variable polynomial is
-  summed as one coefficient matrix.
+  the stacked rows gave some rows other bits.
 * ``monte_carlo_gaussian`` importance-samples from the integrand's own
   Gaussian factor, which makes the weight ratio a bounded polynomial times a
   phase and keeps the estimator variance finite by construction.  Chunk k of
@@ -49,11 +48,12 @@ factors such as truncated Fock polynomials).  Both engines consume it:
   independent.  A sequence is sampled chunk by chunk: each integrand's mean,
   Cholesky factor and prefactor are computed first, in the calling thread,
   each chunk's normals are fetched once for all of them, and the chunk is
-  evaluated as one task per integrand on a thread per usable CPU (none with
-  one), since numpy releases the GIL inside its loops and GEMM.  Totals,
-  warnings and exceptions come back in integrand order, in the calling
-  thread.  The normals are stored coordinate-major, g of shape (2n, chunk),
-  and a task evaluates its chunk in blocks of ``MC_BLOCK_TILES`` tiles,
+  evaluated as one task per integrand on a pool of one thread per usable CPU
+  (at most one per integrand, so a single CPU runs a one-thread pool), since
+  numpy releases the GIL inside its loops and GEMM.  Totals, warnings and
+  exceptions come back in integrand order, in the calling thread.  The
+  normals are stored coordinate-major, g of shape (2n, chunk), and a task
+  evaluates its chunk in blocks of ``MC_BLOCK_TILES`` tiles,
   X = chol g[:, block] + mu of shape (2n, block), whose product reads 2n
   contiguous runs: one GEMM, one phase and one complex ``exp`` per block,
   written into buffers each worker allocates once (``_MCScratch``, 1.8 MB at
@@ -423,17 +423,6 @@ def _monomial_vectors(z):
     return powv
 
 
-def _one_variable_sum(poly: dict, d: np.ndarray, z: np.ndarray) -> complex:
-    """sum over monomials of coef * sum_k d_k z_k^p zbar_k^q, as one coefficient matrix."""
-    C = np.zeros((1 + max(p[0] for p, _ in poly), 1 + max(q[0] for _, q in poly)),
-                 dtype=complex)
-    for (p, q), coef in poly.items():
-        C[p[0], q[0]] += coef
-    Zp = np.vander(z, C.shape[0], increasing=True)
-    Zq = np.vander(np.conj(z), C.shape[1], increasing=True)
-    return d @ np.sum((Zp @ C) * Zq, axis=1)
-
-
 def _check(pgs, gauss_hermite: bool):
     """Raise the error of the first integrand the engine cannot integrate, as alone it would.
 
@@ -448,11 +437,11 @@ def _check(pgs, gauss_hermite: bool):
                 f"Gaussian real part has eigenvalue {float(top):.3e} >= 0; integral diverges"
             )
         n = pg.n_vars
-        if gauss_hermite and (n not in (1, 3) or (n == 3 and _pair_key(pg, 0, 1) is not None)):
+        if gauss_hermite and (n != 3 or _pair_key(pg, 0, 1) is not None):
             got = f"{n} variables" + (" coupled on (0, 1)" if n == 3 else "")
             raise QuadratureDimensionError(
-                "tensor quadrature integrates one complex variable, or three with no "
-                f"(0, 1) coupling; got {got}; use the monte_carlo_gaussian engine"
+                "tensor quadrature integrates three complex variables with no (0, 1) "
+                f"coupling; got {got}; use the monte_carlo_gaussian engine"
             )
 
 
@@ -462,10 +451,6 @@ def _quadrature(pgs, cfg: IntegrationConfig) -> list[complex]:
     diag, index = _diag_vectors(pgs, z, wz)
     polys = [pg.poly or {((0,) * pg.n_vars, (0,) * pg.n_vars): 1.0} for pg in pgs]
     scales = [np.exp(pg.const) for pg in pgs]
-    if pgs[0].n_vars == 1:
-        return [scale * _one_variable_sum(poly, diag[row], z)
-                for scale, poly, row in zip(scales, polys, index[:, 0])]
-
     # without a (0, 1) coupling the k2 sum factorizes: contract every distinct
     # monomial vector of variables 0 and 1 with its coupling to variable 2,
     # each (diagonal row, monomial) once per coupling and all of a coupling's
@@ -636,18 +621,13 @@ def _monte_carlo(pgs, cfg: IntegrationConfig) -> list[tuple[complex, float]]:
         for chunk, start in enumerate(range(0, cfg.sample_count, MC_CHUNK)):
             yield _chunk_normals(cfg.seed, chunk, min(MC_CHUNK, cfg.sample_count - start), d)
 
-    if workers == 1:
-        for g in chunks():
-            for sampler in samplers:
-                task(sampler, g)
-    else:
-        # imported here: it costs about 3 ms, and a Gauss-Hermite run never needs it
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: it costs about 3 ms, and a Gauss-Hermite run never needs it
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            for g in chunks():
-                for _ in pool.map(task, samplers, [g] * len(samplers)):
-                    pass  # reading each result re-raises its task's exception here
+    with ThreadPoolExecutor(workers) as pool:
+        for g in chunks():
+            for _ in pool.map(task, samplers, [g] * len(samplers)):
+                pass  # reading each result re-raises its task's exception here
 
     count = cfg.sample_count
     results = []
@@ -672,11 +652,12 @@ def integrate(integrands, cfg: IntegrationConfig):
     Returns (value, error_estimate) for one integrand, and a list of them in
     order for a sequence, whose integrands share one variable count.  The
     estimate is 0 for the deterministic quadrature engine and the combined
-    standard error for Monte Carlo.  Gauss-Hermite integrates the sequence
-    in batches of up to ``GH_CHUNK_BYTES`` / (16 nodes^2) integrands, a
-    whole series of the default grid in one; Monte Carlo samples the
-    sequence chunk by chunk, its integrands concurrently on a thread per
-    usable CPU.
+    standard error for Monte Carlo.  Gauss-Hermite takes three variables with
+    no (0, 1) coupling, and raises ``QuadratureDimensionError`` naming Monte
+    Carlo on any other shape; it integrates the sequence in batches of up to
+    ``GH_CHUNK_BYTES`` / (16 nodes^2) integrands, a whole series of the
+    default grid in one.  Monte Carlo samples the sequence chunk by chunk,
+    its integrands concurrently on a pool of one thread per usable CPU.
     """
     single = isinstance(integrands, PolyGaussian)
     pgs = [integrands] if single else list(integrands)

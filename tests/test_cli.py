@@ -9,7 +9,7 @@ import pytest
 import twotime.cli as cli
 import twotime.correlators as correlators
 from twotime.cli import main
-from twotime.errors import ScenarioSchemaError, ScenarioSemanticError
+from twotime.errors import CutoffWarning, ScenarioSchemaError, ScenarioSemanticError
 from twotime.scenario import parse_scenario
 
 MINIMAL = """
@@ -279,6 +279,16 @@ class TestMainEntry:
                             lambda state, cutoff: builds.append(state) or build(state, cutoff))
         assert main(["run", str(write(tmp_path, THERMAL)), "--out", str(tmp_path)]) == 0
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("method", ["qfunction_two_variable", "qfunction_derivative"])
+    def test_q_route_audits_prepared_state(self, tmp_path, capsys, method):
+        # the state leaves the cutoff entirely; a lone Q route reports that,
+        # not the vacuum-like mean photon number its integrals read from it
+        text = (MINIMAL.replace("coherent 1.0", "coherent 1e30")
+                .replace("methods = regression", f"methods = {method}") + "system.cutoff = 20\n")
+        with pytest.warns(CutoffWarning, match="norm deficit"):
+            assert main(["run", str(write(tmp_path, text)), "--out", str(tmp_path)]) == 1
+        assert "trace leakage" in capsys.readouterr().err
 
     def test_self_check_failure_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(correlators, "CONJUGACY_TOL", -1.0)

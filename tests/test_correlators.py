@@ -303,12 +303,23 @@ class TestEvolvedObservablesCache:
         rows, _ = correlators._stepped_observables(sys.hamiltonian, sys.channel, sys.cutoff, ())
         fits = correlators.EVOLVED_BYTES // (len(rows) * 3 * 16)
         taus = np.linspace(0.0, 5.0, 2 * fits + 3)  # stepped in three chunks
+        steps = correlators._grid_steps(taus)
         correlators._evolved_observables.cache_clear()
         chunked = self.bits(regression_raw(sys, taus))
-        assert correlators._evolved_observables.cache_info().currsize == 0
-        monkeypatch.setattr(correlators, "EVOLVED_BYTES", 1 << 30)
+        # the entry keeps the occupied rows only, and a warm request hits it
         assert self.bits(regression_raw(sys, taus)) == chunked
-        assert correlators._evolved_observables.cache_info().currsize == 1
+        info = correlators._evolved_observables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        entry_rows, stack = correlators._evolved_observables(
+            sys.hamiltonian, sys.channel, sys.cutoff, steps)
+        assert stack is None and np.array_equal(entry_rows, rows)
+        # the entry was sized under the old budget, so a new one needs a cleared cache
+        monkeypatch.setattr(correlators, "EVOLVED_BYTES", 1 << 30)
+        correlators._evolved_observables.cache_clear()
+        assert self.bits(regression_raw(sys, taus)) == chunked
+        _, stack = correlators._evolved_observables(
+            sys.hamiltonian, sys.channel, sys.cutoff, steps)
+        assert stack.shape == (len(taus), len(rows), 3)
 
     def test_grid_sized_by_occupied_rows(self):
         # at cutoff 40 a free mode occupies 121 of 1681 rows: 20 taus of d^2
@@ -323,6 +334,22 @@ class TestEvolvedObservablesCache:
             regression_raw(sys, taus)
         info = correlators._evolved_observables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_warm_request_lays_out_no_rows(self, monkeypatch):
+        # cutoff 40, 20 taus: d^2 rows would exceed the budget, the occupied
+        # rows fit, so a warm request reads the cache and gathers nothing
+        ch = DampingChannel(kappa=1.0, n_thermal=0.2)
+        sys = SystemSpec(QuadraticHamiltonian(omega=1.0), ch, InitialState.fock(1),
+                         FockCutoff(40), t_prepare=0.5)
+        taus = np.linspace(0.0, 5.0, 20)
+        correlators._evolved_observables.cache_clear()
+        cold = self.bits(regression_raw(sys, taus))
+        calls = []
+        layout = correlators.occupied_rows
+        monkeypatch.setattr(correlators, "occupied_rows",
+                            lambda *args: calls.append(args) or layout(*args))
+        assert self.bits(regression_raw(sys, taus)) == cold
+        assert calls == []
 
     def test_closed_mode_is_not_cached(self):
         correlators._evolved_observables.cache_clear()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import lifted
 
 from twotime.correlators import InitialState, SystemSpec, regression_raw
 from twotime.dynamics import DampingChannel, QuadraticHamiltonian
@@ -187,7 +188,7 @@ class TestHusimiNormalization:
             pg.poly_add((m,), (n,), weighted[n, m])
         # Fock polynomials up to level 25 need > 25 nodes per axis for the
         # quadrature to hold every monomial exactly
-        value, _ = integrate(pg, IntegrationConfig(nodes_per_axis=32))
+        value, _ = integrate(lifted(pg), IntegrationConfig(nodes_per_axis=32))
         assert abs(value - 1.0) < 1e-9
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import lifted
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -299,7 +300,7 @@ class TestKernelIntegrals:
         pg.add_abs2(0, -0.5)
         pg.add_const(-abs(beta) ** 2 / 2)
         pg.add_const(-np.log(np.pi))
-        value, _ = integrate(pg, self.CFG)
+        value, _ = integrate(lifted(pg), self.CFG)
         assert abs(value - k.evaluate(alpha, beta)) < 1e-10
 
     @pytest.mark.parametrize("H", [HARMONIC, DRIVEN, SQUEEZED])
@@ -327,7 +328,7 @@ class TestKernelIntegrals:
             pg.add_abs2(0, -0.5)
             pg.add_const(-abs(beta) ** 2 / 2)
         pg.add_const(-np.log(np.pi))
-        value, _ = integrate(pg, self.CFG)
+        value, _ = integrate(lifted(pg), self.CFG)
         assert abs(value - 1.0) < 1e-9
 
 

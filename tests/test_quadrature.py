@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import lifted
 from hypothesis import given, settings, strategies as st
 
 from twotime.correlators import InitialState, SystemSpec
@@ -48,7 +49,7 @@ class TestQuadratureOracles:
     def test_gaussian_normalization(self):
         pg = unit_gaussian()
         pg.add_const(-np.log(np.pi))
-        value, err = integrate(pg, QUAD16)
+        value, err = integrate(lifted(pg), QUAD16)
         assert abs(value - 1.0) < 1e-12
         assert err == 0.0
 
@@ -56,13 +57,13 @@ class TestQuadratureOracles:
         # int |a|^2 e^{-|a|^2} d2a / pi = 1
         pg = unit_gaussian()
         pg.poly_add((1,), (1,), 1 / np.pi)
-        value, _ = integrate(pg, QUAD16)
+        value, _ = integrate(lifted(pg), QUAD16)
         assert abs(value - 1.0) < 1e-12
 
     def test_odd_moment_vanishes(self):
         pg = unit_gaussian()
         pg.poly_add((1,), (0,), 1 / np.pi)
-        value, _ = integrate(pg, QUAD16)
+        value, _ = integrate(lifted(pg), QUAD16)
         assert abs(value) < 1e-14
 
     def test_displaced_gaussian_mean(self):
@@ -72,7 +73,7 @@ class TestQuadratureOracles:
         pg.add_linear_conj(0, a0)
         pg.add_const(-abs(a0) ** 2 - np.log(np.pi))
         pg.poly_add((1,), (0,), 1.0)
-        value, _ = integrate(pg, QUAD24)
+        value, _ = integrate(lifted(pg), QUAD24)
         assert abs(value - a0) < 1e-12
 
     def test_three_variable_coupled_moment(self):
@@ -94,7 +95,7 @@ class TestQuadratureOracles:
         pg = unit_gaussian()
         pg.add_anti(0, 0, c)
         pg.poly_add((2,), (0,), 1 / np.pi)
-        value, _ = integrate(pg, QUAD24)
+        value, _ = integrate(lifted(pg), QUAD24)
         assert abs(value - 2 * c) < 1e-10
 
     def test_var_factor_matches_explicit_polynomial(self):
@@ -105,8 +106,8 @@ class TestQuadratureOracles:
         pg2 = unit_gaussian()
         for k, ck in enumerate(coeffs):
             pg2.poly_add((1,), (k,), ck)
-        v1, _ = integrate(pg1, QUAD16)
-        v2, _ = integrate(pg2, QUAD16)
+        v1, _ = integrate(lifted(pg1), QUAD16)
+        v2, _ = integrate(lifted(pg2), QUAD16)
         assert abs(v1 - v2) < 1e-13
 
     def test_three_variable_against_monte_carlo(self):
@@ -148,7 +149,7 @@ class TestMonteCarlo:
         pg.add_linear_conj(0, a0)
         pg.add_const(-abs(a0) ** 2)
         pg.poly_add((1,), (1,), 1.0)
-        vq, _ = integrate(pg, QUAD24)
+        vq, _ = integrate(lifted(pg), QUAD24)
         vm, err = integrate(pg, IntegrationConfig(engine="monte_carlo_gaussian",
                                                   sample_count=300_000, seed=21))
         assert abs(vq - vm) < 3 * err
@@ -207,12 +208,14 @@ class TestGuards:
             integrate(pg, QUAD16)
 
     def test_two_variables_rejected(self):
-        with pytest.raises(QuadratureDimensionError, match="monte_carlo_gaussian"):
-            integrate(unit_gaussian(2), QUAD16)
+        # and one: quadrature integrates only the three-variable shape the routes build
+        for n_vars in (1, 2):
+            with pytest.raises(QuadratureDimensionError, match="monte_carlo_gaussian"):
+                integrate(unit_gaussian(n_vars), QUAD16)
 
     @pytest.mark.parametrize("n_vars, i, j", [(2, 0, 1), (3, 0, 1), (3, 1, 0)])
     def test_coupled_shapes_name_monte_carlo(self, n_vars, i, j):
-        # quadrature serves one variable, or three with (0, 1) uncoupled;
+        # quadrature serves three variables with (0, 1) uncoupled;
         # Monte Carlo integrates the rest: <z_i conj(z_j)> under the kernel
         # exp(c conj(z_i) z_j) equals c
         c = 0.4 - 0.2j
@@ -308,16 +311,6 @@ class TestBatch:
         alone = [integrate(pg, QUAD16) for pg in pgs]
         assert repr(integrate(pgs, QUAD16)) == repr(alone)
 
-    def test_one_variable_batch(self):
-        pgs = []
-        for k in range(3):
-            pg = unit_gaussian()
-            pg.add_linear(0, 0.2 * k)
-            pg.set_var_factor(0, np.array([1.0, 0.3j, 0.1 * k]), conjugated=k == 1)
-            pg.poly_add((k,), (1,), 1.0)
-            pgs.append(pg)
-        assert repr(integrate(pgs, QUAD16)) == repr([integrate(pg, QUAD16) for pg in pgs])
-
     def test_monte_carlo_sequence_equals_one_at_a_time(self):
         pgs = [TestNormalsCache.integrand() for _ in range(3)]
         for k, pg in enumerate(pgs):
@@ -365,8 +358,8 @@ def test_node_refinement_converges(b, c, ur, ui):
     pg.add_anti(0, 0, c)
     pg.add_linear(0, ur + 1j * ui)
     pg.poly_add((1,), (1,), 1.0)
-    v24, _ = integrate(pg, QUAD24)
-    v32, _ = integrate(pg, IntegrationConfig(nodes_per_axis=32))
+    v24, _ = integrate(lifted(pg), QUAD24)
+    v32, _ = integrate(lifted(pg), IntegrationConfig(nodes_per_axis=32))
     assert abs(v24 - v32) < 1e-10
 
 
@@ -484,6 +477,7 @@ class TestVectorisedSums:
     """Every vectorised kernel agrees with the per-monomial form it replaces."""
 
     def test_one_variable_sum_matches_monomial_loop(self):
+        # a one-variable polynomial, summed by the routes' three-variable path
         rng = np.random.default_rng(7)
         pg = unit_gaussian()
         pg.add_holo(0, 0, 0.1)
@@ -495,7 +489,7 @@ class TestVectorisedSums:
         d = quadrature._diag_vectors([pg], z, wz)[0][0]
         loop = sum(coef * np.sum(d * z ** p[0] * np.conj(z) ** q[0])
                    for (p, q), coef in pg.poly.items())
-        value, _ = integrate(pg, QUAD24)
+        value, _ = integrate(lifted(pg), QUAD24)
         assert abs(value - loop) < 1e-14 * abs(loop)
 
     def test_real_form_matches_complex_exponent(self):
@@ -537,7 +531,7 @@ class TestVectorisedSums:
                 for a, b in zip(*np.nonzero(R_tables[j])):
                     for (pf, qf), cf in ft.items():
                         pg.poly_add((b + pf,), (a + qf,), w * R_tables[j][a, b] * cf)
-            reference, _ = integrate(pg, QUAD24)
+            reference, _ = integrate(lifted(pg), QUAD24)
             assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
