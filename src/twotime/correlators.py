@@ -215,7 +215,7 @@ def _stepped_observables(H: QuadraticHamiltonian, channel: DampingChannel, cutof
     """
     a, adag = ladder_matrices(cutoff)
     C = np.stack([op.T.reshape(-1) for op in (adag, a, adag @ a)], axis=1)
-    rows, spans = occupied_rows(H, channel, cutoff, C)
+    rows, spans = occupied_rows(H, cutoff, C)
     C = C[rows]
     chunk = max(1, EVOLVED_BYTES // C.nbytes)
 

@@ -296,11 +296,11 @@ def propagated_map(
     return Propagated(*_generator_blocks(H, ch, cutoff), float(tau))
 
 
-def occupied_rows(H: QuadraticHamiltonian, ch: DampingChannel, cutoff: FockCutoff,
+def occupied_rows(H: QuadraticHamiltonian, cutoff: FockCutoff,
                   columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
     """Vec indices of the blocks of L in which any column (d^2, k) is nonzero, block by
     block, and each block's label and slice of them: the rows ``heisenberg`` steps."""
-    layout = _generator_blocks(H, ch, cutoff)[1]
+    layout = _layout(cutoff, _grading_class(H))
     members = layout.members
     occupied = np.unique(layout.labels[np.any(columns != 0, axis=1)])
     ends = np.cumsum([len(members[b]) for b in occupied])

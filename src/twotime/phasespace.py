@@ -26,8 +26,11 @@ in {"late", "g2"}: the g1 ordering every series stores and the g2 numerator.
 
 ``phase_space_series`` is the entry point: it collects the raw integrals of
 one route and hands them to ``correlators.normalized_series``; ``_g_raw``
-gives the unnormalized g1 correlator alone.  Open-system scenarios are out
-of scope here and served by the regression module only.
+gives the unnormalized g1 correlator alone.  Both take t = t_prepare from
+the ``SystemSpec`` through ``_integrals``: it admits the scenario, audits
+``SystemSpec.prepared_state``, and the Q routes build one pair of
+``_prepared_vectors`` per series.  Open-system scenarios are served by the
+regression module only.
 """
 
 from __future__ import annotations
@@ -156,20 +159,12 @@ def _mono(n_vars, coef, z_at=None, zbar_at=None):
     return {(tuple(p), tuple(q)): coef}
 
 
-def _prepared_vector(sys: SystemSpec, t: float, shifted: bool = False) -> np.ndarray:
-    """psi(t) on the Fock basis, or a psi(t) if shifted (the g2 side of both Q routes)."""
+def _prepared_vectors(sys: SystemSpec) -> dict:
+    """psi(t_prepare) on the Fock basis for "late" and a psi(t_prepare) for "g2"."""
     psi = coherent_vector(sys.initial_state.amplitude, sys.cutoff)
-    if t != 0:
-        psi = unitary_matrix(sys.hamiltonian, t, sys.cutoff) @ psi
-    if shifted:
-        psi = ladder_matrices(sys.cutoff)[0] @ psi
-    return psi
-
-
-def _mean_n_fock(sys: SystemSpec, t: float) -> float:
-    psi = _prepared_vector(sys, t)
-    n = np.arange(sys.cutoff.dim)
-    return float(np.sum(n * np.abs(psi) ** 2))
+    if sys.t_prepare != 0:
+        psi = unitary_matrix(sys.hamiltonian, float(sys.t_prepare), sys.cutoff) @ psi
+    return {"late": psi, "g2": ladder_matrices(sys.cutoff)[0] @ psi}
 
 
 def _require_resolved_mean_n(n: float, exact: float, L_max: int):
@@ -198,32 +193,33 @@ def _require_resolved_mean_n(n: float, exact: float, L_max: int):
 # Propagator and two-variable-Q routes: three-variable integrands
 # ---------------------------------------------------------------------------
 
-def _collapsed_integrands(sys: SystemSpec, t: float, cases, method: str) -> list[PolyGaussian]:
-    """The three-variable integrands of one route at t_prepare t, one per (tau, kind) case.
+def _collapsed_integrands(sys: SystemSpec, cases, method: str) -> list[PolyGaussian]:
+    """The three-variable integrands of one route, one per (tau, kind) case.
 
     Each integrand is over 0 = alpha, 1 = alpha2, 2 = alpha4.  The tau side
     is K(alpha4, tau|alpha, 0) times the conjugate kernel from alpha2, with
     the conjugation swapped for "g2".  The prepared state enters on alpha and
     alpha2 with the same swap: through t-kernels from the initial amplitude
     (propagator) or through the Fock var-factors of psi_t, of a psi_t for g2
-    (qfunction_two_variable).  The polynomial is z0 zbar2 for "late"; for
-    "g2" it is the product of the annihilation-shifted linear factors of
-    <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K.  g2 keeps the swapped
-    orientation: the late one would need a single linear factor, but its
-    Monte Carlo variance is several times larger.
+    (qfunction_two_variable), t = t_prepare.  The polynomial is z0 zbar2 for
+    "late"; for "g2" it is the product of the annihilation-shifted linear
+    factors of <alpha4|a U|alpha2> = (B a2 + 2C conj(a4) + E) K.  g2 keeps
+    the swapped orientation: the late one would need a single linear factor,
+    but its Monte Carlo variance is several times larger.
 
     The pieces the integrands share are built once, the prepared state's
     first: the t-kernel, or each kind's Fock factor vector psi(t)/sqrt(n!)
-    and its conjugate, then each distinct tau's kernel, which that tau's g1
-    and g2 integrands share.
+    from the one pair of ``_prepared_vectors`` and its conjugate, then each
+    distinct tau's kernel, which that tau's g1 and g2 integrands share.
     """
     a0 = complex(sys.initial_state.amplitude)
     if method == "propagator":
-        kt = kernel_quadratic(sys.hamiltonian, t)
+        kt = kernel_quadratic(sys.hamiltonian, sys.t_prepare)
     else:
         factors = {}
+        vectors = _prepared_vectors(sys)
         for kind in dict.fromkeys(kind for _, kind in cases):
-            psi = _prepared_vector(sys, t, shifted=kind == "g2")
+            psi = vectors[kind]
             w = psi * np.exp(-0.5 * _log_factorial(np.arange(len(psi))))  # psi_n / sqrt(n!)
             factors[kind] = w, np.conj(w)
     kernels = {tau: kernel_quadratic(sys.hamiltonian, tau)
@@ -256,10 +252,10 @@ def _collapsed_integrands(sys: SystemSpec, t: float, cases, method: str) -> list
     return pgs
 
 
-def _five_variable_integrand(sys: SystemSpec, t: float, tau: float) -> PolyGaussian:
+def _five_variable_integrand(sys: SystemSpec, tau: float) -> PolyGaussian:
     """The uncollapsed late-ordering propagator integral over alpha..alpha4."""
     a0 = complex(sys.initial_state.amplitude)
-    kt = kernel_quadratic(sys.hamiltonian, t)
+    kt = kernel_quadratic(sys.hamiltonian, sys.t_prepare)
     ktau = kernel_quadratic(sys.hamiltonian, tau)
     # vars: 0 = alpha, 1 = alpha1, 2 = alpha2, 3 = alpha3, 4 = alpha4
     pg = PolyGaussian(5)
@@ -274,16 +270,16 @@ def _five_variable_integrand(sys: SystemSpec, t: float, tau: float) -> PolyGauss
     return pg
 
 
-def _g_propagator(sys, t, tau, cfg, collapse):
-    """(value, err) of <adag(t+tau) a(t)> by the propagator route.
+def _g_propagator(sys, tau, cfg, collapse):
+    """(value, err) of <adag(t+tau) a(t)> by the propagator route, t = t_prepare.
 
     collapse=False evaluates the full five-variable integral, which only the
     Monte Carlo engine accepts.
     """
     if collapse:
-        return _g_raw(sys, t, tau, "propagator", cfg, L_max=None)
+        return _g_raw(sys, tau, "propagator", cfg, L_max=None)
     _require_phase_space_scenario(sys)
-    return integrate(_five_variable_integrand(sys, float(t), float(tau)), cfg)
+    return integrate(_five_variable_integrand(sys, float(tau)), cfg)
 
 
 def _measure_selftest(value: complex, expected: float, where: str):
@@ -339,15 +335,13 @@ def _conj_deriv_tables(table: dict) -> list[dict]:
     return out[:-1]
 
 
-def _prepared_q_tables(sys: SystemSpec, t: float, L_max: int, shifted: bool,
-                       orders: int) -> list[np.ndarray]:
-    """``_resummed_q_tables`` of rho(t), or of a rho(t) adag if shifted."""
-    psi = _prepared_vector(sys, t, shifted)
-    C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), sys.cutoff), L_max)
+def _prepared_q_tables(psi: np.ndarray, cutoff, L_max: int, orders: int) -> list[np.ndarray]:
+    """``_resummed_q_tables`` of |psi><psi|: rho(t), or a rho(t) adag for psi = a psi(t)."""
+    C = normal_order_coeffs(DensityMatrix(np.outer(psi, psi.conj()), cutoff), L_max)
     return _resummed_q_tables(C, orders)
 
 
-def _qderiv_integrals(sys: SystemSpec, t: float, cases, L_max: int):
+def _qderiv_integrals(sys: SystemSpec, cases, L_max: int):
     """Iterator of (value, 0.0) over the (tau, kind) cases of ``qfunction_derivative``.
 
     Each value is the normal-order integral of rho(t), or of a rho(t) adag
@@ -361,6 +355,7 @@ def _qderiv_integrals(sys: SystemSpec, t: float, cases, L_max: int):
     state once per kind, and a caller that checks the first value does so
     before any later case is evaluated.
     """
+    vectors = _prepared_vectors(sys)
     R_by_kind: dict = {}
     for tau, kind in cases:
         mu, nu, lam = bogoliubov_map(sys.hamiltonian, tau)
@@ -375,7 +370,8 @@ def _qderiv_integrals(sys: SystemSpec, t: float, cases, L_max: int):
                        (1, 0): cnu * lam + clam * mu, (0, 0): clam * lam + abs(nu) ** 2}
         f_tables = _conj_deriv_tables(f_table)
         if kind not in R_by_kind:
-            R_by_kind[kind] = _prepared_q_tables(sys, t, L_max, kind == "g2", len(f_tables) - 1)
+            R_by_kind[kind] = _prepared_q_tables(vectors[kind], sys.cutoff, L_max,
+                                                 len(f_tables) - 1)
         R_tables = R_by_kind[kind]
         n_zbar, n_z = R_tables[0].shape
         coef = np.zeros((n_z + max(p for p, _ in f_table), n_zbar + max(q for _, q in f_table)),
@@ -396,34 +392,41 @@ def _qderiv_integrals(sys: SystemSpec, t: float, cases, L_max: int):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _integrals(sys, t, cases, method, cfg, L_max):
-    """Iterator of (value, err) over the (tau, kind) cases of one route at t_prepare t.
+def _integrals(sys, cases, method, cfg, L_max):
+    """Iterator of (value, err) over the (tau, kind) cases of one route.
 
-    The collapsed routes integrate every case in one engine call, and the
-    tau = 0 g1 case of the two-variable-Q route is self-tested against the
-    Fock mean photon number under quadrature, which catches a misplaced 1/pi.
+    It admits the scenario first (``_require_phase_space_scenario``), then
+    audits ``SystemSpec.prepared_state`` (shared with the regression route):
+    a spec no route serves fails on admission, before its state is built, and
+    a state the cutoff does not hold on its trace leakage, before any
+    integral.  The Q routes build one pair of ``_prepared_vectors``, psi(t)
+    and a psi(t), for all their cases.  The collapsed routes integrate every
+    case in one engine call, and the tau = 0 g1 case of the two-variable-Q
+    route is self-tested against the audited state's mean photon number
+    under quadrature, which catches a misplaced 1/pi.
     ``qfunction_derivative`` evaluates each case in closed form as it is read.
     """
     _require_phase_space_scenario(sys)
+    rho = sys.prepared_state()
     if method == "qfunction_derivative":
-        return _qderiv_integrals(sys, t, cases, L_max)
+        return _qderiv_integrals(sys, cases, L_max)
     if method not in ("propagator", "qfunction_two_variable"):
         raise ValueError(f"unknown phase-space method {method!r}")
-    results = integrate(_collapsed_integrands(sys, t, cases, method), cfg)
+    results = integrate(_collapsed_integrands(sys, cases, method), cfg)
     if method == "qfunction_two_variable" and cfg.engine == "gauss_hermite_tensor":
         for (tau, kind), (value, _) in zip(cases, results):
             if tau == 0 and kind == "late":
-                _measure_selftest(value, _mean_n_fock(sys, t), "alpha")
+                _measure_selftest(value, rho.mean_photon_number(), "alpha")
     return iter(results)
 
 
-def _integral(sys, t, tau, method, cfg, L_max, kind):
-    return next(_integrals(sys, float(t), [(float(tau), kind)], method, cfg, L_max))
+def _integral(sys, tau, method, cfg, L_max, kind):
+    return next(_integrals(sys, [(float(tau), kind)], method, cfg, L_max))
 
 
-def _g_raw(sys, t, tau, method, cfg, L_max):
-    """(value, err) of <adag(t+tau) a(t)>."""
-    return _integral(sys, t, tau, method, cfg, L_max, "late")
+def _g_raw(sys, tau, method, cfg, L_max):
+    """(value, err) of <adag(t+tau) a(t)>, t = t_prepare."""
+    return _integral(sys, tau, method, cfg, L_max, "late")
 
 
 def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfig,
@@ -433,28 +436,25 @@ def phase_space_series(sys: SystemSpec, taus, method: str, cfg: IntegrationConfi
     Collects the raw (value, err) of g1 and of the g2 numerator at each tau
     and normalizes them with ``correlators.normalized_series``, using the
     method's own tau = 0 integral as the mean photon number n.  A grid that
-    starts at tau = 0 reuses the n integral as its first g1 row.  The
-    prepared state is audited first (``SystemSpec.prepared_state``, shared
-    with the regression route), so a state the cutoff does not hold fails on
-    its trace leakage before any integral.
+    starts at tau = 0 reuses the n integral as its first g1 row.  Every case
+    comes from one ``_integrals`` call, which admits the scenario, then
+    audits the prepared state, then builds one psi pair for the series.
 
     The integrands of ``propagator`` and ``qfunction_two_variable`` are built
     first, sharing their kernels and Fock factors (``_collapsed_integrands``),
     and integrated in one engine call; Gauss-Hermite builds each tau's
     coupling once for all of them, as two n x n^2 factor tables (0.44 MB at
     24 nodes; see ``quadrature._coupling_factors``).  ``qfunction_derivative``
-    checks n before it evaluates the other cases and expands the prepared
-    state once per kind (``_qderiv_integrals``).
+    checks n against the audited state's before it evaluates the other cases
+    and expands the prepared state once per kind (``_qderiv_integrals``).
     """
     taus = _check_tau_grid(taus)
-    sys.prepared_state()
-    t = float(sys.t_prepare)
     cases = [(0.0, "late")] + [(float(tau), kind) for tau in taus
                                for kind in ("late", "g2") if tau != 0 or kind == "g2"]
-    raw = _integrals(sys, t, cases, method, cfg, L_max)
+    raw = _integrals(sys, cases, method, cfg, L_max)
     n, e_n = next(raw)
     if method == "qfunction_derivative":
-        _require_resolved_mean_n(n.real, _mean_n_fock(sys, t), L_max)
+        _require_resolved_mean_n(n.real, sys.prepared_state().mean_photon_number(), L_max)
     rows = []
     for tau in taus:
         g1 = (n, e_n) if tau == 0 else next(raw)

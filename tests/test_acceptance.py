@@ -118,7 +118,7 @@ def test_criterion_4_method_triangle():
         _, oracle, _, _ = regression_raw(sys_spec, taus)
         for method in PHASE_METHODS:
             values = np.array([
-                _g_raw(sys_spec, sys_spec.t_prepare, float(tau), method, QUAD, 12)[0]
+                _g_raw(sys_spec, float(tau), method, QUAD, 12)[0]
                 for tau in taus
             ])
             dev = float(np.max(np.abs(values - oracle)))
@@ -129,7 +129,7 @@ def test_criterion_4_method_triangle():
     label, sys_spec, taus = TRIANGLE[0]
     _, oracles, _, _ = regression_raw(sys_spec, taus[:3])
     for tau, oracle in zip(taus[:3], oracles):
-        value, err = _g_raw(sys_spec, sys_spec.t_prepare, float(tau), "propagator", mc, 12)
+        value, err = _g_raw(sys_spec, float(tau), "propagator", mc, 12)
         assert abs(value - oracle) <= 3 * err, (
             f"MC {label} tau={tau:.2f}: dev {abs(value - oracle):.2e} vs 3 sigma {3 * err:.2e}"
         )
@@ -164,8 +164,8 @@ def test_criterion_6_five_variable_consistency():
     mc = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=1_000_000, seed=42)
     details = []
     for tau in (0.7, np.pi / 2):
-        collapsed, _ = _g_propagator(sys_spec, 0.0, tau, QUAD, collapse=True)
-        full, err = _g_propagator(sys_spec, 0.0, tau, mc, collapse=False)
+        collapsed, _ = _g_propagator(sys_spec, tau, QUAD, collapse=True)
+        full, err = _g_propagator(sys_spec, tau, mc, collapse=False)
         dev = abs(full - collapsed)
         assert dev <= 3 * err, f"tau={tau:.3f}: dev {dev:.2e} vs 3 sigma {3 * err:.2e}"
         details.append(f"tau={tau:.2f} dev/sigma={dev / err:.2f}")
@@ -186,8 +186,8 @@ def test_criterion_7_truncation_stability():
                             FockCutoff(sys_spec.cutoff.n_max + 10), t_prepare=sys_spec.t_prepare)
         for method in ("qfunction_two_variable", "qfunction_derivative"):
             for tau in probe_taus:
-                a, _ = _g_raw(sys_spec, sys_spec.t_prepare, float(tau), method, QUAD, 12)
-                b, _ = _g_raw(bigger, bigger.t_prepare, float(tau), method, QUAD, 12)
+                a, _ = _g_raw(sys_spec, float(tau), method, QUAD, 12)
+                b, _ = _g_raw(bigger, float(tau), method, QUAD, 12)
                 shifts.append((f"{label}/{method}", abs(a - b)))
         _, ga, _, _ = regression_raw(sys_spec, probe_taus)
         _, gb, _, _ = regression_raw(bigger, probe_taus)

@@ -388,7 +388,7 @@ class TestSelfChecks:
     def test_q_derivative_g2_self_check_names_method(self, monkeypatch):
         # this route integrates in closed form, without phasespace.integrate
         monkeypatch.setattr(phasespace, "_qderiv_integrals",
-                            lambda sys, t, cases, L_max: ((1.0 + 1e-3j, 0.0) for _ in cases))
+                            lambda sys, cases, L_max: ((1.0 + 1e-3j, 0.0) for _ in cases))
         with pytest.raises(SelfCheckError, match="qfunction_derivative: g2 imaginary"):
             phasespace.phase_space_series(closed_coherent(), np.array([0.0, 0.5]),
                                           "qfunction_derivative", IntegrationConfig(), L_max=20)

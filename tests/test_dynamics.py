@@ -268,7 +268,7 @@ class TestPropagatedMap:
         a, adag = ladder_matrices(cut)
         for ops in ([O], [adag, a, adag @ a]):
             columns = np.stack([op.T.reshape(-1) for op in ops], axis=1)
-            rows, spans = occupied_rows(H, ch, cut, columns)
+            rows, spans = occupied_rows(H, cut, columns)
             C = columns[rows]
             P.heisenberg(C, spans)
             expected = [np.trace(op @ P.apply(rho)) for op in ops]
@@ -285,7 +285,7 @@ class TestPropagatedMap:
         cut = FockCutoff(8)
         a, adag = ladder_matrices(cut)
         columns = np.stack([op.T.reshape(-1) for op in (adag, a, adag @ a)], axis=1)
-        got, spans = occupied_rows(H, DampingChannel(kappa=0.9, n_thermal=0.3), cut, columns)
+        got, spans = occupied_rows(H, cut, columns)
         assert len(got) == rows and len(set(got)) == rows
         assert not np.any(np.delete(columns, got, axis=0))
         assert spans[-1][1].stop == rows

@@ -24,14 +24,14 @@ MC = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=500_000, seed
 METHODS = ("propagator", "qfunction_two_variable", "qfunction_derivative")
 
 
-def g(sys, t, tau, method, cfg=QUAD, L_max=12):
-    return _g_raw(sys, t, tau, method, cfg, L_max)[0]
+def g(sys, tau, method, cfg=QUAD, L_max=12):
+    return _g_raw(sys, tau, method, cfg, L_max)[0]
 
 
-def g2(sys, t, tau, method):
+def g2(sys, tau, method):
     """Normalized g2, with the route's own tau = 0 mean photon number."""
-    numerator = _integral(sys, t, tau, method, QUAD, 12, "g2")[0].real
-    return numerator / g(sys, t, 0.0, method).real ** 2
+    numerator = _integral(sys, tau, method, QUAD, 12, "g2")[0].real
+    return numerator / g(sys, 0.0, method).real ** 2
 
 
 def scenario(kind: str, n_max=40) -> SystemSpec:
@@ -53,29 +53,42 @@ class TestFirstOrderRoutes:
     def test_methods_match_regression(self, kind, tau):
         sys = scenario(kind)
         oracle = regression_raw(sys, [tau])[1][0]
-        t = sys.t_prepare
-        assert abs(g(sys, t, tau, "propagator") - oracle) < 1e-10
-        assert abs(g(sys, t, tau, "qfunction_two_variable") - oracle) < 1e-10
-        assert abs(g(sys, t, tau, "qfunction_derivative") - oracle) < 1e-7
+        assert abs(g(sys, tau, "propagator") - oracle) < 1e-10
+        assert abs(g(sys, tau, "qfunction_two_variable") - oracle) < 1e-10
+        assert abs(g(sys, tau, "qfunction_derivative") - oracle) < 1e-7
 
     def test_vacuum_gives_zero(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.vacuum(), FockCutoff(20), t_prepare=0.0)
-        assert abs(g(sys, 0.0, 0.4, "propagator")) < 1e-10
-        assert abs(g(sys, 0.0, 0.4, "qfunction_two_variable")) < 1e-10
-        assert abs(g(sys, 0.0, 0.4, "qfunction_derivative")) < 1e-10
+        assert abs(g(sys, 0.4, "propagator")) < 1e-10
+        assert abs(g(sys, 0.4, "qfunction_two_variable")) < 1e-10
+        assert abs(g(sys, 0.4, "qfunction_derivative")) < 1e-10
 
     def test_open_system_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
                          InitialState.coherent(1.0), FockCutoff(20))
         with pytest.raises(ScenarioSemanticError, match="closed dynamics.*kappa = 0.5"):
-            g(sys, 0.0, 0.1, "propagator")
+            g(sys, 0.1, "propagator")
 
     def test_noncoherent_initial_rejected(self):
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
                          InitialState.fock(1), FockCutoff(20))
         with pytest.raises(ScenarioSemanticError, match="coherent"):
-            g(sys, 0.0, 0.1, "qfunction_two_variable")
+            g(sys, 0.1, "qfunction_two_variable")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("sys, match", [
+        # a thermal tail the cutoff does not hold, on damped dynamics
+        (SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(kappa=0.5),
+                    InitialState.thermal(5.0), FockCutoff(5)), "closed dynamics"),
+        # a Fock level outside the cutoff
+        (SystemSpec(QuadraticHamiltonian(omega=1.0), DampingChannel(),
+                    InitialState.fock(30), FockCutoff(5)), "coherent"),
+    ])
+    def test_admission_precedes_preparation(self, sys, match, method):
+        # either state fails its own preparation; the route rejects the scenario first
+        with pytest.raises(ScenarioSemanticError, match=match):
+            phase_space_series(sys, np.linspace(0.0, 1.0, 3), method, QUAD)
 
 
 class TestPairwiseAgreement:
@@ -85,8 +98,8 @@ class TestPairwiseAgreement:
         sys = scenario("harmonic")
         taus = np.linspace(0, 2.0, 5)
         for tau in taus:
-            a = g(sys, 0.0, float(tau), "propagator")
-            b = g(sys, 0.0, float(tau), "qfunction_two_variable")
+            a = g(sys, float(tau), "propagator")
+            b = g(sys, float(tau), "qfunction_two_variable")
             assert abs(a - b) < 1e-5
 
     def test_qderiv_tracks_propagator_and_oracle(self):
@@ -94,8 +107,8 @@ class TestPairwiseAgreement:
         taus = np.linspace(0, 2.0, 5)
         _, oracle, _, _ = regression_raw(sys, taus)
         for tau, o in zip(taus, oracle):
-            a = g(sys, 0.0, float(tau), "propagator")
-            d = g(sys, 0.0, float(tau), "qfunction_derivative")
+            a = g(sys, float(tau), "propagator")
+            d = g(sys, float(tau), "qfunction_derivative")
             assert abs(d - a) < 1e-5
             assert abs(d - o) < 1e-5
 
@@ -104,8 +117,8 @@ class TestCollapseConsistency:
     def test_collapsed_quadrature_vs_full_monte_carlo(self):
         sys = scenario("harmonic")
         tau = 0.7
-        collapsed, _ = _g_propagator(sys, 0.0, tau, QUAD, collapse=True)
-        full, err = _g_propagator(sys, 0.0, tau, MC, collapse=False)
+        collapsed, _ = _g_propagator(sys, tau, QUAD, collapse=True)
+        full, err = _g_propagator(sys, tau, MC, collapse=False)
         assert abs(full - collapsed) < 3 * err
 
     def test_full_form_needs_monte_carlo(self):
@@ -113,7 +126,7 @@ class TestCollapseConsistency:
 
         sys = scenario("harmonic")
         with pytest.raises(QuadratureDimensionError):
-            _g_propagator(sys, 0.0, 0.5, QUAD, collapse=False)
+            _g_propagator(sys, 0.5, QUAD, collapse=False)
 
 
 class TestMeasureSelfTest:
@@ -130,7 +143,7 @@ class TestMeasureSelfTest:
 
     def test_q2var_zero_delay_selftest_runs_clean(self):
         sys = scenario("driven")
-        value = g(sys, sys.t_prepare, 0.0, "qfunction_two_variable")
+        value = g(sys, 0.0, "qfunction_two_variable")
         assert abs(value.imag) < 1e-12
 
 
@@ -142,13 +155,13 @@ class TestSecondOrderRoutes:
         tau = 0.9
         mean_n, _, _, G2 = regression_raw(sys, [tau])
         oracle = G2[0].real / mean_n**2
-        got = g2(sys, sys.t_prepare, tau, method)
+        got = g2(sys, tau, method)
         assert abs(got - oracle) < 1e-5
 
     def test_coherent_factorization(self):
         sys = scenario("harmonic")
         for method in METHODS:
-            got = g2(sys, 0.0, 1.3, method)
+            got = g2(sys, 1.3, method)
             assert abs(got - 1.0) < 1e-5
 
     def test_squeezed_zero_delay_highercutoff(self):
@@ -156,7 +169,7 @@ class TestSecondOrderRoutes:
         mean_n, _, _, G2 = regression_raw(sys, [0.0])
         oracle = G2[0].real / mean_n**2
         for method in METHODS:
-            got = g2(sys, sys.t_prepare, 0.0, method)
+            got = g2(sys, 0.0, method)
             assert abs(got - oracle) < 1e-4
 
 
@@ -198,7 +211,7 @@ class TestLmaxGuard:
 
         sys = scenario("harmonic")  # alpha0 = 1 has support beyond level 6
         with pytest.raises(LMaxInsufficientError):
-            g(sys, 0.0, 0.3, "qfunction_derivative", L_max=6)
+            g(sys, 0.3, "qfunction_derivative", L_max=6)
 
 
 class TestSeries:
@@ -224,11 +237,11 @@ class TestSeries:
         cfg = IntegrationConfig(engine="monte_carlo_gaussian", sample_count=100_000, seed=42)
         taus = np.linspace(0.0, 3.0, 5)
         s = phase_space_series(sys, taus, "propagator", cfg)
-        n, e_n = _g_raw(sys, 0.0, 0.0, "propagator", cfg, 12)
+        n, e_n = _g_raw(sys, 0.0, "propagator", cfg, 12)
         m = n.real
         for tau, err in zip(taus, s.error_estimate):
-            gv, ge = _g_raw(sys, 0.0, tau, "propagator", cfg, 12)
-            g2v, g2e = _integral(sys, 0.0, tau, "propagator", cfg, 12, "g2")
+            gv, ge = _g_raw(sys, tau, "propagator", cfg, 12)
+            g2v, g2e = _integral(sys, tau, "propagator", cfg, 12, "g2")
             assert err == max(np.hypot(ge / m, abs(gv) * e_n / m**2),
                               np.hypot(g2e / m**2, 2 * abs(g2v.real) * e_n / m**3))
 
@@ -266,8 +279,8 @@ class TestSeries:
     def test_quadrature_node_doubling_stable(self):
         sys = scenario("squeezed")
         tau = 0.6
-        a = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=24))
-        b = g(sys, sys.t_prepare, tau, "propagator", IntegrationConfig(nodes_per_axis=48))
+        a = g(sys, tau, "propagator", IntegrationConfig(nodes_per_axis=24))
+        b = g(sys, tau, "propagator", IntegrationConfig(nodes_per_axis=48))
         assert abs(a - b) < 1e-7
 
 
@@ -287,7 +300,7 @@ class TestCaches:
 
     @staticmethod
     def integral(sys, tau, method, cfg, kind):
-        return _integral(sys, 0.5, tau, method, cfg, 20, kind)
+        return _integral(sys, tau, method, cfg, 20, kind)
 
     def cold(self, sys, tau, method, cfg, kind):
         self.clear_caches()
@@ -360,6 +373,17 @@ class TestCaches:
         assert len(durations) <= builds
         assert set(taus) <= set(durations)
 
+    @pytest.mark.parametrize("method", ["qfunction_two_variable", "qfunction_derivative"])
+    def test_series_prepares_one_vector(self, method, monkeypatch):
+        # psi(t) is propagated once, and a psi(t) is shifted from it, for the whole series
+        calls = []
+        original = phasespace.unitary_matrix
+        monkeypatch.setattr(phasespace, "unitary_matrix",
+                            lambda *a: calls.append(a) or original(*a))
+        sys = scenario("driven", n_max=30)
+        phase_space_series(sys, np.linspace(0.0, 1.5, 4), method, QUAD)
+        assert calls == [(sys.hamiltonian, sys.t_prepare, sys.cutoff)]
+
     def test_series_expands_prepared_state_twice(self, monkeypatch):
         calls = []
         monkeypatch.setattr(phasespace, "normal_order_coeffs",
@@ -373,12 +397,14 @@ class TestCaches:
     def test_resummation_undoes_normal_order(self, shifted):
         # sum_k C[a-k, b-k] / k! telescopes to rho[a, b] / sqrt(a! b!)
         sys = scenario("driven", n_max=30)
-        psi = phasespace._prepared_vector(sys, 1.0)
+        vectors = phasespace._prepared_vectors(sys)
+        psi = vectors["late"]
         if shifted:
             psi = np.sqrt(np.arange(1, 31)) * psi[1:]
         size = 13
         fact = np.array([math.factorial(k) for k in range(size)], dtype=float)
         rho = np.outer(psi[:size], np.conj(psi[:size])) / np.sqrt(np.outer(fact, fact))
-        R = phasespace._prepared_q_tables(sys, 1.0, 12, shifted, 2)[0]
+        R = phasespace._prepared_q_tables(vectors["g2" if shifted else "late"], sys.cutoff,
+                                          12, 2)[0]
         assert np.max(np.abs(R[:size] - rho)) < 1e-12
         assert not np.any(R[size:])

@@ -281,7 +281,7 @@ class TestBatch:
                          InitialState.coherent(0.3 + 0.2j), FockCutoff(20), t_prepare=0.4)
         cases = [(tau, kind) for tau in (0.0, 0.5, 1.1) for kind in ("late", "g2")]
         pgs = [pg for method in ("propagator", "qfunction_two_variable")
-               for pg in phasespace._collapsed_integrands(sys, 0.4, cases, method)]
+               for pg in phasespace._collapsed_integrands(sys, cases, method)]
         order = np.random.default_rng(3).permutation(len(pgs))
         return [pgs[k] for k in order]
 
@@ -461,7 +461,7 @@ class TestCouplingCache:
         # matrix alone took 5.3 MB
         sys = SystemSpec(QuadraticHamiltonian(omega=1.0, eta=0.4), DampingChannel(),
                          InitialState.coherent(0.6 + 0.2j), FockCutoff(30), t_prepare=0.5)
-        [pg] = phasespace._collapsed_integrands(sys, 0.5, [(0.8, "g2")], "propagator")
+        [pg] = phasespace._collapsed_integrands(sys, [(0.8, "g2")], "propagator")
         quadrature._gh_grid.cache_clear()
         gc.collect()
         tracemalloc.start()
@@ -523,7 +523,7 @@ class TestVectorisedSums:
                          InitialState.coherent(0.6 - 0.2j), FockCutoff(30), t_prepare=0.5)
         for kind in ("late", "g2"):
             recorded.clear()
-            [(value, _)] = phasespace._qderiv_integrals(sys, 0.5, [(0.7, kind)], 20)
+            [(value, _)] = phasespace._qderiv_integrals(sys, [(0.7, kind)], 20)
             f_tables, R_tables = recorded["_conj_deriv_tables"], recorded["_prepared_q_tables"]
             pg = unit_gaussian()
             for j, ft in enumerate(f_tables):
